@@ -16,7 +16,7 @@ from pathlib import Path
 
 from . import harness
 from .graphs import Graph, GraphParseError, connected_components, graph_stats, parse_graph
-from .params import min_feedback_vertex_set, min_vertex_cover
+from .params import min_feedback_vertex_set, min_vertex_cover, vertex_cover_number
 from .reductions import (
     CliqueInstance,
     ThreePartitionInstance,
@@ -122,7 +122,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
     query = SolveQuery(g1, g2, connected=connected, threshold=args.k)
     algo = args.algo
     if algo == "auto":
-        vc_max = max(len(min_vertex_cover(g1).cover), len(min_vertex_cover(g2).cover))
+        vc_max = max(vertex_cover_number(g1), vertex_cover_number(g2))
         if vc_max <= args.vc_cutoff:
             algo = "vc-fpt"
         elif max(g1.n, g2.n) <= oracle_bound():
@@ -306,6 +306,11 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_OK
+    try:
+        oracle_bound()
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     try:
         return args.func(args)
     except CliError as exc:

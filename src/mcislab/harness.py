@@ -33,7 +33,7 @@ from .solvers import (
     mcis_bruteforce,
     mcis_vc_fpt,
 )
-from .params import min_vertex_cover
+from .params import vertex_cover_number
 
 
 def _witness_ok(query: SolveQuery, result) -> bool:
@@ -62,8 +62,7 @@ def run_oracle_suite(seed: int, count: int, max_n: int) -> dict:
     instances = 0
     for index in range(count):
         g1, g2 = random_graph_pair(rng, max_n)
-        k1 = len(min_vertex_cover(g1).cover)
-        k2 = len(min_vertex_cover(g2).cover)
+        k1, k2 = vertex_cover_number(g1), vertex_cover_number(g2)
         for connected in (False, True):
             query = SolveQuery(g1, g2, connected=connected)
             oracle = mcis_bruteforce(query)

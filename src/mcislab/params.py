@@ -1,17 +1,17 @@
 """Structural parameters: minimum vertex cover, minimum feedback vertex set,
 twin classes and cover tripartitions.
 
-The vertex cover solver is a plain exact edge-branching with a degree-1
-reduction; at desk scale that is all the rest of the package needs.  Ties
-between minimum covers are broken towards the lexicographically smallest
-vertex set so that repeated runs are reproducible.
+One budgeted exact search (degree-1 reduction plus branching) gives both the
+vertex cover number and the lexicographically smallest minimum cover, the
+tie-break that keeps repeated runs reproducible: with budget n it returns the
+cover number, and with the budget left it tells whether a vertex still fits.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import AbstractSet, Iterable, Iterator, Mapping
 
 from .graphs import Graph
 
@@ -59,11 +59,15 @@ class FvsResult:
 # vertex cover
 
 
-def _branch_size(adj: dict[int, set[int]]) -> int:
-    """Minimum cover size of the graph given as a mutable adjacency dict."""
+def _cover_size(adj: Mapping[int, AbstractSet[int]], budget: int) -> int:
+    """Minimum cover size of ``adj`` if it is at most ``budget``, else budget + 1.
+
+    Branches on a vertex of maximum degree against its smallest neighbor and
+    stops a branch once it cannot fit the budget.  ``adj`` is not modified.
+    """
     adj = {v: set(nbrs) for v, nbrs in adj.items() if nbrs}
     taken = 0
-    while True:
+    while taken <= budget:
         leaf = next((v for v, nbrs in adj.items() if len(nbrs) == 1), None)
         if leaf is None:
             break
@@ -72,14 +76,16 @@ def _branch_size(adj: dict[int, set[int]]) -> int:
         _remove(adj, u)
         taken += 1
     if not adj:
-        return taken
+        return taken  # at most budget + 1
+    if taken >= budget:
+        return budget + 1
     u = max(adj, key=lambda v: (len(adj[v]), -v))
     v = min(adj[u])
-    left = {w: set(ns) for w, ns in adj.items()}
-    _remove(left, u)
-    right = {w: set(ns) for w, ns in adj.items()}
-    _remove(right, v)
-    return taken + 1 + min(_branch_size(left), _branch_size(right))
+    rest = budget - taken - 1
+    best = _cover_size({w: ns - {u} for w, ns in adj.items() if w != u}, rest)
+    _remove(adj, v)
+    # the second branch only matters if it beats the first
+    return taken + 1 + min(best, _cover_size(adj, best - 1))
 
 
 def _remove(adj: dict[int, set[int]], v: int) -> None:
@@ -89,41 +95,33 @@ def _remove(adj: dict[int, set[int]], v: int) -> None:
             del adj[w]
 
 
-def _cover_feasible(
-    edges: list[tuple[int, int]], k: int, forced: frozenset[int], banned: frozenset[int]
-) -> bool:
-    """Is there a vertex cover of size <= k containing forced, avoiding banned?"""
-    uncovered = [(u, v) for u, v in edges if u not in forced and v not in forced]
-    if not uncovered:
-        return len(forced) <= k
-    if len(forced) >= k:
-        return False
-    u, v = uncovered[0]
-    for w in (u, v):
-        if w not in banned and _cover_feasible(edges, k, forced | {w}, banned):
-            return True
-    return False
-
-
 def vertex_cover_number(g: Graph) -> int:
     """Size of a minimum vertex cover."""
-    adj = {v: set(g.adj[v]) for v in range(g.n)}
-    return _branch_size(adj)
+    return _cover_size(dict(enumerate(g.adj)), g.n)
 
 
 def min_vertex_cover(g: Graph) -> CoverSplit:
-    """Lexicographically smallest minimum vertex cover and its complement."""
-    k = vertex_cover_number(g)
-    edges = sorted(g.edges)
+    """Lexicographically smallest minimum vertex cover and its complement.
+
+    Forces each vertex in increasing order while the residual graph still has
+    a cover within the budget left; a vertex that does not fit is banned,
+    which forces its remaining neighbors.
+    """
+    residual = {v: set(nbrs) for v, nbrs in enumerate(g.adj) if nbrs}
+    k = _cover_size(residual, g.n)
     chosen: set[int] = set()
-    banned: set[int] = set()
     for v in range(g.n):
-        if len(chosen) == k:
-            break
-        if _cover_feasible(edges, k, frozenset(chosen | {v}), frozenset(banned)):
+        if v not in residual:
+            # already chosen, or isolated: forcing it would waste budget
+            continue
+        budget = k - len(chosen) - 1
+        if _cover_size({w: ns - {v} for w, ns in residual.items() if w != v}, budget) <= budget:
+            _remove(residual, v)
             chosen.add(v)
         else:
-            banned.add(v)
+            chosen |= residual[v]
+            for w in list(residual[v]):
+                _remove(residual, w)
     return CoverSplit(frozenset(chosen), frozenset(range(g.n)) - frozenset(chosen))
 
 

@@ -31,6 +31,7 @@ from typing import Iterator
 from .graphs import (
     Graph,
     VertexMapping,
+    connected_components,
     induced_subgraph,
     induces_connected,
     is_induced_isomorphism,
@@ -51,9 +52,16 @@ class OracleBoundError(RuntimeError):
     """The brute-force oracle refused an instance above its size bound."""
 
 
+class WitnessError(RuntimeError):
+    """A solver built a witness that the arbiter rejects (a solver bug)."""
+
+
 def oracle_bound() -> int:
-    """Current oracle size bound (overridable via MCIS_ORACLE_BOUND)."""
-    return int(os.environ.get(ORACLE_BOUND_ENV, DEFAULT_ORACLE_BOUND))
+    """Current oracle size bound; MCIS_ORACLE_BOUND, if set, must be a non-negative integer."""
+    raw = os.environ.get(ORACLE_BOUND_ENV, str(DEFAULT_ORACLE_BOUND))
+    if not raw.strip().isdecimal():
+        raise ValueError(f"{ORACLE_BOUND_ENV} must be a non-negative integer, got {raw!r}")
+    return int(raw)
 
 
 @dataclass(frozen=True)
@@ -113,23 +121,8 @@ def configuration_bound(k1: int, k2: int) -> int:
 def _pattern_components(g: Graph) -> list[list[int]]:
     """Components as vertex orders: big components first; inside one
     component grow by number of already-placed neighbors."""
-    remaining = set(range(g.n))
-    comps: list[set[int]] = []
-    while remaining:
-        start = min(remaining)
-        comp = {start}
-        frontier = [start]
-        while frontier:
-            v = frontier.pop()
-            for w in g.adj[v]:
-                if w in remaining and w not in comp:
-                    comp.add(w)
-                    frontier.append(w)
-        remaining -= comp
-        comps.append(comp)
-    comps.sort(key=lambda c: (-len(c), min(c)))
     ordered: list[list[int]] = []
-    for comp in comps:
+    for comp in sorted(connected_components(g), key=lambda c: (-len(c), min(c))):
         todo = set(comp)
         placed: set[int] = set()
         order: list[int] = []
@@ -226,7 +219,8 @@ def isi_backtracking(pattern: Graph, host: Graph) -> VertexMapping | None:
     if not extend(0, -1):
         return None
     mapping = VertexMapping(tuple(sorted(assignment.items())))
-    assert is_induced_isomorphism(pattern, host, mapping)
+    if not is_induced_isomorphism(pattern, host, mapping):
+        raise WitnessError(f"isi_backtracking built a non-induced embedding {mapping.pairs}")
     return mapping
 
 
@@ -258,7 +252,8 @@ def mcis_bruteforce(q: SolveQuery, bound: int | None = None) -> SolveResult:
             if swap:
                 pairs = [(v, u) for u, v in pairs]
             witness = VertexMapping(tuple(sorted(pairs)))
-            assert is_induced_isomorphism(q.g1, q.g2, witness)
+            if not is_induced_isomorphism(q.g1, q.g2, witness):
+                raise WitnessError(f"mcis_bruteforce built an invalid witness {witness.pairs}")
             return SolveResult(size, witness, "brute", stats)
     return SolveResult(0, VertexMapping(()), "brute", stats)
 

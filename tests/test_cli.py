@@ -239,6 +239,15 @@ def test_analyze_forest_reports_acyclic(graph_files, capsys):
     assert "fvs_size 0" in out
 
 
+def test_analyze_rejects_a_bad_oracle_bound(graph_files, capsys, monkeypatch):
+    p4 = graph_files("p4.el", path_graph(4))
+    for bad in ("abc", "-2", "", "2.5"):
+        monkeypatch.setenv("MCIS_ORACLE_BOUND", bad)
+        assert main(["analyze", p4]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: MCIS_ORACLE_BOUND must be a non-negative integer")
+
+
 def test_analyze_json(graph_files, capsys):
     k3 = graph_files("k3.el", complete_graph(3))
     assert main(["analyze", "--json", k3]) == EXIT_OK

@@ -109,17 +109,35 @@ def test_vc_lexicographically_smallest():
     assert min_vertex_cover(path_graph(2)).cover == frozenset({0})
 
 
+def all_labelled_graphs(max_n):
+    for n in range(max_n + 1):
+        slots = list(itertools.combinations(range(n), 2))
+        for mask in range(2 ** len(slots)):
+            yield Graph.from_edges(n, (e for i, e in enumerate(slots) if mask >> i & 1))
+
+
 def test_vc_lex_smallest_against_enumeration():
     rng = random.Random(4)
-    for _ in range(25):
-        g = random_graph(rng, rng.randint(1, 7), 0.5)
-        k = brute_min_cover_size(g)
-        candidates = [
+    seeded = [
+        random_graph(rng, rng.randint(1, 10), rng.choice((0.2, 0.5, 0.8)))
+        for _ in range(60)
+    ]
+    for g in itertools.chain(all_labelled_graphs(5), seeded):
+        covers = (
             combo
-            for combo in itertools.combinations(range(g.n), k)
+            for size in range(g.n + 1)
+            for combo in itertools.combinations(range(g.n), size)
             if all(u in combo or v in combo for u, v in g.edges)
-        ]
-        assert tuple(sorted(min_vertex_cover(g).cover)) == min(candidates)
+        )
+        # the first cover in (size, lex) order is the lex smallest minimum one
+        assert tuple(sorted(min_vertex_cover(g).cover)) == next(covers)
+
+
+def test_vc_sparse_n60_is_a_minimum_cover():
+    g = random_graph(random.Random(2), 60, 0.03)
+    split = min_vertex_cover(g)
+    assert all(u in split.cover or v in split.cover for u, v in g.edges)
+    assert len(split.cover) == vertex_cover_number(g) == 23
 
 
 # --- feedback vertex set ---------------------------------------------------

@@ -20,9 +20,11 @@ from mcislab.graphs import (
 )
 from mcislab.params import min_vertex_cover
 from mcislab.reductions import incidence_graph
+from mcislab import solvers
 from mcislab.solvers import (
     OracleBoundError,
     SolveQuery,
+    WitnessError,
     configuration_bound,
     enumerate_configurations,
     isi_backtracking,
@@ -111,6 +113,17 @@ def test_brute_bound_override(monkeypatch):
 def test_brute_empty_inputs():
     result = mcis_bruteforce(SolveQuery(edgeless_graph(0), path_graph(3)))
     assert result.size == 0 and result.witness == VertexMapping(())
+
+
+def test_witness_guards_raise_without_assert(monkeypatch):
+    # the guards must hold under python -O, which strips assert statements
+    monkeypatch.setattr(solvers, "is_induced_isomorphism", lambda *args: False)
+    with pytest.raises(WitnessError):
+        isi_backtracking(path_graph(2), path_graph(3))
+    # an embedding that maps an edge onto a non-edge reaches the oracle's guard
+    monkeypatch.setattr(solvers, "isi_backtracking", lambda p, h: VertexMapping(((0, 0), (1, 1))))
+    with pytest.raises(WitnessError):
+        mcis_bruteforce(SolveQuery(path_graph(2), edgeless_graph(2)))
 
 
 # --- the FPT solver --------------------------------------------------------
