@@ -80,6 +80,8 @@ def _report(args: argparse.Namespace, digest: str, result: dict, started: float,
         report["stats"] = {
             "configurations": stats.configurations,
             "candidates_validated": stats.candidates_validated,
+            "bijections_tried": stats.bijections_tried,
+            "bijections_pruned": stats.bijections_pruned,
         }
     return report
 

@@ -158,12 +158,15 @@ def parse_graph(text: str) -> Graph:
 
     Edge-list: first meaningful line ``n m``, then ``u v`` lines with 0-based
     endpoints; ``#`` starts a comment line.  DIMACS: ``c`` comments,
-    ``p edge n m`` header, ``e u v`` lines with 1-based endpoints.  Duplicate
-    edge lines collapse to one edge.
+    ``p edge n m`` header, ``e u v`` lines with 1-based endpoints.  The
+    header's ``m`` must equal the number of edge lines; duplicate edge lines
+    count there but collapse to one edge.
     """
     header: tuple[int, int] | None = None
+    header_line = 0
     dimacs = False
     n = 0
+    edge_lines = 0
     edges: set[tuple[int, int]] = set()
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -184,12 +187,13 @@ def parse_graph(text: str) -> Graph:
                     raise GraphParseError(line_no, "expected header 'n m'")
                 count_tokens = tokens
             try:
-                n, _ = (int(t) for t in count_tokens)
+                n, m = (int(t) for t in count_tokens)
             except ValueError:
                 raise GraphParseError(line_no, "header counts must be integers") from None
             if n < 0:
                 raise GraphParseError(line_no, "vertex count must be non-negative")
-            header = (n, 0)
+            header = (n, m)
+            header_line = line_no
             continue
         if dimacs:
             if tokens[0] == "c":
@@ -212,8 +216,13 @@ def parse_graph(text: str) -> Graph:
         if not (0 <= u < n and 0 <= v < n):
             raise GraphParseError(line_no, f"endpoint out of range [0, {n})")
         edges.add((min(u, v), max(u, v)))
+        edge_lines += 1
     if header is None:
         raise GraphParseError(1, "empty document")
+    if edge_lines != header[1]:
+        raise GraphParseError(
+            header_line, f"header declares {header[1]} edges, found {edge_lines} edge lines"
+        )
     return Graph(n, frozenset(edges))
 
 

@@ -152,7 +152,8 @@ def three_partition_exists(inst: ThreePartitionInstance) -> bool:
 
 
 def _label_index(g: Graph, name: str) -> int:
-    assert g.labels is not None
+    if g.labels is None:
+        raise ValueError(f"graph has no vertex labels to look up {name!r} in")
     return g.labels.index(name)
 
 

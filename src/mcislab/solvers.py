@@ -12,8 +12,15 @@ each other:
 * :func:`mcis_vc_fpt` — the vertex-cover-parameterized algorithm: minimum
   covers on both sides, twin classes of the independent sets, then an
   enumeration of cover tripartitions, cover bijections and
-  cover-to-twin-class assignments.  Every candidate mapping is validated by
-  the trusted arbiter before it can win.
+  cover-to-twin-class assignments.  Once a cover bijection is fixed, the
+  twin classes pair only within label classes (their cover neighborhood
+  under the bijection), so the bijection can reach at most the matched and
+  to-independent cover vertices plus ``sum(min(L_key, R_key))`` over the
+  keys (McSplit's bound); a bijection whose bound cannot beat the best
+  size so far is skipped whole.  Below it, each candidate's size is
+  computed from the class capacities before the mapping is built, and
+  only a candidate that beats the best size is assembled.  Every assembled
+  mapping is validated by the trusted arbiter before it can win.
 
 :func:`enumerate_configurations` exposes the same enumeration as a stream,
 and :func:`mcis_via_isi` decides the threshold variant by enumerating all
@@ -78,8 +85,18 @@ class SolveQuery:
 
 @dataclass
 class SolveStats:
+    """Deterministic work counters.
+
+    ``configurations`` counts the (choice1, choice2) assignment pairs the FPT
+    enumeration reaches; ``bijections_tried`` the cover bijections it
+    examines and ``bijections_pruned`` those of them the label-class bound
+    skips whole.
+    """
+
     configurations: int = 0
     candidates_validated: int = 0
+    bijections_tried: int = 0
+    bijections_pruned: int = 0
 
 
 @dataclass(frozen=True)
@@ -332,9 +349,49 @@ def _cover_bijections(
     yield from extend(0)
 
 
+_TripClasses = tuple[dict[frozenset[int], list[int]], dict[frozenset[int], list[int]]]
+
+
+def _trip_classes(twins: TwinPartition, t: _Trip) -> _TripClasses:
+    """A tripartition's view of its own graph's twin classes.
+
+    Returns the classes grouped by their neighborhood inside the matched
+    cover part, and the same grouping of the pairable classes only.  A class
+    adjacent to the cover part mapped into the opposite independent set
+    cannot be paired: its vertices would need a neighbor inside an
+    independent set.
+    """
+    traces: dict[frozenset[int], list[int]] = {}
+    pairable: dict[frozenset[int], list[int]] = {}
+    for idx, cls in enumerate(twins.classes):
+        trace = cls.neighborhood & t.mset
+        traces.setdefault(trace, []).append(idx)
+        if not cls.neighborhood & t.iset:
+            pairable.setdefault(trace, []).append(idx)
+    return traces, pairable
+
+
+def _class_plan(
+    pairable1: dict[frozenset[int], list[int]],
+    pairable2: dict[frozenset[int], list[int]],
+    sigma: dict[int, int],
+    connected: bool,
+) -> list[tuple[list[int], list[int]]]:
+    """Pairable twin classes under ``sigma``, one ``(left, right)`` entry per key.
+
+    A key is the image in the second graph's matched cover part of a class's
+    neighborhood there; classes pair only within a key present on both
+    sides.  In connected mode the empty key is dropped (its vertices would be
+    isolated in the candidate).
+    """
+    # sigma is a bijection, so distinct traces keep distinct images
+    groups1 = {frozenset(sigma[x] for x in trace): idxs for trace, idxs in pairable1.items()}
+    keys = [key for key in groups1 if key in pairable2 and (key or not connected)]
+    keys.sort(key=lambda k: tuple(sorted(k)))
+    return [(groups1[key], pairable2[key]) for key in keys]
+
+
 def _assemble(
-    g1: Graph,
-    g2: Graph,
     t1: _Trip,
     t2: _Trip,
     twins1: TwinPartition,
@@ -342,14 +399,13 @@ def _assemble(
     sigma: dict[int, int],
     choice1: tuple[int, ...],
     choice2: tuple[int, ...],
-    connected: bool,
+    plan: list[tuple[list[int], list[int]]],
 ) -> tuple[VertexMapping, tuple[tuple[frozenset[int], frozenset[int], int], ...]]:
     """Build the full candidate mapping for one configuration.
 
-    Twin classes are matched greedily at maximum count, net of members
-    consumed by the cover-to-independent-set assignments.  In connected mode
-    class pairs without a surviving cover neighborhood contribute nothing
-    (their vertices would be isolated in the candidate).
+    Within each key of ``plan`` the members of the first graph's classes are
+    paired in order with those of the second graph's, net of the members
+    consumed by the cover-to-independent-set assignments.
     """
     pairs: list[tuple[int, int]] = [(u, sigma[u]) for u in t1.matched]
     consumed1: dict[int, int] = {}
@@ -363,54 +419,36 @@ def _assemble(
         pairs.append((members[consumed1.get(ridx, 0)], y))
         consumed1[ridx] = consumed1.get(ridx, 0) + 1
 
-    # Pairable classes, grouped by the image of their surviving neighborhood.
-    # Classes adjacent to the cover part mapped into the opposite independent
-    # set are ineligible: their vertices would need a neighbor inside an
-    # independent set.
-    groups1: dict[frozenset[int], list[int]] = {}
-    for idx, cls in enumerate(twins1.classes):
-        if cls.neighborhood & t1.iset:
-            continue
-        key = frozenset(sigma[x] for x in cls.neighborhood & t1.mset)
-        groups1.setdefault(key, []).append(idx)
-    groups2: dict[frozenset[int], list[int]] = {}
-    for idx, cls in enumerate(twins2.classes):
-        if cls.neighborhood & t2.iset:
-            continue
-        key = cls.neighborhood & t2.mset
-        groups2.setdefault(key, []).append(idx)
-
+    classes1, classes2 = twins1.classes, twins2.classes
     pairing: list[tuple[frozenset[int], frozenset[int], int]] = []
-    for key in sorted(groups1, key=lambda k: tuple(sorted(k))):
-        if key not in groups2:
-            continue
-        if connected and not key:
-            continue
-        left = [
-            (idx, list(twins1.classes[idx].members[consumed1.get(idx, 0):]))
-            for idx in groups1[key]
-        ]
-        right = [
-            (idx, list(twins2.classes[idx].members[consumed2.get(idx, 0):]))
-            for idx in groups2[key]
-        ]
-        take = min(sum(len(m) for _, m in left), sum(len(m) for _, m in right))
-        li = ri = 0
-        while take > 0:
-            while not left[li][1]:
-                li += 1
-            while not right[ri][1]:
-                ri += 1
-            lcls, lmembers = left[li]
-            rcls, rmembers = right[ri]
-            count = min(take, len(lmembers), len(rmembers))
-            for _ in range(count):
-                pairs.append((lmembers.pop(0), rmembers.pop(0)))
+    for lefts, rights in plan:
+        free1 = [(i, u) for i in lefts for u in classes1[i].members[consumed1.get(i, 0):]]
+        free2 = [(j, v) for j in rights for v in classes2[j].members[consumed2.get(j, 0):]]
+        matched = list(zip(free1, free2))
+        pairs.extend((u, v) for (_, u), (_, v) in matched)
+        for (i, j), run in itertools.groupby(matched, key=lambda p: (p[0][0], p[1][0])):
             pairing.append(
-                (twins1.classes[lcls].neighborhood, twins2.classes[rcls].neighborhood, count)
+                (classes1[i].neighborhood, classes2[j].neighborhood, sum(1 for _ in run))
             )
-            take -= count
     return VertexMapping(tuple(sorted(pairs))), tuple(pairing)
+
+
+def _class_choices(
+    indep: tuple[int, ...],
+    adj: tuple[frozenset[int], ...],
+    mset: frozenset[int],
+    image: dict[int, int],
+    trace: dict[frozenset[int], list[int]],
+) -> list[list[int]] | None:
+    """For each vertex of ``indep``, the opposite twin classes whose cover
+    neighborhood matches its own under ``image``; None if one has none."""
+    cands = []
+    for u in indep:
+        lst = trace.get(frozenset(image[x] for x in adj[u] & mset))
+        if not lst:
+            return None
+        cands.append(lst)
+    return cands
 
 
 def _iter_search(
@@ -445,15 +483,18 @@ def _iter_search(
     for ub, ms, i1s, i2s in buckets:
         if best is not None and ub <= best[0]:
             break
-        by_degms: dict[tuple[int, ...], list[_Trip]] = {}
+        by_degms: dict[tuple[int, ...], list[tuple[_Trip, _TripClasses]]] = {}
         for t2 in side2[(ms, i2s)]:
-            by_degms.setdefault(t2.degms, []).append(t2)
+            by_degms.setdefault(t2.degms, []).append((t2, _trip_classes(twins2, t2)))
         for t1 in side1[(ms, i1s)]:
             if best is not None and ub <= best[0]:
                 break
-            for t2 in by_degms.get(t1.degms, ()):
+            partners = by_degms.get(t1.degms, ())
+            classes1 = _trip_classes(twins1, t1) if partners else None
+            for t2, classes2 in partners:
                 yield from _search_pair(
-                    g1, g2, t1, t2, twins1, twins2, connected, stats, best, ub
+                    g1, g2, t1, t2, twins1, twins2, classes1, classes2,
+                    connected, stats, best, ub,
                 )
 
 
@@ -464,81 +505,108 @@ def _search_pair(
     t2: _Trip,
     twins1: TwinPartition,
     twins2: TwinPartition,
+    classes1: _TripClasses,
+    classes2: _TripClasses,
     connected: bool,
     stats: SolveStats,
     best: list[int] | None,
     ub: int,
 ) -> Iterator[tuple[CoverConfiguration, VertexMapping]]:
-    adj1, adj2 = g1.adj, g2.adj
-    trace1: dict[frozenset[int], list[int]] = {}
-    for idx, cls in enumerate(twins1.classes):
-        trace1.setdefault(cls.neighborhood & t1.mset, []).append(idx)
-    trace2: dict[frozenset[int], list[int]] = {}
-    for idx, cls in enumerate(twins2.classes):
-        trace2.setdefault(cls.neighborhood & t2.mset, []).append(idx)
+    """Every configuration of one tripartition pair, pruned against ``best``.
+
+    A candidate's size is known before it is built: the matched and
+    to-independent cover vertices plus, for each key of the class plan,
+    ``min(L_key, R_key)`` net of the members the assignments consume.  With
+    nothing consumed this is McSplit's label-class bound, which prunes a
+    whole bijection; a candidate is assembled only if its size beats
+    ``best``.
+    """
+    trace1, pairable1 = classes1
+    trace2, pairable2 = classes2
     size1 = [len(c.members) for c in twins1.classes]
     size2 = [len(c.members) for c in twins2.classes]
+    base = len(t1.matched) + len(t1.indep) + len(t2.indep)
 
     for sigma in _cover_bijections(g1, g2, t1, t2):
         if best is not None and ub <= best[0]:
             return
+        stats.bijections_tried += 1
         inv = {v: u for u, v in sigma.items()}
-        cands1: list[list[int]] = []
-        for u in t1.indep:
-            req = frozenset(sigma[x] for x in adj1[u] & t1.mset)
-            lst = trace2.get(req)
-            if not lst:
-                break
-            cands1.append(lst)
-        else:
-            cands2: list[list[int]] = []
-            for y in t2.indep:
-                req = frozenset(inv[x] for x in adj2[y] & t2.mset)
-                lst = trace1.get(req)
-                if not lst:
-                    break
-                cands2.append(lst)
-            else:
-                for choice1 in itertools.product(*cands1):
-                    if any(choice1.count(s) > size2[s] for s in set(choice1)):
+        cands1 = _class_choices(t1.indep, g1.adj, t1.mset, sigma, trace2)
+        if cands1 is None:
+            continue
+        cands2 = _class_choices(t2.indep, g2.adj, t2.mset, inv, trace1)
+        if cands2 is None:
+            continue
+        plan = _class_plan(pairable1, pairable2, sigma, connected)
+        cap1 = [sum(size1[i] for i in lefts) for lefts, _ in plan]
+        cap2 = [sum(size2[j] for j in rights) for _, rights in plan]
+        # the label-class bound: no choice below can pair more than this
+        if best is not None and base + sum(map(min, cap1, cap2)) <= best[0]:
+            stats.bijections_pruned += 1
+            continue
+        slot1 = {i: k for k, (lefts, _) in enumerate(plan) for i in lefts}
+        slot2 = {j: k for k, (_, rights) in enumerate(plan) for j in rights}
+        for choice1 in itertools.product(*cands1):
+            if any(choice1.count(s) > size2[s] for s in set(choice1)):
+                continue
+            # second-graph capacity left per key once choice1 is placed
+            free2 = cap2[:]
+            for s in choice1:
+                if s in slot2:
+                    free2[slot2[s]] -= 1
+            paired = list(map(min, cap1, free2))
+            reach = base + sum(paired)
+            if best is not None and reach <= best[0]:
+                continue
+            for choice2 in itertools.product(*cands2):
+                stats.configurations += 1
+                if any(choice2.count(r) > size1[r] for r in set(choice2)):
+                    continue
+                # the candidate's exact size, before it is built
+                drop: dict[int, int] = {}
+                for r in choice2:
+                    if r in slot1:
+                        drop[slot1[r]] = drop.get(slot1[r], 0) + 1
+                size = reach + sum(
+                    min(cap1[k] - d, free2[k]) - paired[k] for k, d in drop.items()
+                )
+                if best is not None and size <= best[0]:
+                    continue
+                if connected and size == 0:
+                    continue
+                mapping, pairing = _assemble(
+                    t1, t2, twins1, twins2, sigma, choice1, choice2, plan
+                )
+                if len(mapping) != size:
+                    raise WitnessError(
+                        f"assembled {len(mapping)} pairs where the class plan predicts {size}"
+                    )
+                stats.candidates_validated += 1
+                if not is_induced_isomorphism(g1, g2, mapping):
+                    continue
+                if connected:
+                    sel1 = [u for u, _ in mapping.pairs]
+                    sel2 = [v for _, v in mapping.pairs]
+                    if not induces_connected(g1, sel1):
                         continue
-                    for choice2 in itertools.product(*cands2):
-                        stats.configurations += 1
-                        if any(choice2.count(r) > size1[r] for r in set(choice2)):
-                            continue
-                        mapping, pairing = _assemble(
-                            g1, g2, t1, t2, twins1, twins2, sigma, choice1, choice2,
-                            connected,
-                        )
-                        if best is not None and len(mapping) <= best[0]:
-                            continue
-                        if connected and len(mapping) == 0:
-                            continue
-                        stats.candidates_validated += 1
-                        if not is_induced_isomorphism(g1, g2, mapping):
-                            continue
-                        if connected:
-                            sel1 = [u for u, _ in mapping.pairs]
-                            sel2 = [v for _, v in mapping.pairs]
-                            if not induces_connected(g1, sel1):
-                                continue
-                            if not induces_connected(g2, sel2):
-                                continue
-                        config = CoverConfiguration(
-                            trip1=t1.as_tripartition(),
-                            trip2=t2.as_tripartition(),
-                            cover_bijection=tuple(sorted(sigma.items())),
-                            c1i_assignment=tuple(
-                                (u, twins2.classes[s].neighborhood)
-                                for u, s in zip(t1.indep, choice1)
-                            ),
-                            c2i_assignment=tuple(
-                                (y, twins1.classes[r].neighborhood)
-                                for y, r in zip(t2.indep, choice2)
-                            ),
-                            class_pairing=pairing,
-                        )
-                        yield config, mapping
+                    if not induces_connected(g2, sel2):
+                        continue
+                config = CoverConfiguration(
+                    trip1=t1.as_tripartition(),
+                    trip2=t2.as_tripartition(),
+                    cover_bijection=tuple(sorted(sigma.items())),
+                    c1i_assignment=tuple(
+                        (u, twins2.classes[s].neighborhood)
+                        for u, s in zip(t1.indep, choice1)
+                    ),
+                    c2i_assignment=tuple(
+                        (y, twins1.classes[r].neighborhood)
+                        for y, r in zip(t2.indep, choice2)
+                    ),
+                    class_pairing=pairing,
+                )
+                yield config, mapping
 
 
 def enumerate_configurations(

@@ -73,6 +73,7 @@ def test_solve_json_report_shape(graph_files, capsys):
     assert report["result"]["method"] == "vc-fpt"
     assert "inputs_digest" in report and "timings_ms" in report
     assert report["stats"]["configurations"] >= 1
+    assert report["stats"]["bijections_tried"] >= report["stats"]["bijections_pruned"] >= 0
 
 
 def test_solve_json_deterministic_modulo_timings(graph_files, capsys):
@@ -246,6 +247,13 @@ def test_analyze_rejects_a_bad_oracle_bound(graph_files, capsys, monkeypatch):
         assert main(["analyze", p4]) == EXIT_USAGE
         err = capsys.readouterr().err
         assert err.startswith("error: MCIS_ORACLE_BOUND must be a non-negative integer")
+
+
+def test_analyze_rejects_a_wrong_header_edge_count(tmp_path, capsys):
+    path = tmp_path / "short.el"
+    path.write_text("3 7\n0 1\n")
+    assert main(["analyze", str(path)]) == EXIT_USAGE
+    assert "header declares 7 edges, found 1 edge lines" in capsys.readouterr().err
 
 
 def test_analyze_json(graph_files, capsys):

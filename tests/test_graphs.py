@@ -56,6 +56,16 @@ def test_parse_collapses_duplicate_edges():
     assert sorted(g.edges) == [(0, 1)]
 
 
+def test_parse_rejects_header_edge_count_mismatch():
+    for text in ("3 7\n0 1\n", "3 1\n0 1\n1 2\n", "p edge 3 2\ne 1 2\n", "2 -1\n"):
+        with pytest.raises(GraphParseError) as exc:
+            parse_graph(text)
+        assert "edge lines" in str(exc.value)
+    with pytest.raises(GraphParseError) as exc:
+        parse_graph("c comment\np edge 3 3\ne 1 2\ne 2 3\n")
+    assert exc.value.line_no == 2
+
+
 def test_parse_comments_and_blank_lines():
     g = parse_graph("# a path\n3 2\n\n0 1  # first edge\n1 2\n")
     assert sorted(g.edges) == [(0, 1), (1, 2)]

@@ -267,6 +267,16 @@ def test_verifier_rejects_unknown_kind():
     assert not verify_reduction(bogus, True).ok
 
 
+def test_verifier_rejects_unlabelled_graphs_without_assert():
+    # the role lookup must hold under python -O, which strips assert statements
+    out = isi_to_mccis(path_graph(2), path_graph(3))
+    unlabelled = ReductionOutput(
+        out.kind, Graph(out.g1.n, out.g1.edges), out.g2, out.target, out.certificates
+    )
+    with pytest.raises(ValueError, match="no vertex labels"):
+        verify_reduction(unlabelled, source_answer=True)
+
+
 # --- on-disk form -----------------------------------------------------------
 
 

@@ -185,6 +185,47 @@ def test_fpt_counter_stays_within_bound():
             assert result.stats.configurations <= configuration_bound(k1, k2)
 
 
+def test_fpt_pruned_search_matches_exhaustive_stream():
+    # the bijection bound and size-before-assembly only skip what cannot win
+    rng = random.Random(29)
+    for _ in range(120):
+        g1, g2 = random_graph_pair(rng, 8)
+        reached = max(len(m) for _, m in enumerate_configurations(g1, g2))
+        assert mcis_vc_fpt(SolveQuery(g1, g2)).size == reached, (g1.edges, g2.edges)
+
+
+def planted_cover_graph(rng, n, k):
+    """Random edges inside a planted cover of size k, one or two cover
+    neighbours for every other vertex, then a random relabelling."""
+    edges = [(u, v) for u in range(k) for v in range(u + 1, k) if rng.random() < 0.5]
+    for v in range(k, n):
+        edges += [(u, v) for u in rng.sample(range(k), rng.randint(1, 2))]
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return Graph.from_edges(n, [(perm[u], perm[v]) for u, v in edges])
+
+
+def test_fpt_n40_cover4_pair_stays_small():
+    rng = random.Random(1)
+    g1, g2 = planted_cover_graph(rng, 40, 4), planted_cover_graph(rng, 40, 4)
+    assert len(min_vertex_cover(g1).cover) == len(min_vertex_cover(g2).cover) == 4
+    # optima as computed by the search before the class bound (65k+
+    # configurations in each mode)
+    for conn, optimum in ((False, 36), (True, 31)):
+        query = SolveQuery(g1, g2, connected=conn)
+        result = mcis_vc_fpt(query)
+        assert result.size == optimum
+        assert_valid_witness(query, result)
+        assert result.stats.configurations <= 1_000
+        assert result.stats.bijections_tried > result.stats.bijections_pruned > 0
+
+
+def test_fpt_assembly_is_checked_against_its_predicted_size(monkeypatch):
+    monkeypatch.setattr(solvers, "_assemble", lambda *args: (VertexMapping(()), ()))
+    with pytest.raises(WitnessError):
+        mcis_vc_fpt(SolveQuery(path_graph(4), path_graph(4)))
+
+
 def test_fpt_is_deterministic():
     rng = random.Random(25)
     g1, g2 = random_graph_pair(rng, 7)
