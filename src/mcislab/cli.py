@@ -100,6 +100,8 @@ def _emit(report: dict, as_json: bool, lines: list[str]) -> None:
 
 def cmd_solve(args: argparse.Namespace) -> int:
     started = time.perf_counter()
+    if args.k is not None and args.k < 0:
+        raise CliError(f"-k must be non-negative, got {args.k}")
     g1, text1 = _load_graph(args.g1)
     g2, text2 = _load_graph(args.g2)
     digest = _digest(args.problem, args.algo, text1, text2, str(args.k))
@@ -206,6 +208,13 @@ def cmd_check(args: argparse.Namespace) -> int:
     started = time.perf_counter()
     reports = []
     if args.suite in ("oracle", "all"):
+        if args.count < 1:
+            raise CliError(f"--count must be at least 1, got {args.count}")
+        if args.max_n < 2:
+            raise CliError(f"--max-n must be at least 2, got {args.max_n}")
+        bound = oracle_bound()
+        if args.max_n > bound:
+            raise CliError(f"--max-n {args.max_n} exceeds the oracle bound {bound}", EXIT_REFUSED)
         reports.append(harness.run_oracle_suite(args.seed, args.count, args.max_n))
     if args.suite in ("reductions", "all"):
         reports.append(harness.run_reduction_suite(args.seed))

@@ -184,15 +184,31 @@ def twin_partition(g: Graph, split: CoverSplit) -> TwinPartition:
     return TwinPartition(classes)
 
 
-def tripartitions(cover: Iterable[int]) -> Iterator[Tripartition]:
-    """All 3^|cover| role assignments, in a fixed deterministic order."""
+def tripartitions(
+    cover: Iterable[int], sizes: tuple[int, int] | None = None
+) -> Iterator[Tripartition]:
+    """The 3^|cover| role assignments, generated lazily in a fixed order.
+
+    The order is ``itertools.product`` order over the roles (matched, unused,
+    to-independent) with the smallest vertex most significant.  With
+    ``sizes=(m, i)`` only the assignments with m matched and i to-independent
+    vertices are generated, in the same relative order.
+    """
     order = sorted(set(cover))
-    for roles in itertools.product(range(3), repeat=len(order)):
-        parts: tuple[list[int], list[int], list[int]] = ([], [], [])
-        for v, r in zip(order, roles):
-            parts[r].append(v)
-        yield Tripartition(
-            matched=frozenset(parts[0]),
-            unused=frozenset(parts[1]),
-            to_independent=frozenset(parts[2]),
-        )
+    k = len(order)
+    quota = [k, k, k] if sizes is None else [sizes[0], k - sum(sizes), sizes[1]]
+    if min(quota) < 0:  # sizes that do not fit the cover: the checks below would miss it
+        return
+    parts: tuple[list[int], list[int], list[int]] = ([], [], [])
+
+    def extend(pos: int) -> Iterator[Tripartition]:
+        if pos == k:
+            yield Tripartition(frozenset(parts[0]), frozenset(parts[1]), frozenset(parts[2]))
+            return
+        for part, room in zip(parts, quota):
+            if len(part) < room:
+                part.append(order[pos])
+                yield from extend(pos + 1)
+                part.pop()
+
+    yield from extend(0)

@@ -287,6 +287,8 @@ def three_partition_to_forest_isi(
     separated by two gap vertices).  The strict range B/4 < a_i < B/2 is
     required; without it the packing argument breaks.
     """
+    if host_len is not None and host_len < 1:
+        raise ValueError("host_len must be at least 1")
     if not inst.satisfies_strict_range():
         raise SoundnessError(
             "items must satisfy B/4 < a_i < B/2; the packing argument needs it"

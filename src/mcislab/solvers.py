@@ -12,7 +12,10 @@ each other:
 * :func:`mcis_vc_fpt` — the vertex-cover-parameterized algorithm: minimum
   covers on both sides, twin classes of the independent sets, then an
   enumeration of cover tripartitions, cover bijections and
-  cover-to-twin-class assignments.  Once a cover bijection is fixed, the
+  cover-to-twin-class assignments.  Tripartitions are visited size bucket
+  by size bucket in decreasing order of the bucket's ceiling, each bucket
+  drawn lazily from :func:`mcislab.params.tripartitions` when the search
+  reaches it.  Once a cover bijection is fixed, the
   twin classes pair only within label classes (their cover neighborhood
   under the bijection), so the bijection can reach at most the matched and
   to-independent cover vertices plus ``sum(min(L_key, R_key))`` over the
@@ -29,6 +32,7 @@ candidate graphs on ``k`` vertices.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import os
@@ -44,10 +48,10 @@ from .graphs import (
     is_induced_isomorphism,
 )
 from .params import (
-    CoverSplit,
     Tripartition,
     TwinPartition,
     min_vertex_cover,
+    tripartitions,
     twin_partition,
 )
 
@@ -279,54 +283,15 @@ def mcis_bruteforce(q: SolveQuery, bound: int | None = None) -> SolveResult:
 # the vertex-cover-parameterized enumeration
 
 
-@dataclass(frozen=True)
-class _Trip:
-    matched: tuple[int, ...]
-    unused: tuple[int, ...]
-    indep: tuple[int, ...]  # cover vertices sent to the opposite independent set
-    mset: frozenset[int]
-    iset: frozenset[int]
-    degms: tuple[int, ...]  # degree multiset inside the matched part
-
-    def as_tripartition(self) -> Tripartition:
-        return Tripartition(
-            frozenset(self.matched), frozenset(self.unused), frozenset(self.indep)
-        )
-
-
-def _side_trips(g: Graph, split: CoverSplit) -> dict[tuple[int, int], list[_Trip]]:
-    """All tripartitions of one cover, grouped by (matched size, indep size).
-
-    Tripartitions whose to-independent part is not pairwise non-adjacent are
-    dropped outright: their vertices would have to map into an independent
-    set.
-    """
-    cover = sorted(split.cover)
-    groups: dict[tuple[int, int], list[_Trip]] = {}
-    for roles in itertools.product(range(3), repeat=len(cover)):
-        parts: tuple[list[int], list[int], list[int]] = ([], [], [])
-        for v, r in zip(cover, roles):
-            parts[r].append(v)
-        matched, unused, indep = parts
-        if any(g.has_edge(u, v) for u, v in itertools.combinations(indep, 2)):
-            continue
-        mset = frozenset(matched)
-        degms = tuple(sorted(len(g.adj[v] & mset) for v in matched))
-        trip = _Trip(
-            tuple(matched), tuple(unused), tuple(indep), mset, frozenset(indep), degms
-        )
-        groups.setdefault((len(matched), len(indep)), []).append(trip)
-    return groups
-
-
 def _cover_bijections(
-    g1: Graph, g2: Graph, t1: _Trip, t2: _Trip
+    g1: Graph, g2: Graph, t1: Tripartition, t2: Tripartition
 ) -> Iterator[dict[int, int]]:
     """Bijections between the matched cover parts that are induced isomorphisms."""
     adj1, adj2 = g1.adj, g2.adj
-    d1 = {v: len(adj1[v] & t1.mset) for v in t1.matched}
-    d2 = {v: len(adj2[v] & t2.mset) for v in t2.matched}
+    d1 = {v: len(adj1[v] & t1.matched) for v in t1.matched}
+    d2 = {v: len(adj2[v] & t2.matched) for v in t2.matched}
     order = sorted(t1.matched, key=lambda v: (-d1[v], v))
+    targets = sorted(t2.matched)
     sigma: dict[int, int] = {}
     used: set[int] = set()
 
@@ -335,7 +300,7 @@ def _cover_bijections(
             yield dict(sigma)
             return
         u = order[i]
-        for v in t2.matched:
+        for v in targets:
             if v in used or d2[v] != d1[u]:
                 continue
             if any((x in adj1[u]) != (sigma[x] in adj2[v]) for x in sigma):
@@ -352,7 +317,7 @@ def _cover_bijections(
 _TripClasses = tuple[dict[frozenset[int], list[int]], dict[frozenset[int], list[int]]]
 
 
-def _trip_classes(twins: TwinPartition, t: _Trip) -> _TripClasses:
+def _trip_classes(twins: TwinPartition, t: Tripartition) -> _TripClasses:
     """A tripartition's view of its own graph's twin classes.
 
     Returns the classes grouped by their neighborhood inside the matched
@@ -364,11 +329,34 @@ def _trip_classes(twins: TwinPartition, t: _Trip) -> _TripClasses:
     traces: dict[frozenset[int], list[int]] = {}
     pairable: dict[frozenset[int], list[int]] = {}
     for idx, cls in enumerate(twins.classes):
-        trace = cls.neighborhood & t.mset
+        trace = cls.neighborhood & t.matched
         traces.setdefault(trace, []).append(idx)
-        if not cls.neighborhood & t.iset:
+        if not cls.neighborhood & t.to_independent:
             pairable.setdefault(trace, []).append(idx)
     return traces, pairable
+
+
+_Side = tuple[Tripartition, tuple[int, ...], tuple[int, ...], _TripClasses]
+
+
+def _side_bucket(
+    g: Graph, twins: TwinPartition, cover: frozenset[int], sizes: tuple[int, int]
+) -> list[_Side]:
+    """One cover's tripartitions with ``sizes`` (matched, to-independent), each
+    with its sorted to-independent part, its degree multiset inside the
+    matched part and its twin-class view.
+
+    Tripartitions whose to-independent part is not pairwise non-adjacent are
+    dropped: their vertices would have to map into an independent set.
+    """
+    bucket = []
+    for t in tripartitions(cover, sizes):
+        indep = tuple(sorted(t.to_independent))
+        if any(g.has_edge(u, v) for u, v in itertools.combinations(indep, 2)):
+            continue
+        degms = tuple(sorted(len(g.adj[v] & t.matched) for v in t.matched))
+        bucket.append((t, indep, degms, _trip_classes(twins, t)))
+    return bucket
 
 
 def _class_plan(
@@ -392,8 +380,8 @@ def _class_plan(
 
 
 def _assemble(
-    t1: _Trip,
-    t2: _Trip,
+    indep1: tuple[int, ...],
+    indep2: tuple[int, ...],
     twins1: TwinPartition,
     twins2: TwinPartition,
     sigma: dict[int, int],
@@ -407,14 +395,14 @@ def _assemble(
     paired in order with those of the second graph's, net of the members
     consumed by the cover-to-independent-set assignments.
     """
-    pairs: list[tuple[int, int]] = [(u, sigma[u]) for u in t1.matched]
+    pairs: list[tuple[int, int]] = list(sigma.items())
     consumed1: dict[int, int] = {}
     consumed2: dict[int, int] = {}
-    for u, sidx in zip(t1.indep, choice1):
+    for u, sidx in zip(indep1, choice1):
         members = twins2.classes[sidx].members
         pairs.append((u, members[consumed2.get(sidx, 0)]))
         consumed2[sidx] = consumed2.get(sidx, 0) + 1
-    for y, ridx in zip(t2.indep, choice2):
+    for y, ridx in zip(indep2, choice2):
         members = twins1.classes[ridx].members
         pairs.append((members[consumed1.get(ridx, 0)], y))
         consumed1[ridx] = consumed1.get(ridx, 0) + 1
@@ -457,59 +445,59 @@ def _iter_search(
     *,
     connected: bool,
     stats: SolveStats,
-    best: list[int] | None = None,
+    best: list[int],
 ) -> Iterator[tuple[CoverConfiguration, VertexMapping]]:
     """Core enumeration shared by the FPT solver and the configuration stream.
 
-    When ``best`` (a one-element list holding the best size so far, updated
-    by the consumer) is given, subtrees whose size ceiling cannot beat it are
-    skipped; without it the enumeration is exhaustive.
+    ``best`` is a one-element list holding the best size so far, updated by
+    the consumer; subtrees whose size ceiling cannot beat it are skipped.
+    Buckets (matched size and the two to-independent sizes) are visited in
+    decreasing order of their ceiling; each side's tripartitions of one
+    bucket come from ``tripartitions`` when the search first reaches it.
     """
     split1, split2 = min_vertex_cover(g1), min_vertex_cover(g2)
     twins1, twins2 = twin_partition(g1, split1), twin_partition(g2, split2)
+    k1, k2 = len(split1.cover), len(split2.cover)
     i1_total, i2_total = len(split1.independent), len(split2.independent)
-    side1 = _side_trips(g1, split1)
-    side2 = _side_trips(g2, split2)
+    side1 = functools.cache(functools.partial(_side_bucket, g1, twins1, split1.cover))
+    side2 = functools.cache(functools.partial(_side_bucket, g2, twins2, split2.cover))
 
     buckets = []
-    for ms, i1s in side1:
-        for ms2, i2s in side2:
-            if ms != ms2 or i1s > i2_total or i2s > i1_total:
-                continue
-            ub = ms + i1s + i2s + max(min(i1_total - i2s, i2_total - i1s), 0)
-            buckets.append((ub, ms, i1s, i2s))
+    for ms in range(min(k1, k2) + 1):
+        for i1s in range(min(k1 - ms, i2_total) + 1):
+            for i2s in range(min(k2 - ms, i1_total) + 1):
+                ub = ms + i1s + i2s + max(min(i1_total - i2s, i2_total - i1s), 0)
+                buckets.append((ub, ms, i1s, i2s))
     buckets.sort(key=lambda b: (-b[0], b[1], b[2], b[3]))
 
     for ub, ms, i1s, i2s in buckets:
-        if best is not None and ub <= best[0]:
+        if ub <= best[0]:
             break
-        by_degms: dict[tuple[int, ...], list[tuple[_Trip, _TripClasses]]] = {}
-        for t2 in side2[(ms, i2s)]:
-            by_degms.setdefault(t2.degms, []).append((t2, _trip_classes(twins2, t2)))
-        for t1 in side1[(ms, i1s)]:
-            if best is not None and ub <= best[0]:
+        trips1 = side1((ms, i1s))
+        if not trips1:
+            continue
+        by_degms: dict[tuple[int, ...], list[_Side]] = {}
+        for s2 in side2((ms, i2s)):
+            by_degms.setdefault(s2[2], []).append(s2)
+        for s1 in trips1:
+            if ub <= best[0]:
                 break
-            partners = by_degms.get(t1.degms, ())
-            classes1 = _trip_classes(twins1, t1) if partners else None
-            for t2, classes2 in partners:
+            for s2 in by_degms.get(s1[2], ()):
                 yield from _search_pair(
-                    g1, g2, t1, t2, twins1, twins2, classes1, classes2,
-                    connected, stats, best, ub,
+                    g1, g2, s1, s2, twins1, twins2, connected, stats, best, ub
                 )
 
 
 def _search_pair(
     g1: Graph,
     g2: Graph,
-    t1: _Trip,
-    t2: _Trip,
+    s1: _Side,
+    s2: _Side,
     twins1: TwinPartition,
     twins2: TwinPartition,
-    classes1: _TripClasses,
-    classes2: _TripClasses,
     connected: bool,
     stats: SolveStats,
-    best: list[int] | None,
+    best: list[int],
     ub: int,
 ) -> Iterator[tuple[CoverConfiguration, VertexMapping]]:
     """Every configuration of one tripartition pair, pruned against ``best``.
@@ -521,28 +509,28 @@ def _search_pair(
     whole bijection; a candidate is assembled only if its size beats
     ``best``.
     """
-    trace1, pairable1 = classes1
-    trace2, pairable2 = classes2
+    t1, indep1, _, (trace1, pairable1) = s1
+    t2, indep2, _, (trace2, pairable2) = s2
     size1 = [len(c.members) for c in twins1.classes]
     size2 = [len(c.members) for c in twins2.classes]
-    base = len(t1.matched) + len(t1.indep) + len(t2.indep)
+    base = len(t1.matched) + len(indep1) + len(indep2)
 
     for sigma in _cover_bijections(g1, g2, t1, t2):
-        if best is not None and ub <= best[0]:
+        if ub <= best[0]:
             return
         stats.bijections_tried += 1
         inv = {v: u for u, v in sigma.items()}
-        cands1 = _class_choices(t1.indep, g1.adj, t1.mset, sigma, trace2)
+        cands1 = _class_choices(indep1, g1.adj, t1.matched, sigma, trace2)
         if cands1 is None:
             continue
-        cands2 = _class_choices(t2.indep, g2.adj, t2.mset, inv, trace1)
+        cands2 = _class_choices(indep2, g2.adj, t2.matched, inv, trace1)
         if cands2 is None:
             continue
         plan = _class_plan(pairable1, pairable2, sigma, connected)
         cap1 = [sum(size1[i] for i in lefts) for lefts, _ in plan]
         cap2 = [sum(size2[j] for j in rights) for _, rights in plan]
         # the label-class bound: no choice below can pair more than this
-        if best is not None and base + sum(map(min, cap1, cap2)) <= best[0]:
+        if base + sum(map(min, cap1, cap2)) <= best[0]:
             stats.bijections_pruned += 1
             continue
         slot1 = {i: k for k, (lefts, _) in enumerate(plan) for i in lefts}
@@ -557,7 +545,7 @@ def _search_pair(
                     free2[slot2[s]] -= 1
             paired = list(map(min, cap1, free2))
             reach = base + sum(paired)
-            if best is not None and reach <= best[0]:
+            if reach <= best[0]:
                 continue
             for choice2 in itertools.product(*cands2):
                 stats.configurations += 1
@@ -571,12 +559,12 @@ def _search_pair(
                 size = reach + sum(
                     min(cap1[k] - d, free2[k]) - paired[k] for k, d in drop.items()
                 )
-                if best is not None and size <= best[0]:
+                if size <= best[0]:
                     continue
                 if connected and size == 0:
                     continue
                 mapping, pairing = _assemble(
-                    t1, t2, twins1, twins2, sigma, choice1, choice2, plan
+                    indep1, indep2, twins1, twins2, sigma, choice1, choice2, plan
                 )
                 if len(mapping) != size:
                     raise WitnessError(
@@ -593,16 +581,16 @@ def _search_pair(
                     if not induces_connected(g2, sel2):
                         continue
                 config = CoverConfiguration(
-                    trip1=t1.as_tripartition(),
-                    trip2=t2.as_tripartition(),
+                    trip1=t1,
+                    trip2=t2,
                     cover_bijection=tuple(sorted(sigma.items())),
                     c1i_assignment=tuple(
                         (u, twins2.classes[s].neighborhood)
-                        for u, s in zip(t1.indep, choice1)
+                        for u, s in zip(indep1, choice1)
                     ),
                     c2i_assignment=tuple(
                         (y, twins1.classes[r].neighborhood)
-                        for y, r in zip(t2.indep, choice2)
+                        for y, r in zip(indep2, choice2)
                     ),
                     class_pairing=pairing,
                 )
@@ -615,11 +603,12 @@ def enumerate_configurations(
     """Stream every validated configuration with its maximal mapping.
 
     Up to twin exchanges and sub-selection, every common induced subgraph of
-    the pair is dominated by some yielded item.
+    the pair is dominated by some yielded item.  The floor of -1 is never
+    raised, so nothing is pruned.
     """
     if stats is None:
         stats = SolveStats()
-    yield from _iter_search(g1, g2, connected=False, stats=stats, best=None)
+    yield from _iter_search(g1, g2, connected=False, stats=stats, best=[-1])
 
 
 def mcis_vc_fpt(q: SolveQuery) -> SolveResult:

@@ -105,6 +105,14 @@ def test_solve_usage_errors(graph_files):
     assert main(["solve", "--problem", "mcis", p3, "/no/such/file"]) == EXIT_USAGE
 
 
+def test_solve_rejects_a_negative_threshold(graph_files, capsys):
+    p3 = graph_files("p3.el", path_graph(3))
+    k3 = graph_files("k3.el", complete_graph(3))
+    assert main(["solve", "--problem", "mcis", "-k", "-1", p3, k3]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_solve_parse_error_is_usage(tmp_path):
     bad = tmp_path / "bad.el"
     bad.write_text("2 1\n0 0\n")
@@ -171,6 +179,15 @@ def test_reduce_3partition(tmp_path, capsys):
     assert loaded.g2.n == 30
 
 
+def test_reduce_3partition_rejects_a_bad_host_length(tmp_path, capsys):
+    argv = [
+        "reduce", "--which", "3partition", "--items", "4,4,5,4,4,5", "--groups", "2",
+        "--target-sum", "13", "--host-len", "-2", "--outdir", str(tmp_path / "tp"),
+    ]
+    assert main(argv) == EXIT_USAGE
+    assert "host_len must be at least 1" in capsys.readouterr().err
+
+
 def test_reduce_usage_errors(graph_files, tmp_path):
     k4 = graph_files("k4.el", complete_graph(4))
     out = str(tmp_path / "x")
@@ -211,6 +228,22 @@ def test_check_json_contains_counter_totals(capsys):
     # each pair runs under both connectivity flags
     assert suite["ok"] and suite["instances"] == 10
     assert suite["counter_bound_checked"] == suite["instances"]
+
+
+@pytest.mark.parametrize(
+    "flags, code",
+    [
+        (["--count", "-3"], EXIT_USAGE),
+        (["--max-n", "1"], EXIT_USAGE),
+        (["--max-n", "11"], EXIT_REFUSED),
+        (["--max-n", "30"], EXIT_REFUSED),
+    ],
+    ids=["count-negative", "max-n-1", "max-n-11", "max-n-30"],
+)
+def test_check_rejects_bad_oracle_settings(flags, code, capsys):
+    assert main(["check", "--suite", "oracle", *flags]) == code
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.out == ""
 
 
 def test_check_reduction_suite(capsys):

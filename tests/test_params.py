@@ -256,6 +256,30 @@ def test_tripartition_order_is_deterministic():
     assert first == second
 
 
+def test_tripartition_order_is_product_order():
+    # roles (matched, unused, to-independent), smallest vertex most significant
+    cover = {8, 1, 5}
+    expected = []
+    for roles in itertools.product(range(3), repeat=3):
+        parts = ([], [], [])
+        for v, r in zip((1, 5, 8), roles):
+            parts[r].append(v)
+        expected.append(tuple(map(frozenset, parts)))
+    got = [(t.matched, t.unused, t.to_independent) for t in tripartitions(cover)]
+    assert got == expected
+
+
+def test_tripartition_size_buckets_filter_the_full_stream():
+    for k in range(7):
+        cover = [3 * v + 1 for v in range(k)]
+        full = list(tripartitions(cover))
+        for m, i in itertools.product(range(k + 2), repeat=2):
+            expected = [t for t in full if (len(t.matched), len(t.to_independent)) == (m, i)]
+            assert list(tripartitions(cover, (m, i))) == expected, (k, m, i)
+            if m + i > k:
+                assert expected == []
+
+
 def test_vertex_cover_number_helper():
     assert vertex_cover_number(cycle_graph(6)) == 3
     assert vertex_cover_number(edgeless_graph(4)) == 0

@@ -210,6 +210,13 @@ def test_three_partition_range_violation_is_rejected():
         three_partition_to_forest_isi(inst)
 
 
+def test_three_partition_rejects_a_host_length_below_one():
+    inst = ThreePartitionInstance((4, 4, 5, 4, 4, 5), 2, 13)
+    for host_len in (0, -2):
+        with pytest.raises(ValueError, match="host_len must be at least 1"):
+            three_partition_to_forest_isi(inst, host_len)
+
+
 def test_three_partition_designated_pair():
     yes = ThreePartitionInstance((4, 4, 5, 4, 4, 5), 2, 13)
     no = ThreePartitionInstance((4, 4, 4, 4, 4, 6), 2, 13)

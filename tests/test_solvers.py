@@ -220,6 +220,24 @@ def test_fpt_n40_cover4_pair_stays_small():
         assert result.stats.bijections_tried > result.stats.bijections_pruned > 0
 
 
+def test_fpt_draws_tripartition_buckets_lazily(monkeypatch):
+    generated = []
+    real = solvers.tripartitions
+
+    def counting(cover, sizes=None):
+        for trip in real(cover, sizes):
+            generated.append(trip)
+            yield trip
+
+    monkeypatch.setattr(solvers, "tripartitions", counting)
+    g = planted_cover_graph(random.Random(1), 40, 4)
+    k = len(min_vertex_cover(g).cover)
+    assert mcis_vc_fpt(SolveQuery(g, g)).size == 40
+    # once the whole graph is matched no later bucket's ceiling can beat it,
+    # so the bucket loop stops before most buckets are generated
+    assert 0 < len(generated) < (3**k + 3**k) // 2
+
+
 def test_fpt_assembly_is_checked_against_its_predicted_size(monkeypatch):
     monkeypatch.setattr(solvers, "_assemble", lambda *args: (VertexMapping(()), ()))
     with pytest.raises(WitnessError):
