@@ -8,6 +8,7 @@ bounds), 3 cross-validation failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import sys
@@ -40,7 +41,8 @@ EXIT_USAGE = 1
 EXIT_REFUSED = 2
 EXIT_CHECK_FAILED = 3
 
-DEFAULT_VC_CUTOFF = 8
+# `solve --algo auto` runs the FPT solver when the larger cover is at most this
+VC_CUTOFF = 8
 
 
 class CliError(Exception):
@@ -77,12 +79,7 @@ def _report(args: argparse.Namespace, digest: str, result: dict, started: float,
         "timings_ms": {"total": round((time.perf_counter() - started) * 1000, 3)},
     }
     if stats is not None:
-        report["stats"] = {
-            "configurations": stats.configurations,
-            "candidates_validated": stats.candidates_validated,
-            "bijections_tried": stats.bijections_tried,
-            "bijections_pruned": stats.bijections_pruned,
-        }
+        report["stats"] = dataclasses.asdict(stats)
     return report
 
 
@@ -127,13 +124,13 @@ def cmd_solve(args: argparse.Namespace) -> int:
     algo = args.algo
     if algo == "auto":
         vc_max = max(vertex_cover_number(g1), vertex_cover_number(g2))
-        if vc_max <= args.vc_cutoff:
+        if vc_max <= VC_CUTOFF:
             algo = "vc-fpt"
         elif max(g1.n, g2.n) <= oracle_bound():
             algo = "brute"
         else:
             raise CliError(
-                f"refusing: max cover size {vc_max} exceeds cutoff {args.vc_cutoff} "
+                f"refusing: max cover size {vc_max} exceeds cutoff {VC_CUTOFF} "
                 f"and inputs exceed the oracle bound {oracle_bound()}",
                 EXIT_REFUSED,
             )
@@ -207,9 +204,9 @@ def cmd_reduce(args: argparse.Namespace) -> int:
 def cmd_check(args: argparse.Namespace) -> int:
     started = time.perf_counter()
     reports = []
+    if args.count < 1:
+        raise CliError(f"--count must be at least 1, got {args.count}")
     if args.suite in ("oracle", "all"):
-        if args.count < 1:
-            raise CliError(f"--count must be at least 1, got {args.count}")
         if args.max_n < 2:
             raise CliError(f"--max-n must be at least 2, got {args.max_n}")
         bound = oracle_bound()
@@ -217,7 +214,7 @@ def cmd_check(args: argparse.Namespace) -> int:
             raise CliError(f"--max-n {args.max_n} exceeds the oracle bound {bound}", EXIT_REFUSED)
         reports.append(harness.run_oracle_suite(args.seed, args.count, args.max_n))
     if args.suite in ("reductions", "all"):
-        reports.append(harness.run_reduction_suite(args.seed))
+        reports.append(harness.run_reduction_suite(args.seed, args.count))
     ok = all(r["ok"] for r in reports)
     digest = _digest(args.suite, str(args.seed), str(args.count), str(args.max_n))
     result = {"suites": reports, "ok": ok}
@@ -275,7 +272,6 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("g1")
     solve.add_argument("g2")
     solve.add_argument("-k", type=int, default=None, help="decision threshold")
-    solve.add_argument("--vc-cutoff", type=int, default=DEFAULT_VC_CUTOFF)
     solve.add_argument("--json", action="store_true")
     solve.set_defaults(func=cmd_solve)
 

@@ -99,8 +99,8 @@ def run_oracle_suite(seed: int, count: int, max_n: int) -> dict:
     }
 
 
-def run_reduction_suite(seed: int, count: int = 10) -> dict:
-    """Certificate and soundness checks for all four gadget builders."""
+def run_reduction_suite(seed: int, count: int) -> dict:
+    """Certificate and soundness checks for all four gadget builders, ``count`` rounds."""
     rng = random.Random(seed)
     failures = []
     checks = 0

@@ -22,8 +22,12 @@ each other:
   keys (McSplit's bound); a bijection whose bound cannot beat the best
   size so far is skipped whole.  Below it, each candidate's size is
   computed from the class capacities before the mapping is built, and
-  only a candidate that beats the best size is assembled.  Every assembled
-  mapping is validated by the trusted arbiter before it can win.
+  only a candidate that beats the best size is assembled.  A candidate is
+  kept only if every cover vertex sent into an opposite twin class agrees
+  on adjacency with every twin class member sent onto an opposite cover
+  vertex, so every assembled mapping is induced by construction; the
+  trusted arbiter still checks each one, as a guard that raises
+  :class:`WitnessError`.
 
 :func:`enumerate_configurations` exposes the same enumeration as a stream,
 and :func:`mcis_via_isi` decides the threshold variant by enumerating all
@@ -113,21 +117,15 @@ class SolveResult:
 
 @dataclass(frozen=True)
 class CoverConfiguration:
-    """One fully specified choice in the tripartition enumeration.
+    """The cover part of one configuration in the tripartition enumeration.
 
-    ``c1i_assignment`` maps each first-cover vertex destined for the second
-    graph's independent set to the neighborhood signature of the twin class
-    it lands in (and symmetrically for ``c2i_assignment``).
-    ``class_pairing`` lists matched twin classes with the number of vertices
-    exchanged between them.
+    The cover-to-twin-class assignments and the class pairing that complete
+    the configuration are read off the mapping yielded with it.
     """
 
     trip1: Tripartition
     trip2: Tripartition
     cover_bijection: tuple[tuple[int, int], ...]
-    c1i_assignment: tuple[tuple[int, frozenset[int]], ...]
-    c2i_assignment: tuple[tuple[int, frozenset[int]], ...]
-    class_pairing: tuple[tuple[frozenset[int], frozenset[int], int], ...]
 
 
 def configuration_bound(k1: int, k2: int) -> int:
@@ -388,37 +386,24 @@ def _assemble(
     choice1: tuple[int, ...],
     choice2: tuple[int, ...],
     plan: list[tuple[list[int], list[int]]],
-) -> tuple[VertexMapping, tuple[tuple[frozenset[int], frozenset[int], int], ...]]:
+) -> VertexMapping:
     """Build the full candidate mapping for one configuration.
 
     Within each key of ``plan`` the members of the first graph's classes are
     paired in order with those of the second graph's, net of the members
     consumed by the cover-to-independent-set assignments.
     """
-    pairs: list[tuple[int, int]] = list(sigma.items())
-    consumed1: dict[int, int] = {}
-    consumed2: dict[int, int] = {}
-    for u, sidx in zip(indep1, choice1):
-        members = twins2.classes[sidx].members
-        pairs.append((u, members[consumed2.get(sidx, 0)]))
-        consumed2[sidx] = consumed2.get(sidx, 0) + 1
-    for y, ridx in zip(indep2, choice2):
-        members = twins1.classes[ridx].members
-        pairs.append((members[consumed1.get(ridx, 0)], y))
-        consumed1[ridx] = consumed1.get(ridx, 0) + 1
-
-    classes1, classes2 = twins1.classes, twins2.classes
-    pairing: list[tuple[frozenset[int], frozenset[int], int]] = []
+    # one cursor per twin class: the assignments take members first
+    rest1 = [iter(c.members) for c in twins1.classes]
+    rest2 = [iter(c.members) for c in twins2.classes]
+    pairs = list(sigma.items())
+    pairs += [(u, next(rest2[s])) for u, s in zip(indep1, choice1)]
+    pairs += [(next(rest1[r]), y) for y, r in zip(indep2, choice2)]
     for lefts, rights in plan:
-        free1 = [(i, u) for i in lefts for u in classes1[i].members[consumed1.get(i, 0):]]
-        free2 = [(j, v) for j in rights for v in classes2[j].members[consumed2.get(j, 0):]]
-        matched = list(zip(free1, free2))
-        pairs.extend((u, v) for (_, u), (_, v) in matched)
-        for (i, j), run in itertools.groupby(matched, key=lambda p: (p[0][0], p[1][0])):
-            pairing.append(
-                (classes1[i].neighborhood, classes2[j].neighborhood, sum(1 for _ in run))
-            )
-    return VertexMapping(tuple(sorted(pairs))), tuple(pairing)
+        free1 = [u for i in lefts for u in rest1[i]]
+        free2 = [v for j in rights for v in rest2[j]]
+        pairs.extend(zip(free1, free2))
+    return VertexMapping(tuple(sorted(pairs)))
 
 
 def _class_choices(
@@ -507,12 +492,14 @@ def _search_pair(
     ``min(L_key, R_key)`` net of the members the assignments consume.  With
     nothing consumed this is McSplit's label-class bound, which prunes a
     whole bijection; a candidate is assembled only if its size beats
-    ``best``.
+    ``best`` and its two assignments agree on cross adjacency.
     """
     t1, indep1, _, (trace1, pairable1) = s1
     t2, indep2, _, (trace2, pairable2) = s2
     size1 = [len(c.members) for c in twins1.classes]
     size2 = [len(c.members) for c in twins2.classes]
+    nbhd1 = [c.neighborhood for c in twins1.classes]
+    nbhd2 = [c.neighborhood for c in twins2.classes]
     base = len(t1.matched) + len(indep1) + len(indep2)
 
     for sigma in _cover_bijections(g1, g2, t1, t2):
@@ -561,9 +548,12 @@ def _search_pair(
                 )
                 if size <= best[0]:
                     continue
-                if connected and size == 0:
+                # u goes into class s while a member of class r comes to y;
+                # the candidate is induced only if u~r and y~s agree
+                cross = itertools.product(zip(indep1, choice1), zip(indep2, choice2))
+                if any((u in nbhd1[r]) != (y in nbhd2[s]) for (u, s), (y, r) in cross):
                     continue
-                mapping, pairing = _assemble(
+                mapping = _assemble(
                     indep1, indep2, twins1, twins2, sigma, choice1, choice2, plan
                 )
                 if len(mapping) != size:
@@ -572,28 +562,11 @@ def _search_pair(
                     )
                 stats.candidates_validated += 1
                 if not is_induced_isomorphism(g1, g2, mapping):
+                    raise WitnessError(f"mcis_vc_fpt built a non-induced mapping {mapping.pairs}")
+                # both sides are isomorphic, so one side's connectivity decides
+                if connected and not induces_connected(g1, [u for u, _ in mapping.pairs]):
                     continue
-                if connected:
-                    sel1 = [u for u, _ in mapping.pairs]
-                    sel2 = [v for _, v in mapping.pairs]
-                    if not induces_connected(g1, sel1):
-                        continue
-                    if not induces_connected(g2, sel2):
-                        continue
-                config = CoverConfiguration(
-                    trip1=t1,
-                    trip2=t2,
-                    cover_bijection=tuple(sorted(sigma.items())),
-                    c1i_assignment=tuple(
-                        (u, twins2.classes[s].neighborhood)
-                        for u, s in zip(indep1, choice1)
-                    ),
-                    c2i_assignment=tuple(
-                        (y, twins1.classes[r].neighborhood)
-                        for y, r in zip(indep2, choice2)
-                    ),
-                    class_pairing=pairing,
-                )
+                config = CoverConfiguration(t1, t2, tuple(sorted(sigma.items())))
                 yield config, mapping
 
 

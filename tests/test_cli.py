@@ -113,6 +113,13 @@ def test_solve_rejects_a_negative_threshold(graph_files, capsys):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+def test_solve_has_no_cover_cutoff_flag(graph_files, capsys):
+    # the cutoff of --algo auto is a constant; the removed flag is rejected
+    p3 = graph_files("p3.el", path_graph(3))
+    assert main(["solve", "--problem", "mcis", "--vc-cutoff", "-5", p3, p3]) == EXIT_USAGE
+    assert capsys.readouterr().out == ""
+
+
 def test_solve_parse_error_is_usage(tmp_path):
     bad = tmp_path / "bad.el"
     bad.write_text("2 1\n0 0\n")
@@ -250,6 +257,19 @@ def test_check_reduction_suite(capsys):
     code = main(["check", "--suite", "reductions", "--seed", "3"])
     assert code == EXIT_OK
     assert "reductions: PASS" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("count, checks", [(1, 24), (5, 120)])
+def test_check_reduction_suite_runs_count_rounds(count, checks, capsys):
+    argv = ["check", "--suite", "reductions", "--seed", "3", "--count", str(count)]
+    assert main(argv) == EXIT_OK
+    assert capsys.readouterr().out == f"reductions: PASS ({checks} checks)\n"
+
+
+def test_check_reduction_suite_rejects_a_zero_count(capsys):
+    assert main(["check", "--suite", "reductions", "--count", "0"]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.out == ""
 
 
 # --- analyze ----------------------------------------------------------------

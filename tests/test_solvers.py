@@ -124,6 +124,10 @@ def test_witness_guards_raise_without_assert(monkeypatch):
     monkeypatch.setattr(solvers, "isi_backtracking", lambda p, h: VertexMapping(((0, 0), (1, 1))))
     with pytest.raises(WitnessError):
         mcis_bruteforce(SolveQuery(path_graph(2), edgeless_graph(2)))
+    # the FPT solver's arbiter is a guard too: a rejected candidate raises
+    monkeypatch.setattr(solvers, "is_induced_isomorphism", lambda *args: False)
+    with pytest.raises(WitnessError):
+        mcis_vc_fpt(SolveQuery(path_graph(3), path_graph(3)))
 
 
 # --- the FPT solver --------------------------------------------------------
@@ -239,9 +243,27 @@ def test_fpt_draws_tripartition_buckets_lazily(monkeypatch):
 
 
 def test_fpt_assembly_is_checked_against_its_predicted_size(monkeypatch):
-    monkeypatch.setattr(solvers, "_assemble", lambda *args: (VertexMapping(()), ()))
+    monkeypatch.setattr(solvers, "_assemble", lambda *args: VertexMapping(()))
     with pytest.raises(WitnessError):
         mcis_vc_fpt(SolveQuery(path_graph(4), path_graph(4)))
+
+
+def test_fpt_candidates_are_induced_by_construction(monkeypatch):
+    verdicts = []
+    real = solvers.is_induced_isomorphism
+
+    def recording(*args):
+        verdicts.append(real(*args))
+        return verdicts[-1]
+
+    monkeypatch.setattr(solvers, "is_induced_isomorphism", recording)
+    rng = random.Random(41)
+    for _ in range(60):
+        g1, g2 = random_graph_pair(rng, 8)
+        for conn in (False, True):
+            mcis_vc_fpt(SolveQuery(g1, g2, connected=conn))
+    # every candidate the FPT solver assembles passes the arbiter
+    assert verdicts and all(verdicts)
 
 
 def test_fpt_is_deterministic():
