@@ -30,6 +30,7 @@ from .reductions import (
 from .solvers import (
     OracleBoundError,
     SolveQuery,
+    SolveStats,
     isi_backtracking,
     mcis_bruteforce,
     mcis_vc_fpt,
@@ -106,7 +107,8 @@ def cmd_solve(args: argparse.Namespace) -> int:
     if args.problem == "isi":
         if args.algo not in ("auto", "backtracking"):
             raise CliError("isi only supports the backtracking algorithm")
-        witness = isi_backtracking(g1, g2)
+        stats = SolveStats()
+        witness = isi_backtracking(g1, g2, stats)
         result = {
             "answer": witness is not None,
             "witness": list(witness.pairs) if witness else None,
@@ -114,7 +116,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
         lines = ["yes" if witness else "no"]
         if witness:
             lines.append("witness: " + " ".join(f"{u}->{v}" for u, v in witness.pairs))
-        _emit(_report(args, digest, result, started), args.json, lines)
+        _emit(_report(args, digest, result, started, stats), args.json, lines)
         return EXIT_OK
 
     if args.algo == "backtracking":

@@ -3,8 +3,12 @@
 Three routes to an answer, deliberately redundant so they can cross-check
 each other:
 
-* :func:`isi_backtracking` — induced subgraph isomorphism by backtracking
-  with degree and adjacency-consistency pruning.
+* :func:`isi_backtracking` — induced subgraph isomorphism in two layers.
+  When both graphs have two or more components, the component layer packs
+  pattern components into host components, deciding once per call whether
+  a multiset of pattern component classes fits a host component class.
+  The vertex layer places pattern vertices depth first with an explicit
+  stack, pruned by degree, non-degree and adjacency to the placed images.
 * :func:`mcis_bruteforce` — the oracle: enumerate vertex subsets of the
   smaller graph in decreasing size and try to embed each into the other
   graph.  Refuses inputs above a configurable size bound; it exists for
@@ -36,12 +40,13 @@ candidate graphs on ``k`` vertices.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 import math
 import os
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from .graphs import (
     Graph,
@@ -98,13 +103,16 @@ class SolveStats:
     ``configurations`` counts the (choice1, choice2) assignment pairs the FPT
     enumeration reaches; ``bijections_tried`` the cover bijections it
     examines and ``bijections_pruned`` those of them the label-class bound
-    skips whole.
+    skips whole.  ``search_nodes`` counts the placements ``isi_backtracking``
+    makes: a pattern vertex on a host vertex, or a pattern component in a
+    host component.
     """
 
     configurations: int = 0
     candidates_validated: int = 0
     bijections_tried: int = 0
     bijections_pruned: int = 0
+    search_nodes: int = 0
 
 
 @dataclass(frozen=True)
@@ -137,107 +145,257 @@ def configuration_bound(k1: int, k2: int) -> int:
 # induced subgraph isomorphism
 
 
-def _pattern_components(g: Graph) -> list[list[int]]:
+def _component_orders(g: Graph) -> list[list[int]]:
     """Components as vertex orders: big components first; inside one
-    component grow by number of already-placed neighbors."""
+    component grow by number of already-placed neighbors, then degree, then
+    smallest id.  The best key sits at the end of a sorted list that keeps
+    stale entries, so a long path is not quadratic."""
+    adj = g.adj
     ordered: list[list[int]] = []
     for comp in sorted(connected_components(g), key=lambda c: (-len(c), min(c))):
-        todo = set(comp)
-        placed: set[int] = set()
-        order: list[int] = []
-        while todo:
-            v = max(
-                todo,
-                key=lambda x: (len(g.adj[x] & placed), len(g.adj[x]), -x),
-            )
+        placed_nbrs = dict.fromkeys(comp, 0)
+        keys = sorted((0, len(adj[v]), -v) for v in comp)
+        order = []
+        while keys:
+            placed, _, v = keys.pop()
+            v = -v
+            if placed_nbrs.get(v) != placed:
+                continue  # placed already, or a stale entry
+            del placed_nbrs[v]
             order.append(v)
-            placed.add(v)
-            todo.remove(v)
+            for w in adj[v]:
+                if w in placed_nbrs:
+                    placed_nbrs[w] += 1
+                    bisect.insort(keys, (placed_nbrs[w], len(adj[w]), -w))
         ordered.append(order)
     return ordered
 
 
-def _isomorphic_components(g: Graph, a: list[int], b: list[int]) -> bool:
-    if len(a) != len(b):
-        return False
-    ga = induced_subgraph(g, a)
-    gb = induced_subgraph(g, b)
-    if ga.m != gb.m:
-        return False
-    return isi_backtracking(ga, gb) is not None
+_Adj = tuple[frozenset[int], ...]
 
 
-def isi_backtracking(pattern: Graph, host: Graph) -> VertexMapping | None:
+def _embed(
+    padj: _Adj,
+    hadj: _Adj,
+    comps: list[list[int]],
+    classes: list[int],
+    pool: Sequence[int],
+    tally: list[int],
+) -> dict[int, int] | None:
+    """The vertex layer: place the vertices of ``comps`` in order, or None.
+
+    Depth first with an explicit stack of candidate lists, one per placed
+    position.  A pattern vertex with no placed neighbor draws from ``pool``
+    (sorted host vertices).  A candidate ``c`` for ``u`` is adjacent to the
+    images of ``u``'s placed neighbors and to no other used vertex, i.e.
+    ``|N(c) & used|`` equals their number; it has at least ``u``'s degree,
+    and at least as many non-neighbors in ``pool`` as ``u`` has among the
+    vertices of ``comps``.
+    A component of the same class as the one before it must have all images
+    above that component's smallest image (symmetry breaking).  Placements
+    are added to ``tally[0]``.
+    """
+    order = [v for comp in comps for v in comp]
+    if not order:
+        return {}
+    # at each component's first position: the previous component if isomorphic
+    starts: dict[int, list[int] | None] = {}
+    pos = 0
+    for ci, comp in enumerate(comps):
+        starts[pos] = comps[ci - 1] if ci and classes[ci] == classes[ci - 1] else None
+        pos += len(comp)
+    assignment: dict[int, int] = {}
+    used: set[int] = set()
+    floors = [-1] * len(order)
+    # u's non-neighbors must land on c's: len(pool) - deg(c) >= len(order) - deg(u)
+    slack = len(pool) - len(order)
+
+    def candidates(i: int) -> Iterator[int]:
+        u = order[i]
+        if i in starts:
+            prev = starts[i]
+            floors[i] = min(assignment[x] for x in prev) if prev else -1
+        else:
+            floors[i] = floors[i - 1]
+        floor, du = floors[i], len(padj[u])
+        placed = [assignment[x] for x in padj[u] if x in assignment]
+        base = sorted(hadj[placed[0]].intersection(*(hadj[w] for w in placed[1:]))) if placed else pool
+        k, top = len(placed), du + slack
+        return iter([
+            c for c in base
+            if c > floor and c not in used and du <= len(hadj[c]) <= top and len(hadj[c] & used) == k
+        ])
+
+    nodes = 0
+    stack = [candidates(0)]
+    while stack:
+        i = len(stack) - 1
+        c = next(stack[i], None)
+        if c is None:
+            stack.pop()
+            if stack:
+                used.discard(assignment.pop(order[i - 1]))
+            continue
+        nodes += 1
+        assignment[order[i]] = c
+        used.add(c)
+        if i + 1 == len(order):
+            tally[0] += nodes
+            return assignment
+        stack.append(candidates(i + 1))
+    tally[0] += nodes
+    return None
+
+
+def _component_classes(adj: _Adj, comps: list[list[int]], tally: list[int]) -> list[int]:
+    """Isomorphism class of each component, numbered by first appearance.
+
+    The sorted degree sequence (which fixes n and m) is compared first; the
+    exact test, the vertex layer embedding one component into the other,
+    runs only between components with equal sequences.
+    """
+    reps: dict[tuple[int, ...], list[tuple[int, list[int]]]] = {}
+    classes: list[int] = []
+    count = 0
+    for comp in comps:
+        same_key = reps.setdefault(tuple(sorted(len(adj[v]) for v in comp)), [])
+        for cid, rep in same_key:
+            if _embed(adj, adj, [comp], [cid], rep, tally) is not None:
+                classes.append(cid)
+                break
+        else:
+            same_key.append((count, sorted(comp)))
+            classes.append(count)
+            count += 1
+    return classes
+
+
+def _pack(
+    padj: _Adj,
+    hadj: _Adj,
+    comps: list[list[int]],
+    classes: list[int],
+    host_comps: list[list[int]],
+    tally: list[int],
+) -> dict[int, int] | None:
+    """The component layer: give each pattern component a host component.
+
+    ``comps`` is largest first with each class contiguous.  A host
+    component's share is the sorted tuple of pattern classes given to it;
+    adding a class must keep the share within the component's size and must
+    fit, which the vertex layer decides once per (share, host class) on the
+    disjoint union of the share's components.  Components of one class take
+    non-decreasing host indices, and of two host components that had the
+    same class and the same share when the class was reached, the later
+    one never gets more of it.  Images in different host components are
+    never adjacent, so the witness is built per host component.
+    """
+    hclasses = _component_classes(hadj, host_comps, tally)
+    pools = [sorted(c) for c in host_comps]
+    rep: dict[int, list[int]] = {}
+    for pool, hc in zip(pools, hclasses):
+        rep.setdefault(hc, pool)
+    members: dict[int, list[list[int]]] = {}
+    for comp, cid in zip(comps, classes):
+        members.setdefault(cid, []).append(comp)
+    fits: dict[tuple[tuple[int, ...], int], bool] = {}
+
+    def fit(share: tuple[int, ...], hc: int) -> bool:
+        if (share, hc) not in fits:
+            part = [c for cid, run in itertools.groupby(share) for c in members[cid][: len(list(run))]]
+            fits[share, hc] = _embed(padj, hadj, part, list(share), rep[hc], tally) is not None
+        return fits[share, hc]
+
+    share: list[tuple[int, ...]] = [()] * len(pools)
+    room = [len(c) for c in pools]
+    where = [-1] * len(comps)
+    # per class: for each host component, the nearest earlier one with the same
+    # class and share when the class was reached, or the component itself
+    twins: dict[int, list[int]] = {}
+    t = 0
+    while 0 <= t < len(comps):
+        cid, size, h = classes[t], len(comps[t]), where[t]
+        if h >= 0:  # back again: take the component out and try further on
+            share[h] = share[h][:-1]
+            room[h] += size
+            lo = h + 1
+        elif t and classes[t - 1] == cid:
+            lo = where[t - 1]
+        else:
+            lo = 0
+            last: dict[tuple[int, tuple[int, ...]], int] = {}
+            twins[cid] = []
+            for j, key in enumerate(zip(hclasses, share)):
+                twins[cid].append(last.get(key, j))
+                last[key] = j
+        tw = twins[cid]
+        for h in range(lo, len(pools)):
+            if room[h] < size:
+                continue
+            if tw[h] != h and share[h].count(cid) >= share[tw[h]].count(cid):
+                continue
+            if fit(share[h] + (cid,), hclasses[h]):
+                break
+        else:
+            where[t] = -1
+            t -= 1
+            continue
+        tally[0] += 1
+        where[t] = h
+        share[h] += (cid,)
+        room[h] -= size
+        t += 1
+    if t < 0:
+        return None
+    assignment: dict[int, int] = {}
+    for h, pool in enumerate(pools):
+        part = [t for t in range(len(comps)) if where[t] == h]
+        found = _embed(padj, hadj, [comps[t] for t in part], [classes[t] for t in part], pool, tally)
+        if found is None:
+            raise WitnessError(f"host component {h} does not take the share its class fits")
+        assignment.update(found)
+    return assignment
+
+
+def isi_backtracking(
+    pattern: Graph, host: Graph, stats: SolveStats | None = None
+) -> VertexMapping | None:
     """Embed ``pattern`` as an induced subgraph of ``host``, or return None.
 
-    Prunes by degree and adjacency consistency.  Consecutive isomorphic
-    pattern components are interchangeable, so their images are forced into
-    increasing min-image order; this kills the factorial blow-up on patterns
-    made of many identical pieces (the 3-partition gadgets).
+    Two layers.  When both graphs have at least two components, the
+    component layer packs pattern components into host components
+    (:func:`_pack`); otherwise the vertex layer (:func:`_embed`) places the
+    pattern's vertices over the whole host, with degree and adjacency
+    pruning and isomorphic pattern components forced into increasing
+    min-image order.  Before either, a pattern with more vertices, edges or
+    non-edges than the host is refuted.  ``stats.search_nodes``, if given,
+    gains the placements made.  The arbiter checks the witness, as a guard
+    that raises :class:`WitnessError`.
     """
     if pattern.n == 0:
         return VertexMapping(())
-    if pattern.n > host.n or pattern.m > host.m:
+    p, h = pattern.n, host.n
+    if p > h or pattern.m > host.m or p * (p - 1) // 2 - pattern.m > h * (h - 1) // 2 - host.m:
         return None
-    comps = _pattern_components(pattern)
-    order = [v for comp in comps for v in comp]
-    comp_of = {}
-    for ci, comp in enumerate(comps):
-        for v in comp:
-            comp_of[v] = ci
-    comp_start = {}
-    pos = 0
-    for ci, comp in enumerate(comps):
-        comp_start[ci] = pos
-        pos += len(comp)
-    # floor[ci]: all images of component ci must exceed the previous
-    # isomorphic component's minimum image
-    same_as_prev = [False] + [
-        _isomorphic_components(pattern, comps[i - 1], comps[i])
-        for i in range(1, len(comps))
-    ]
-    padj, hadj = pattern.adj, host.adj
-    pdeg = [len(a) for a in padj]
-    hdeg = [len(a) for a in hadj]
-    assignment: dict[int, int] = {}
-    used: set[int] = set()
-
-    def extend(i: int, floor: int) -> bool:
-        if i == len(order):
-            return True
-        u = order[i]
-        ci = comp_of[u]
-        if i == comp_start[ci]:
-            if ci > 0 and same_as_prev[ci]:
-                floor = min(assignment[x] for x in comps[ci - 1])
-            else:
-                floor = -1
-        placed_nbrs = [assignment[x] for x in padj[u] if x in assignment]
-        if placed_nbrs:
-            cands = set(hadj[placed_nbrs[0]])
-            for w in placed_nbrs[1:]:
-                cands &= hadj[w]
-            cands -= used
-        else:
-            cands = set(range(host.n)) - used
-        for c in sorted(cands):
-            if c <= floor or hdeg[c] < pdeg[u]:
-                continue
-            if any(
-                (x in padj[u]) != (w in hadj[c]) for x, w in assignment.items()
-            ):
-                continue
-            assignment[u] = c
-            used.add(c)
-            if extend(i + 1, floor):
-                return True
-            del assignment[u]
-            used.remove(c)
-        return False
-
-    if not extend(0, -1):
+    tally = [0]
+    comps = _component_orders(pattern)
+    classes = [0]
+    host_comps: list[list[int]] = []
+    if len(comps) > 1:
+        classes = _component_classes(pattern.adj, comps, tally)
+        ranked = sorted(range(len(comps)), key=lambda i: (-len(comps[i]), classes[i]))
+        comps = [comps[i] for i in ranked]
+        classes = [classes[i] for i in ranked]
+        host_comps = _component_orders(host)
+    if len(host_comps) > 1:
+        found = _pack(pattern.adj, host.adj, comps, classes, host_comps, tally)
+    else:
+        found = _embed(pattern.adj, host.adj, comps, classes, range(host.n), tally)
+    if stats is not None:
+        stats.search_nodes += tally[0]
+    if found is None:
         return None
-    mapping = VertexMapping(tuple(sorted(assignment.items())))
+    mapping = VertexMapping(tuple(sorted(found.items())))
     if not is_induced_isomorphism(pattern, host, mapping):
         raise WitnessError(f"isi_backtracking built a non-induced embedding {mapping.pairs}")
     return mapping
@@ -263,7 +421,7 @@ def mcis_bruteforce(q: SolveQuery, bound: int | None = None) -> SolveResult:
                 continue
             pattern = induced_subgraph(small, subset)
             stats.candidates_validated += 1
-            m = isi_backtracking(pattern, big)
+            m = isi_backtracking(pattern, big, stats)
             if m is None:
                 continue
             back = dict(enumerate(subset))

@@ -54,6 +54,15 @@ def test_solve_isi_yes_and_no(graph_files, capsys):
     assert capsys.readouterr().out.startswith("no")
 
 
+def test_solve_isi_json_reports_search_nodes(graph_files, capsys):
+    p3 = graph_files("p3.el", path_graph(3))
+    p5 = graph_files("p5.el", path_graph(5))
+    assert main(["solve", "--problem", "isi", "--json", p3, p5]) == EXIT_OK
+    report = json.loads(capsys.readouterr().out)
+    assert report["result"]["answer"] is True
+    assert report["stats"]["search_nodes"] >= 3
+
+
 def test_solve_decision_threshold(graph_files, capsys):
     p3 = graph_files("p3.el", path_graph(3))
     k3 = graph_files("k3.el", complete_graph(3))
@@ -264,6 +273,13 @@ def test_check_reduction_suite_runs_count_rounds(count, checks, capsys):
     argv = ["check", "--suite", "reductions", "--seed", "3", "--count", str(count)]
     assert main(argv) == EXIT_OK
     assert capsys.readouterr().out == f"reductions: PASS ({checks} checks)\n"
+
+
+def test_check_reduction_suite_decides_the_seed_1_three_partition_no_instance(capsys):
+    # round 1 of seed 1 draws a 3-Partition no-instance (items 4,4,6,4,4,4, B=13)
+    argv = ["check", "--suite", "reductions", "--seed", "1", "--count", "1"]
+    assert main(argv) == EXIT_OK
+    assert capsys.readouterr().out == "reductions: PASS (24 checks)\n"
 
 
 def test_check_reduction_suite_rejects_a_zero_count(capsys):

@@ -19,11 +19,16 @@ from mcislab.graphs import (
     path_graph,
 )
 from mcislab.params import min_vertex_cover
-from mcislab.reductions import incidence_graph
+from mcislab.reductions import (
+    ThreePartitionInstance,
+    incidence_graph,
+    three_partition_to_forest_isi,
+)
 from mcislab import solvers
 from mcislab.solvers import (
     OracleBoundError,
     SolveQuery,
+    SolveStats,
     WitnessError,
     configuration_bound,
     enumerate_configurations,
@@ -79,6 +84,60 @@ def test_isi_agrees_with_bruteforce_subset_search():
         assert got == expected
 
 
+def three_partition_isi(items, m):
+    out = three_partition_to_forest_isi(ThreePartitionInstance(tuple(items), m, 13))
+    return out.g1, out.g2
+
+
+def test_isi_three_partition_m3_yes_and_no_instances():
+    pattern, host = three_partition_isi((4, 4, 5) * 3, 3)
+    witness = isi_backtracking(pattern, host)
+    assert witness is not None and len(witness) == pattern.n
+    assert is_induced_isomorphism(pattern, host, witness)
+    assert isi_backtracking(*three_partition_isi((4, 4, 6, 4, 4, 4, 5, 4, 4), 3)) is None
+
+
+def test_isi_three_partition_m2_no_instance_stays_within_a_node_budget():
+    # the vertex-by-vertex search over the whole host placed about 245k nodes
+    stats = SolveStats()
+    assert isi_backtracking(*three_partition_isi((4, 4, 6, 4, 4, 4), 2), stats) is None
+    assert 0 < stats.search_nodes <= 5_000
+
+
+def test_isi_long_path_embeds_without_recursion():
+    pattern, host = path_graph(1500), path_graph(1600)
+    witness = isi_backtracking(pattern, host)
+    assert witness is not None and len(witness) == 1500
+    assert is_induced_isomorphism(pattern, host, witness)
+
+
+def test_isi_refutes_a_pattern_with_more_non_edges_before_searching():
+    # 3 vertices and 0 edges against 4 vertices and 5 edges: 3 non-edges, 1 in the host
+    host = Graph.from_edges(4, [e for e in itertools.combinations(range(4), 2) if e != (0, 1)])
+    stats = SolveStats()
+    assert isi_backtracking(edgeless_graph(3), host, stats) is None
+    assert stats.search_nodes == 0
+    assert isi_backtracking(edgeless_graph(2), host, stats) is not None
+
+
+def test_isi_packs_components_into_isomorphic_host_components():
+    # two triangles and an edge into three disjoint triangles: the edge needs a triangle of its own
+    triangles = [(3 * i + a, 3 * i + b) for i in range(3) for a, b in ((0, 1), (1, 2), (0, 2))]
+    host = Graph.from_edges(9, triangles)
+    pattern = Graph.from_edges(8, triangles[:6] + [(6, 7)])
+    witness = isi_backtracking(pattern, host)
+    assert witness is not None and is_induced_isomorphism(pattern, host, witness)
+    # a triangle, two edges and an isolated vertex: every free host vertex
+    # is then adjacent to a used one
+    crowded = Graph.from_edges(8, triangles[:3] + [(3, 4), (5, 6)])
+    assert isi_backtracking(crowded, host) is None
+
+
+def test_brute_counts_the_search_nodes_of_its_isi_calls():
+    result = mcis_bruteforce(SolveQuery(cycle_graph(5), path_graph(5)))
+    assert result.size == 4 and result.stats.search_nodes > 0
+
+
 # --- brute-force oracle ----------------------------------------------------
 
 
@@ -121,7 +180,9 @@ def test_witness_guards_raise_without_assert(monkeypatch):
     with pytest.raises(WitnessError):
         isi_backtracking(path_graph(2), path_graph(3))
     # an embedding that maps an edge onto a non-edge reaches the oracle's guard
-    monkeypatch.setattr(solvers, "isi_backtracking", lambda p, h: VertexMapping(((0, 0), (1, 1))))
+    monkeypatch.setattr(
+        solvers, "isi_backtracking", lambda p, h, stats=None: VertexMapping(((0, 0), (1, 1)))
+    )
     with pytest.raises(WitnessError):
         mcis_bruteforce(SolveQuery(path_graph(2), edgeless_graph(2)))
     # the FPT solver's arbiter is a guard too: a rejected candidate raises
