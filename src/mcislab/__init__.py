@@ -54,7 +54,6 @@ from .solvers import (
     isi_backtracking,
     mcis_bruteforce,
     mcis_vc_fpt,
-    mcis_via_isi,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

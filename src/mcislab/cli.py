@@ -65,6 +65,8 @@ def _load_graph(path: str) -> tuple[Graph, str]:
         text = Path(path).read_text()
     except OSError as exc:
         raise CliError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise CliError(f"{path}: not a text file") from exc
     try:
         return parse_graph(text), text
     except GraphParseError as exc:
@@ -105,8 +107,8 @@ def cmd_solve(args: argparse.Namespace) -> int:
     digest = _digest(args.problem, args.algo, text1, text2, str(args.k))
 
     if args.problem == "isi":
-        if args.algo not in ("auto", "backtracking"):
-            raise CliError("isi only supports the backtracking algorithm")
+        if args.algo != "auto":
+            raise CliError("isi only supports --algo auto")
         stats = SolveStats()
         witness = isi_backtracking(g1, g2, stats)
         result = {
@@ -119,10 +121,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
         _emit(_report(args, digest, result, started, stats), args.json, lines)
         return EXIT_OK
 
-    if args.algo == "backtracking":
-        raise CliError("backtracking is only available for problem 'isi'")
-    connected = args.problem == "mccis"
-    query = SolveQuery(g1, g2, connected=connected, threshold=args.k)
+    query = SolveQuery(g1, g2, connected=args.problem == "mccis")
     algo = args.algo
     if algo == "auto":
         vc_max = max(vertex_cover_number(g1), vertex_cover_number(g2))
@@ -191,7 +190,10 @@ def cmd_reduce(args: argparse.Namespace) -> int:
     except ValueError as exc:
         raise CliError(str(exc)) from exc
 
-    write_reduction(out, args.outdir)
+    try:
+        write_reduction(out, args.outdir)
+    except OSError as exc:
+        raise CliError(f"cannot write {args.outdir}: {exc}") from exc
     result = {"kind": out.kind, "target": out.target, "certificates": out.certificates, "outdir": args.outdir}
     lines = [
         f"kind {out.kind}",
@@ -270,7 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     solve = sub.add_parser("solve", help="run a solver on two graph files")
     solve.add_argument("--problem", choices=("mcis", "mccis", "isi"), required=True)
-    solve.add_argument("--algo", choices=("auto", "brute", "vc-fpt", "backtracking"), default="auto")
+    solve.add_argument("--algo", choices=("auto", "brute", "vc-fpt"), default="auto")
     solve.add_argument("g1")
     solve.add_argument("g2")
     solve.add_argument("-k", type=int, default=None, help="decision threshold")

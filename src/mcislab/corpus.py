@@ -29,10 +29,10 @@ def random_graph_pair(rng: random.Random, max_n: int) -> tuple[Graph, Graph]:
     return graphs[0], graphs[1]
 
 
-def random_forest(rng: random.Random, max_n: int, min_trees: int = 2) -> Graph:
-    """Random forest with at least ``min_trees`` trees."""
-    n = rng.randint(min_trees, max_n)
-    t = rng.randint(min_trees, max(min_trees, min(n, 4)))
+def random_forest(rng: random.Random, max_n: int) -> Graph:
+    """Random forest with at least two trees."""
+    n = rng.randint(2, max_n)
+    t = rng.randint(2, max(2, min(n, 4)))
     comp = list(range(t)) + [rng.randrange(t) for _ in range(n - t)]
     members: dict[int, list[int]] = {}
     edges = []
@@ -48,13 +48,12 @@ def random_clique_instance(rng: random.Random, n: int, l: int) -> CliqueInstance
     return CliqueInstance(random_graph(rng, n, p), l)
 
 
-def random_three_partition(
-    rng: random.Random, max_m: int = 2, max_b: int = 13
-) -> ThreePartitionInstance:
-    """Random instance in the strict range B/4 < a_i < B/2, by rejection."""
+def random_three_partition(rng: random.Random) -> ThreePartitionInstance:
+    """Random instance with m <= 2 groups, 8 <= B <= 13 and items in the strict
+    range B/4 < a_i < B/2, by rejection."""
     while True:
-        m = rng.randint(1, max_m)
-        b = rng.randint(8, max_b)
+        m = rng.randint(1, 2)
+        b = rng.randint(8, 13)
         lo, hi = b // 4 + 1, (b - 1) // 2
         if lo > hi:
             continue

@@ -76,9 +76,6 @@ class Graph:
     def m(self) -> int:
         return len(self.edges)
 
-    def vertices(self) -> range:
-        return range(self.n)
-
     def has_edge(self, u: int, v: int) -> bool:
         return (min(u, v), max(u, v)) in self.edges
 
@@ -101,9 +98,6 @@ class VertexMapping:
 
     def __len__(self) -> int:
         return len(self.pairs)
-
-    def as_dict(self) -> dict[int, int]:
-        return dict(self.pairs)
 
     def inverse(self) -> "VertexMapping":
         return VertexMapping(tuple(sorted((v, u) for u, v in self.pairs)))

@@ -11,8 +11,8 @@ each other:
   stack, pruned by degree, non-degree and adjacency to the placed images.
 * :func:`mcis_bruteforce` — the oracle: enumerate vertex subsets of the
   smaller graph in decreasing size and try to embed each into the other
-  graph.  Refuses inputs above a configurable size bound; it exists for
-  validation, not production use.
+  graph.  Refuses inputs above the oracle bound (:func:`oracle_bound`); it
+  exists for validation, not production use.
 * :func:`mcis_vc_fpt` — the vertex-cover-parameterized algorithm: minimum
   covers on both sides, twin classes of the independent sets, then an
   enumeration of cover tripartitions, cover bijections and
@@ -33,9 +33,9 @@ each other:
   trusted arbiter still checks each one, as a guard that raises
   :class:`WitnessError`.
 
-:func:`enumerate_configurations` exposes the same enumeration as a stream,
-and :func:`mcis_via_isi` decides the threshold variant by enumerating all
-candidate graphs on ``k`` vertices.
+:func:`enumerate_configurations` exposes the same enumeration as a stream.
+The threshold question "is there a common induced subgraph on ``k``
+vertices?" is answered from the exact optimum (``solve -k``).
 """
 
 from __future__ import annotations
@@ -89,11 +89,6 @@ class SolveQuery:
     g1: Graph
     g2: Graph
     connected: bool = False
-    threshold: int | None = None
-
-    def __post_init__(self):
-        if self.threshold is not None and self.threshold < 0:
-            raise ValueError("threshold must be non-negative")
 
 
 @dataclass
@@ -405,9 +400,9 @@ def isi_backtracking(
 # brute-force oracle
 
 
-def mcis_bruteforce(q: SolveQuery, bound: int | None = None) -> SolveResult:
+def mcis_bruteforce(q: SolveQuery) -> SolveResult:
     """Exact optimum by decreasing-size subset enumeration; validation only."""
-    limit = oracle_bound() if bound is None else bound
+    limit = oracle_bound()
     if q.g1.n > limit or q.g2.n > limit:
         raise OracleBoundError(
             f"oracle bound {limit} exceeded (inputs have {q.g1.n} and {q.g2.n} vertices)"
@@ -729,7 +724,7 @@ def _search_pair(
 
 
 def enumerate_configurations(
-    g1: Graph, g2: Graph, stats: SolveStats | None = None
+    g1: Graph, g2: Graph
 ) -> Iterator[tuple[CoverConfiguration, VertexMapping]]:
     """Stream every validated configuration with its maximal mapping.
 
@@ -737,9 +732,7 @@ def enumerate_configurations(
     the pair is dominated by some yielded item.  The floor of -1 is never
     raised, so nothing is pruned.
     """
-    if stats is None:
-        stats = SolveStats()
-    yield from _iter_search(g1, g2, connected=False, stats=stats, best=[-1])
+    yield from _iter_search(g1, g2, connected=False, stats=SolveStats(), best=[-1])
 
 
 def mcis_vc_fpt(q: SolveQuery) -> SolveResult:
@@ -759,37 +752,3 @@ def mcis_vc_fpt(q: SolveQuery) -> SolveResult:
             best_witness = mapping
     return SolveResult(best[0], best_witness, method, stats)
 
-
-# ---------------------------------------------------------------------------
-# the natural-parameter reduction
-
-
-def mcis_via_isi(q: SolveQuery) -> bool:
-    """Decide the threshold variant by enumerating all k-vertex candidates.
-
-    One representative per labeled adjacency matrix; each candidate must
-    embed as an induced subgraph of both inputs.  Connected queries restrict
-    the candidates to connected graphs.  Refuses k > 6.
-    """
-    if q.threshold is None:
-        raise ValueError("mcis_via_isi needs a threshold")
-    k = q.threshold
-    if k > 6:
-        raise OracleBoundError(
-            f"k={k} needs 2^{k * (k - 1) // 2} candidate graphs; refusing above k=6"
-        )
-    if k == 0:
-        return True
-    slots = list(itertools.combinations(range(k), 2))
-    for mask in range(2 ** len(slots)):
-        candidate = Graph.from_edges(
-            k, (e for i, e in enumerate(slots) if mask >> i & 1)
-        )
-        if q.connected and not induces_connected(candidate, range(k)):
-            continue
-        if isi_backtracking(candidate, q.g1) is None:
-            continue
-        if isi_backtracking(candidate, q.g2) is None:
-            continue
-        return True
-    return False

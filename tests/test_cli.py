@@ -110,6 +110,7 @@ def test_solve_usage_errors(graph_files):
     p3 = graph_files("p3.el", path_graph(3))
     assert main(["solve", "--problem", "isi", "--algo", "brute", p3, p3]) == EXIT_USAGE
     assert main(["solve", "--problem", "mcis", "--algo", "backtracking", p3, p3]) == EXIT_USAGE
+    assert main(["solve", "--problem", "isi", "--algo", "backtracking", p3, p3]) == EXIT_USAGE
     assert main(["solve", "--problem", "nope", p3, p3]) == EXIT_USAGE
     assert main(["solve", "--problem", "mcis", p3, "/no/such/file"]) == EXIT_USAGE
 
@@ -135,6 +136,15 @@ def test_solve_parse_error_is_usage(tmp_path):
     ok = tmp_path / "ok.el"
     ok.write_text("2 1\n0 1\n")
     assert main(["solve", "--problem", "mcis", str(bad), str(ok)]) == EXIT_USAGE
+
+
+def test_a_graph_file_that_is_not_text_is_a_usage_error(graph_files, tmp_path, capsys):
+    binary = tmp_path / "binary.el"
+    binary.write_bytes(b"\xff\xfe\x00")
+    p3 = graph_files("p3.el", path_graph(3))
+    for argv in (["analyze", str(binary)], ["solve", "--problem", "mcis", p3, str(binary)]):
+        assert main(argv) == EXIT_USAGE
+        assert capsys.readouterr().err == f"error: {binary}: not a text file\n"
 
 
 # --- reduce -----------------------------------------------------------------
@@ -223,6 +233,18 @@ def test_reduce_usage_errors(graph_files, tmp_path):
         )
         == EXIT_USAGE
     )
+
+
+def test_reduce_to_an_outdir_it_cannot_write_is_a_usage_error(graph_files, tmp_path, capsys):
+    k4 = graph_files("k4.el", complete_graph(4))
+    taken = tmp_path / "taken"
+    taken.write_text("a regular file\n")
+    for out in (taken, taken / "below"):
+        argv = ["reduce", "--which", "clique-incidence", k4, "--clique-size", "3", "--outdir", str(out)]
+        assert main(argv) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write {out}: ") and "Traceback" not in err
+    assert taken.read_text() == "a regular file\n"
 
 
 # --- check ------------------------------------------------------------------

@@ -1,6 +1,5 @@
 """Tests for the solvers: backtracking ISI, the brute-force oracle, the
-vertex-cover FPT algorithm, the configuration stream and the k-candidate
-reduction."""
+vertex-cover FPT algorithm and the configuration stream."""
 
 import itertools
 import random
@@ -35,7 +34,6 @@ from mcislab.solvers import (
     isi_backtracking,
     mcis_bruteforce,
     mcis_vc_fpt,
-    mcis_via_isi,
 )
 
 
@@ -367,33 +365,3 @@ def test_enumerate_dominates_every_bruteforce_optimum():
         )
         assert reached >= best
 
-
-# --- the k-candidate reduction ---------------------------------------------
-
-
-def test_via_isi_k3_pair():
-    assert mcis_via_isi(SolveQuery(complete_graph(3), complete_graph(3), threshold=3))
-
-
-def test_via_isi_k3_vs_p3_fails_at_three():
-    assert not mcis_via_isi(SolveQuery(complete_graph(3), path_graph(3), threshold=3))
-
-
-def test_via_isi_zero_threshold_is_trivially_true():
-    assert mcis_via_isi(SolveQuery(edgeless_graph(1), complete_graph(5), threshold=0))
-
-
-def test_via_isi_refuses_large_k():
-    with pytest.raises(OracleBoundError):
-        mcis_via_isi(SolveQuery(complete_graph(8), complete_graph(8), threshold=7))
-
-
-def test_via_isi_decision_matches_oracle():
-    rng = random.Random(28)
-    for _ in range(15):
-        g1, g2 = random_graph_pair(rng, 6)
-        for conn in (False, True):
-            opt = mcis_bruteforce(SolveQuery(g1, g2, connected=conn)).size
-            for k in range(0, min(g1.n, g2.n) + 1):
-                got = mcis_via_isi(SolveQuery(g1, g2, connected=conn, threshold=k))
-                assert got == (opt >= k), (g1.edges, g2.edges, conn, k)

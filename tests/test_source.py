@@ -1,19 +1,39 @@
 """Rules that hold for the package source as a whole."""
 
 import ast
+import sys
 from pathlib import Path
 
 import mcislab
 
 
-def test_no_guard_relies_on_assert():
-    # python -O strips assert statements, so a guard written as one vanishes
+def _nodes():
     modules = sorted(Path(mcislab.__file__).parent.rglob("*.py"))
     assert modules
-    found = [
-        f"{path.name}:{node.lineno}"
-        for path in modules
-        for node in ast.walk(ast.parse(path.read_text(), str(path)))
-        if isinstance(node, ast.Assert)
-    ]
+    for path in modules:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            yield path, node
+
+
+def test_no_guard_relies_on_assert():
+    # python -O strips assert statements, so a guard written as one vanishes
+    found = [f"{path.name}:{node.lineno}" for path, node in _nodes() if isinstance(node, ast.Assert)]
+    assert found == []
+
+
+def test_runtime_imports_are_standard_library():
+    # the runtime package must install and run with nothing but the interpreter
+    found = []
+    for path, node in _nodes():
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            continue
+        found += [
+            f"{path.name}:{node.lineno} {name}"
+            for name in names
+            if name.partition(".")[0] not in sys.stdlib_module_names
+        ]
     assert found == []
