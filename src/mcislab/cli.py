@@ -109,6 +109,8 @@ def cmd_solve(args: argparse.Namespace) -> int:
     if args.problem == "isi":
         if args.algo != "auto":
             raise CliError("isi only supports --algo auto")
+        if args.k is not None:
+            raise CliError("-k applies to mcis and mccis")
         stats = SolveStats()
         witness = isi_backtracking(g1, g2, stats)
         result = {
@@ -185,7 +187,7 @@ def cmd_reduce(args: argparse.Namespace) -> int:
                 raise CliError("3partition needs --items, --groups and --target-sum")
             items = tuple(int(x) for x in args.items.split(","))
             inst = ThreePartitionInstance(items, args.groups, args.target_sum)
-            out = three_partition_to_forest_isi(inst, args.host_len)
+            out = three_partition_to_forest_isi(inst)
             digest = _digest(args.which, args.items, str(args.groups), str(args.target_sum))
     except ValueError as exc:
         raise CliError(str(exc)) from exc
@@ -290,7 +292,6 @@ def build_parser() -> argparse.ArgumentParser:
     reduce_.add_argument("--items", default=None, help="comma-separated 3-partition items")
     reduce_.add_argument("--groups", type=int, default=None)
     reduce_.add_argument("--target-sum", type=int, default=None)
-    reduce_.add_argument("--host-len", type=int, default=None)
     reduce_.add_argument("--outdir", required=True)
     reduce_.add_argument("--json", action="store_true")
     reduce_.set_defaults(func=cmd_reduce)

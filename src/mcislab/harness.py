@@ -17,7 +17,6 @@ from .corpus import (
 )
 from .graphs import induces_connected, is_induced_isomorphism, serialize_graph
 from .reductions import (
-    CliqueInstance,
     clique_to_incidence_isi,
     cross_compose,
     has_clique,

@@ -276,25 +276,20 @@ def isi_to_mccis(g1: Graph, g2: Graph) -> ReductionOutput:
     return ReductionOutput("universal", out1, out2, g1.n + 1, certificates)
 
 
-def three_partition_to_forest_isi(
-    inst: ThreePartitionInstance, host_len: int | None = None
-) -> ReductionOutput:
+def three_partition_to_forest_isi(inst: ThreePartitionInstance) -> ReductionOutput:
     """3-Partition -> ISI on forests (paths into slightly longer paths).
 
     The pattern is the disjoint union of 3m paths with the item sizes; the
-    host is m paths of ``host_len`` vertices (default B+2, for which the
-    equivalence is provable: each host path must absorb exactly three pieces
-    separated by two gap vertices).  The strict range B/4 < a_i < B/2 is
-    required; without it the packing argument breaks.
+    host is m paths of B+2 vertices, for which the equivalence is provable:
+    each host path must absorb exactly three pieces separated by two gap
+    vertices.  The strict range B/4 < a_i < B/2 is required; without it the
+    packing argument breaks.
     """
-    if host_len is not None and host_len < 1:
-        raise ValueError("host_len must be at least 1")
     if not inst.satisfies_strict_range():
         raise SoundnessError(
             "items must satisfy B/4 < a_i < B/2; the packing argument needs it"
         )
-    if host_len is None:
-        host_len = inst.B + 2
+    host_len = inst.B + 2
     edges: list[tuple[int, int]] = []
     labels: list[str] = []
     offset = 0

@@ -19,19 +19,21 @@ each other:
   cover-to-twin-class assignments.  Tripartitions are visited size bucket
   by size bucket in decreasing order of the bucket's ceiling, each bucket
   drawn lazily from :func:`mcislab.params.tripartitions` when the search
-  reaches it.  Once a cover bijection is fixed, the
-  twin classes pair only within label classes (their cover neighborhood
-  under the bijection), so the bijection can reach at most the matched and
-  to-independent cover vertices plus ``sum(min(L_key, R_key))`` over the
-  keys (McSplit's bound); a bijection whose bound cannot beat the best
-  size so far is skipped whole.  Below it, each candidate's size is
-  computed from the class capacities before the mapping is built, and
-  only a candidate that beats the best size is assembled.  A candidate is
-  kept only if every cover vertex sent into an opposite twin class agrees
-  on adjacency with every twin class member sent onto an opposite cover
-  vertex, so every assembled mapping is induced by construction; the
-  trusted arbiter still checks each one, as a guard that raises
-  :class:`WitnessError`.
+  reaches it.  The cover bijections are placements of the vertex layer,
+  the one search for induced embeddings, drawn once per first-side
+  tripartition and opposite matched part.  Once a cover bijection is fixed,
+  the twin classes pair only within label classes (their cover
+  neighborhood under the bijection), so the bijection can reach at most
+  the matched and to-independent cover vertices plus
+  ``sum(min(L_key, R_key))`` over the keys (McSplit's bound); a bijection
+  whose bound cannot beat the best size so far is skipped whole.  Below
+  it, each candidate's size is computed from the class capacities before
+  the mapping is built, and only a candidate that beats the best size is
+  assembled.  A candidate is kept only if every cover vertex sent into an
+  opposite twin class agrees on adjacency with every twin class member
+  sent onto an opposite cover vertex, so every assembled mapping is
+  induced by construction; the trusted arbiter still checks each one, as a
+  guard that raises :class:`WitnessError`.
 
 :func:`enumerate_configurations` exposes the same enumeration as a stream.
 The threshold question "is there a common induced subgraph on ``k``
@@ -41,12 +43,13 @@ vertices?" is answered from the exact optimum (``solve -k``).
 from __future__ import annotations
 
 import bisect
+import collections
 import functools
 import itertools
 import math
 import os
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterator, Sequence, Union
 
 from .graphs import (
     Graph,
@@ -166,18 +169,19 @@ def _component_orders(g: Graph) -> list[list[int]]:
     return ordered
 
 
-_Adj = tuple[frozenset[int], ...]
+# a vertex's neighbors: a graph's adjacency tuple, or a dict over a vertex subset
+_Adj = Union[tuple[frozenset[int], ...], dict[int, frozenset[int]]]
 
 
-def _embed(
+def _embeddings(
     padj: _Adj,
     hadj: _Adj,
     comps: list[list[int]],
     classes: list[int],
     pool: Sequence[int],
     tally: list[int],
-) -> dict[int, int] | None:
-    """The vertex layer: place the vertices of ``comps`` in order, or None.
+) -> Iterator[dict[int, int]]:
+    """The vertex layer: every placement of the vertices of ``comps``, in order.
 
     Depth first with an explicit stack of candidate lists, one per placed
     position.  A pattern vertex with no placed neighbor draws from ``pool``
@@ -187,12 +191,13 @@ def _embed(
     and at least as many non-neighbors in ``pool`` as ``u`` has among the
     vertices of ``comps``.
     A component of the same class as the one before it must have all images
-    above that component's smallest image (symmetry breaking).  Placements
-    are added to ``tally[0]``.
+    above that component's smallest image (symmetry breaking).  Each
+    placement adds one to ``tally[0]``, and each yield is a fresh dict.
     """
     order = [v for comp in comps for v in comp]
     if not order:
-        return {}
+        yield {}
+        return
     # at each component's first position: the previous component if isomorphic
     starts: dict[int, list[int] | None] = {}
     pos = 0
@@ -221,7 +226,6 @@ def _embed(
             if c > floor and c not in used and du <= len(hadj[c]) <= top and len(hadj[c] & used) == k
         ])
 
-    nodes = 0
     stack = [candidates(0)]
     while stack:
         i = len(stack) - 1
@@ -231,15 +235,14 @@ def _embed(
             if stack:
                 used.discard(assignment.pop(order[i - 1]))
             continue
-        nodes += 1
+        tally[0] += 1
         assignment[order[i]] = c
         used.add(c)
-        if i + 1 == len(order):
-            tally[0] += nodes
-            return assignment
-        stack.append(candidates(i + 1))
-    tally[0] += nodes
-    return None
+        if i + 1 < len(order):
+            stack.append(candidates(i + 1))
+            continue
+        yield dict(assignment)
+        used.discard(assignment.pop(order[i]))
 
 
 def _component_classes(adj: _Adj, comps: list[list[int]], tally: list[int]) -> list[int]:
@@ -255,7 +258,7 @@ def _component_classes(adj: _Adj, comps: list[list[int]], tally: list[int]) -> l
     for comp in comps:
         same_key = reps.setdefault(tuple(sorted(len(adj[v]) for v in comp)), [])
         for cid, rep in same_key:
-            if _embed(adj, adj, [comp], [cid], rep, tally) is not None:
+            if next(_embeddings(adj, adj, [comp], [cid], rep, tally), None) is not None:
                 classes.append(cid)
                 break
         else:
@@ -298,7 +301,8 @@ def _pack(
     def fit(share: tuple[int, ...], hc: int) -> bool:
         if (share, hc) not in fits:
             part = [c for cid, run in itertools.groupby(share) for c in members[cid][: len(list(run))]]
-            fits[share, hc] = _embed(padj, hadj, part, list(share), rep[hc], tally) is not None
+            placements = _embeddings(padj, hadj, part, list(share), rep[hc], tally)
+            fits[share, hc] = next(placements, None) is not None
         return fits[share, hc]
 
     share: list[tuple[int, ...]] = [()] * len(pools)
@@ -345,7 +349,8 @@ def _pack(
     assignment: dict[int, int] = {}
     for h, pool in enumerate(pools):
         part = [t for t in range(len(comps)) if where[t] == h]
-        found = _embed(padj, hadj, [comps[t] for t in part], [classes[t] for t in part], pool, tally)
+        share_comps = [comps[t] for t in part]
+        found = next(_embeddings(padj, hadj, share_comps, [classes[t] for t in part], pool, tally), None)
         if found is None:
             raise WitnessError(f"host component {h} does not take the share its class fits")
         assignment.update(found)
@@ -359,13 +364,13 @@ def isi_backtracking(
 
     Two layers.  When both graphs have at least two components, the
     component layer packs pattern components into host components
-    (:func:`_pack`); otherwise the vertex layer (:func:`_embed`) places the
-    pattern's vertices over the whole host, with degree and adjacency
-    pruning and isomorphic pattern components forced into increasing
-    min-image order.  Before either, a pattern with more vertices, edges or
-    non-edges than the host is refuted.  ``stats.search_nodes``, if given,
-    gains the placements made.  The arbiter checks the witness, as a guard
-    that raises :class:`WitnessError`.
+    (:func:`_pack`); otherwise the first placement of the vertex layer
+    (:func:`_embeddings`) maps the pattern's vertices into the whole host,
+    with degree and adjacency pruning and isomorphic pattern components
+    forced into increasing min-image order.  Before either, a pattern with
+    more vertices, edges or non-edges than the host is refuted.
+    ``stats.search_nodes``, if given, gains the placements made.  The
+    arbiter checks the witness, as a guard that raises :class:`WitnessError`.
     """
     if pattern.n == 0:
         return VertexMapping(())
@@ -385,7 +390,7 @@ def isi_backtracking(
     if len(host_comps) > 1:
         found = _pack(pattern.adj, host.adj, comps, classes, host_comps, tally)
     else:
-        found = _embed(pattern.adj, host.adj, comps, classes, range(host.n), tally)
+        found = next(_embeddings(pattern.adj, host.adj, comps, classes, range(host.n), tally), None)
     if stats is not None:
         stats.search_nodes += tally[0]
     if found is None:
@@ -435,34 +440,13 @@ def mcis_bruteforce(q: SolveQuery) -> SolveResult:
 
 
 def _cover_bijections(
-    g1: Graph, g2: Graph, t1: Tripartition, t2: Tripartition
+    inner1: dict[int, frozenset[int]], inner2: dict[int, frozenset[int]]
 ) -> Iterator[dict[int, int]]:
-    """Bijections between the matched cover parts that are induced isomorphisms."""
-    adj1, adj2 = g1.adj, g2.adj
-    d1 = {v: len(adj1[v] & t1.matched) for v in t1.matched}
-    d2 = {v: len(adj2[v] & t2.matched) for v in t2.matched}
-    order = sorted(t1.matched, key=lambda v: (-d1[v], v))
-    targets = sorted(t2.matched)
-    sigma: dict[int, int] = {}
-    used: set[int] = set()
-
-    def extend(i: int) -> Iterator[dict[int, int]]:
-        if i == len(order):
-            yield dict(sigma)
-            return
-        u = order[i]
-        for v in targets:
-            if v in used or d2[v] != d1[u]:
-                continue
-            if any((x in adj1[u]) != (sigma[x] in adj2[v]) for x in sigma):
-                continue
-            sigma[u] = v
-            used.add(v)
-            yield from extend(i + 1)
-            del sigma[u]
-            used.remove(v)
-
-    yield from extend(0)
+    """The induced isomorphisms between two equal-size matched cover parts,
+    given the adjacency inside each: the vertex layer's placements of the
+    first part, by (-degree, id), onto the sorted second part."""
+    order = sorted(inner1, key=lambda v: (-len(inner1[v]), v))
+    return _embeddings(inner1, inner2, [order], [0], sorted(inner2), [0])
 
 
 _TripClasses = tuple[dict[frozenset[int], list[int]], dict[frozenset[int], list[int]]]
@@ -592,6 +576,9 @@ def _iter_search(
     Buckets (matched size and the two to-independent sizes) are visited in
     decreasing order of their ceiling; each side's tripartitions of one
     bucket come from ``tripartitions`` when the search first reaches it.
+    A first-side tripartition draws its cover bijections lazily once per
+    opposite matched part: ``itertools.tee`` lets the first opposite
+    tripartition with that part drive them and later ones replay and continue.
     """
     split1, split2 = min_vertex_cover(g1), min_vertex_cover(g2)
     twins1, twins2 = twin_partition(g1, split1), twin_partition(g2, split2)
@@ -599,6 +586,8 @@ def _iter_search(
     i1_total, i2_total = len(split1.independent), len(split2.independent)
     side1 = functools.cache(functools.partial(_side_bucket, g1, twins1, split1.cover))
     side2 = functools.cache(functools.partial(_side_bucket, g2, twins2, split2.cover))
+    inner1 = functools.cache(lambda m: {v: g1.adj[v] & m for v in m})
+    inner2 = functools.cache(lambda m: {v: g2.adj[v] & m for v in m})
 
     buckets = []
     for ms in range(min(k1, k2) + 1):
@@ -617,12 +606,20 @@ def _iter_search(
         by_degms: dict[tuple[int, ...], list[_Side]] = {}
         for s2 in side2((ms, i2s)):
             by_degms.setdefault(s2[2], []).append(s2)
+        # tripartitions per matched part, all in one group: the part fixes its degrees
+        readers = collections.Counter(s2[0].matched for s2 in side2((ms, i2s)))
         for s1 in trips1:
             if ub <= best[0]:
                 break
+            # per opposite matched part: one unread copy of its bijections per reader to come
+            shared: dict[frozenset[int], list[Iterator[dict[int, int]]]] = {}
             for s2 in by_degms.get(s1[2], ()):
+                m2 = s2[0].matched
+                if m2 not in shared:
+                    sigmas = _cover_bijections(inner1(s1[0].matched), inner2(m2))
+                    shared[m2] = list(itertools.tee(sigmas, readers[m2]))
                 yield from _search_pair(
-                    g1, g2, s1, s2, twins1, twins2, connected, stats, best, ub
+                    g1, g2, s1, s2, shared[m2].pop(), twins1, twins2, connected, stats, best, ub
                 )
 
 
@@ -631,6 +628,7 @@ def _search_pair(
     g2: Graph,
     s1: _Side,
     s2: _Side,
+    sigmas: Iterator[dict[int, int]],
     twins1: TwinPartition,
     twins2: TwinPartition,
     connected: bool,
@@ -638,7 +636,8 @@ def _search_pair(
     best: list[int],
     ub: int,
 ) -> Iterator[tuple[CoverConfiguration, VertexMapping]]:
-    """Every configuration of one tripartition pair, pruned against ``best``.
+    """Every configuration of one tripartition pair under the cover
+    bijections ``sigmas``, pruned against ``best``.
 
     A candidate's size is known before it is built: the matched and
     to-independent cover vertices plus, for each key of the class plan,
@@ -655,7 +654,7 @@ def _search_pair(
     nbhd2 = [c.neighborhood for c in twins2.classes]
     base = len(t1.matched) + len(indep1) + len(indep2)
 
-    for sigma in _cover_bijections(g1, g2, t1, t2):
+    for sigma in sigmas:
         if ub <= best[0]:
             return
         stats.bijections_tried += 1

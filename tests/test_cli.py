@@ -106,13 +106,18 @@ def test_solve_refuses_oversized_brute(graph_files, capsys, monkeypatch):
     assert code == EXIT_REFUSED
 
 
-def test_solve_usage_errors(graph_files):
+def test_solve_usage_errors(graph_files, capsys):
     p3 = graph_files("p3.el", path_graph(3))
     assert main(["solve", "--problem", "isi", "--algo", "brute", p3, p3]) == EXIT_USAGE
     assert main(["solve", "--problem", "mcis", "--algo", "backtracking", p3, p3]) == EXIT_USAGE
     assert main(["solve", "--problem", "isi", "--algo", "backtracking", p3, p3]) == EXIT_USAGE
     assert main(["solve", "--problem", "nope", p3, p3]) == EXIT_USAGE
     assert main(["solve", "--problem", "mcis", p3, "/no/such/file"]) == EXIT_USAGE
+    capsys.readouterr()
+    # isi has no threshold to decide at
+    assert main(["solve", "--problem", "isi", "-k", "5", p3, p3]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == "" and "-k applies to mcis and mccis" in captured.err
 
 
 def test_solve_rejects_a_negative_threshold(graph_files, capsys):
@@ -205,13 +210,16 @@ def test_reduce_3partition(tmp_path, capsys):
     assert loaded.g2.n == 30
 
 
-def test_reduce_3partition_rejects_a_bad_host_length(tmp_path, capsys):
+def test_reduce_has_no_host_length_flag(tmp_path, capsys):
+    # the host path length is B+2, the only length the equivalence proof covers
+    outdir = tmp_path / "tp"
     argv = [
-        "reduce", "--which", "3partition", "--items", "4,4,5,4,4,5", "--groups", "2",
-        "--target-sum", "13", "--host-len", "-2", "--outdir", str(tmp_path / "tp"),
+        "reduce", "--which", "3partition", "--items", "1,1,1", "--groups", "1",
+        "--target-sum", "3", "--host-len", "1", "--outdir", str(outdir),
     ]
     assert main(argv) == EXIT_USAGE
-    assert "host_len must be at least 1" in capsys.readouterr().err
+    assert not outdir.exists()
+    assert capsys.readouterr().out == ""
 
 
 def test_reduce_usage_errors(graph_files, tmp_path):

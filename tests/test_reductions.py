@@ -197,7 +197,7 @@ def test_universal_lift_equivalence_on_random_forests():
 
 def test_three_partition_minimal_yes_instance():
     inst = ThreePartitionInstance((1, 1, 1), 1, 3)
-    out = three_partition_to_forest_isi(inst, host_len=5)
+    out = three_partition_to_forest_isi(inst)
     assert out.g2.edges == path_graph(5).edges
     assert isi_backtracking(out.g1, out.g2) is not None
 
@@ -208,13 +208,6 @@ def test_three_partition_range_violation_is_rejected():
     assert not inst.satisfies_strict_range()
     with pytest.raises(SoundnessError):
         three_partition_to_forest_isi(inst)
-
-
-def test_three_partition_rejects_a_host_length_below_one():
-    inst = ThreePartitionInstance((4, 4, 5, 4, 4, 5), 2, 13)
-    for host_len in (0, -2):
-        with pytest.raises(ValueError, match="host_len must be at least 1"):
-            three_partition_to_forest_isi(inst, host_len)
 
 
 def test_three_partition_designated_pair():

@@ -283,6 +283,30 @@ def test_fpt_n40_cover4_pair_stays_small():
         assert result.stats.bijections_tried > result.stats.bijections_pruned > 0
 
 
+def test_cover_bijections_are_the_induced_permutations_each_once():
+    # the FPT takes its cover bijections from the ISI vertex layer
+    rng = random.Random(12)
+    total = 0
+    for draw in range(300):
+        g1, g2 = random_graph_pair(rng, 7)
+        size = rng.randint(0, min(5, g1.n, g2.n))
+        m1, m2 = sorted(rng.sample(range(g1.n), size)), sorted(rng.sample(range(g2.n), size))
+        if draw % 2:  # a part onto itself: the identity and every automorphism
+            g2, m2 = g1, m1
+        inner1 = {v: g1.adj[v] & set(m1) for v in m1}
+        inner2 = {v: g2.adj[v] & set(m2) for v in m2}
+        found = [tuple(sorted(sigma.items())) for sigma in solvers._cover_bijections(inner1, inner2)]
+        expected = set()
+        for image in itertools.permutations(m2):
+            pairs = tuple(zip(m1, image))
+            if is_induced_isomorphism(g1, g2, VertexMapping(pairs)):
+                expected.add(pairs)
+        assert len(found) == len(set(found))
+        assert set(found) == expected
+        total += len(found)
+    assert total > 500
+
+
 def test_fpt_draws_tripartition_buckets_lazily(monkeypatch):
     generated = []
     real = solvers.tripartitions

@@ -37,3 +37,16 @@ def test_runtime_imports_are_standard_library():
             if name.partition(".")[0] not in sys.stdlib_module_names
         ]
     assert found == []
+
+
+def test_no_module_imports_a_name_it_never_reads():
+    # an __init__.py's imports are its exports; __future__ imports are directives
+    bound, read = set(), set()
+    for path, node in _nodes():
+        if path.name == "__init__.py":
+            continue
+        if isinstance(node, ast.Name):
+            read.add((path.stem, node.id))
+        elif isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__":
+            bound |= {(path.stem, (alias.asname or alias.name).partition(".")[0]) for alias in node.names}
+    assert sorted(f"{module}.{name}" for module, name in bound - read) == []
