@@ -21,7 +21,11 @@ each other:
   drawn lazily from :func:`mcislab.params.tripartitions` when the search
   reaches it.  The cover bijections are placements of the vertex layer,
   the one search for induced embeddings, drawn once per first-side
-  tripartition and opposite matched part.  Once a cover bijection is fixed,
+  tripartition and opposite matched part.  Each tripartition pair is bounded
+  before its first bijection: it can pair at most ``min(P1, P2)``
+  twin-class members, P being a side's pairable member total, and at most
+  the sum of ``min`` per degree signature of the classes' traces, which the
+  bijections keep.  Once a cover bijection is fixed,
   the twin classes pair only within label classes (their cover
   neighborhood under the bijection), so the bijection can reach at most
   the matched and to-independent cover vertices plus
@@ -101,7 +105,10 @@ class SolveStats:
     ``configurations`` counts the (choice1, choice2) assignment pairs the FPT
     enumeration reaches; ``bijections_tried`` the cover bijections it
     examines and ``bijections_pruned`` those of them the label-class bound
-    skips whole.  ``search_nodes`` counts the placements ``isi_backtracking``
+    skips whole.  ``pairs_tried`` counts the tripartition pairs with equal
+    matched degree multisets it reaches in a live bucket, and
+    ``pairs_pruned`` those of them the pair bound skips before their first
+    bijection.  ``search_nodes`` counts the placements ``isi_backtracking``
     makes: a pattern vertex on a host vertex, or a pattern component in a
     host component.
     """
@@ -110,6 +117,8 @@ class SolveStats:
     candidates_validated: int = 0
     bijections_tried: int = 0
     bijections_pruned: int = 0
+    pairs_tried: int = 0
+    pairs_pruned: int = 0
     search_nodes: int = 0
 
 
@@ -471,26 +480,44 @@ def _trip_classes(twins: TwinPartition, t: Tripartition) -> _TripClasses:
     return traces, pairable
 
 
-_Side = tuple[Tripartition, tuple[int, ...], tuple[int, ...], _TripClasses]
+_Side = tuple[
+    Tripartition, tuple[int, ...], tuple[int, ...], _TripClasses, int, dict[tuple[int, ...], int]
+]
 
 
 def _side_bucket(
-    g: Graph, twins: TwinPartition, cover: frozenset[int], sizes: tuple[int, int]
+    g: Graph,
+    twins: TwinPartition,
+    cover: frozenset[int],
+    connected: bool,
+    sizes: tuple[int, int],
 ) -> list[_Side]:
     """One cover's tripartitions with ``sizes`` (matched, to-independent), each
     with its sorted to-independent part, its degree multiset inside the
-    matched part and its twin-class view.
+    matched part, its twin-class view, and the member total of its pairable
+    classes, whole and per degree signature of their trace.
 
-    Tripartitions whose to-independent part is not pairwise non-adjacent are
-    dropped: their vertices would have to map into an independent set.
+    A trace's degree signature is the sorted degrees of its vertices inside
+    the matched part; every cover bijection keeps it, so classes pair only
+    within one signature.  The empty trace counts only outside connected
+    mode, as in the class plan.  Tripartitions whose to-independent part is
+    not pairwise non-adjacent are dropped: their vertices would have to map
+    into an independent set.
     """
     bucket = []
     for t in tripartitions(cover, sizes):
         indep = tuple(sorted(t.to_independent))
         if any(g.has_edge(u, v) for u, v in itertools.combinations(indep, 2)):
             continue
-        degms = tuple(sorted(len(g.adj[v] & t.matched) for v in t.matched))
-        bucket.append((t, indep, degms, _trip_classes(twins, t)))
+        deg = {v: len(g.adj[v] & t.matched) for v in t.matched}
+        traces, pairable = _trip_classes(twins, t)
+        by_sig: dict[tuple[int, ...], int] = {}
+        for trace, idxs in pairable.items():
+            if trace or not connected:
+                sig = tuple(sorted(deg[v] for v in trace))
+                by_sig[sig] = by_sig.get(sig, 0) + sum(len(twins.classes[i].members) for i in idxs)
+        degms = tuple(sorted(deg.values()))
+        bucket.append((t, indep, degms, (traces, pairable), sum(by_sig.values()), by_sig))
     return bucket
 
 
@@ -576,16 +603,20 @@ def _iter_search(
     Buckets (matched size and the two to-independent sizes) are visited in
     decreasing order of their ceiling; each side's tripartitions of one
     bucket come from ``tripartitions`` when the search first reaches it.
-    A first-side tripartition draws its cover bijections lazily once per
-    opposite matched part: ``itertools.tee`` lets the first opposite
-    tripartition with that part drive them and later ones replay and continue.
+    A tripartition pair whose pairable twin-class members cannot lift the
+    bucket's cover part above ``best`` is skipped before its first cover
+    bijection, and a first-side tripartition whose own members cannot is
+    skipped with all its pairs.  A first-side tripartition draws its cover
+    bijections lazily once per opposite matched part: ``itertools.tee`` lets
+    the first live opposite tripartition with that part drive them and later
+    ones replay and continue; a skipped one drops its copy.
     """
     split1, split2 = min_vertex_cover(g1), min_vertex_cover(g2)
     twins1, twins2 = twin_partition(g1, split1), twin_partition(g2, split2)
     k1, k2 = len(split1.cover), len(split2.cover)
     i1_total, i2_total = len(split1.independent), len(split2.independent)
-    side1 = functools.cache(functools.partial(_side_bucket, g1, twins1, split1.cover))
-    side2 = functools.cache(functools.partial(_side_bucket, g2, twins2, split2.cover))
+    side1 = functools.cache(functools.partial(_side_bucket, g1, twins1, split1.cover, connected))
+    side2 = functools.cache(functools.partial(_side_bucket, g2, twins2, split2.cover, connected))
     inner1 = functools.cache(lambda m: {v: g1.adj[v] & m for v in m})
     inner2 = functools.cache(lambda m: {v: g2.adj[v] & m for v in m})
 
@@ -606,18 +637,36 @@ def _iter_search(
         by_degms: dict[tuple[int, ...], list[_Side]] = {}
         for s2 in side2((ms, i2s)):
             by_degms.setdefault(s2[2], []).append(s2)
-        # tripartitions per matched part, all in one group: the part fixes its degrees
-        readers = collections.Counter(s2[0].matched for s2 in side2((ms, i2s)))
+        base = ms + i1s + i2s
         for s1 in trips1:
             if ub <= best[0]:
                 break
-            # per opposite matched part: one unread copy of its bijections per reader to come
+            opposite = by_degms.get(s1[2], ())
+            stats.pairs_tried += len(opposite)
+            # a pair can pair at most sum(min(L_sig, R_sig)) <= min(P1, P2)
+            # twin-class members: the label-class bound of any bijection sums
+            # min(L_key, R_key) over keys that each lie within one signature
+            p1, sig1 = s1[4], s1[5]
+            if base + p1 <= best[0]:
+                stats.pairs_pruned += len(opposite)
+                continue
+            # readers still to come per opposite matched part (the part fixes
+            # its degrees, so they all share this group)
+            left = collections.Counter(s2[0].matched for s2 in opposite)
             shared: dict[frozenset[int], list[Iterator[dict[int, int]]]] = {}
-            for s2 in by_degms.get(s1[2], ()):
-                m2 = s2[0].matched
+            for s2 in opposite:
+                m2, p2, sig2 = s2[0].matched, s2[4], s2[5]
+                left[m2] -= 1
+                if base + min(p1, p2) <= best[0] or base + sum(
+                    min(n, sig2.get(sig, 0)) for sig, n in sig1.items()
+                ) <= best[0]:
+                    stats.pairs_pruned += 1
+                    if m2 in shared:  # drop its copy, or it buffers what the others read
+                        shared[m2].pop()
+                    continue
                 if m2 not in shared:
                     sigmas = _cover_bijections(inner1(s1[0].matched), inner2(m2))
-                    shared[m2] = list(itertools.tee(sigmas, readers[m2]))
+                    shared[m2] = list(itertools.tee(sigmas, left[m2] + 1))
                 yield from _search_pair(
                     g1, g2, s1, s2, shared[m2].pop(), twins1, twins2, connected, stats, best, ub
                 )
@@ -646,8 +695,8 @@ def _search_pair(
     whole bijection; a candidate is assembled only if its size beats
     ``best`` and its two assignments agree on cross adjacency.
     """
-    t1, indep1, _, (trace1, pairable1) = s1
-    t2, indep2, _, (trace2, pairable2) = s2
+    t1, indep1, _, (trace1, pairable1), _, _ = s1
+    t2, indep2, _, (trace2, pairable2), _, _ = s2
     size1 = [len(c.members) for c in twins1.classes]
     size2 = [len(c.members) for c in twins2.classes]
     nbhd1 = [c.neighborhood for c in twins1.classes]

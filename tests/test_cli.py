@@ -83,6 +83,7 @@ def test_solve_json_report_shape(graph_files, capsys):
     assert "inputs_digest" in report and "timings_ms" in report
     assert report["stats"]["configurations"] >= 1
     assert report["stats"]["bijections_tried"] >= report["stats"]["bijections_pruned"] >= 0
+    assert report["stats"]["pairs_tried"] >= report["stats"]["pairs_pruned"] >= 0
 
 
 def test_solve_json_deterministic_modulo_timings(graph_files, capsys):
