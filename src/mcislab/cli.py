@@ -1,8 +1,8 @@
 """Command-line surface: solve, reduce, check, analyze.
 
 Output is line-oriented human text by default; ``--json`` emits the full run
-report instead.  Exit codes: 0 ok, 1 usage or input error, 2 refused (size
-bounds), 3 cross-validation failure.
+report instead.  Exit codes: 0 ok, 1 usage or input error (or a stdout
+closed by its reader), 2 refused (size bounds), 3 cross-validation failure.
 """
 
 from __future__ import annotations
@@ -11,6 +11,7 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import os
 import sys
 import time
 from pathlib import Path
@@ -115,10 +116,10 @@ def cmd_solve(args: argparse.Namespace) -> int:
         witness = isi_backtracking(g1, g2, stats)
         result = {
             "answer": witness is not None,
-            "witness": list(witness.pairs) if witness else None,
+            "witness": list(witness.pairs) if witness is not None else None,
         }
-        lines = ["yes" if witness else "no"]
-        if witness:
+        lines = ["yes" if witness is not None else "no"]
+        if witness is not None:
             lines.append("witness: " + " ".join(f"{u}->{v}" for u, v in witness.pairs))
         _emit(_report(args, digest, result, started, stats), args.json, lines)
         return EXIT_OK
@@ -324,10 +325,17 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed reader surfaces here, not at interpreter exit
+        return code
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
+    except BrokenPipeError:
+        # stdout's reader is gone: send what is still buffered to devnull, as
+        # the Python docs' SIGPIPE note does, so the exit flush does not fail
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -25,7 +25,10 @@ each other:
   before its first bijection: it can pair at most ``min(P1, P2)``
   twin-class members, P being a side's pairable member total, and at most
   the sum of ``min`` per degree signature of the classes' traces, which the
-  bijections keep.  Once a cover bijection is fixed,
+  bijections keep; it yields nothing if a to-independent vertex's signature
+  is no opposite trace's.  For MCCIS a tripartition is dropped when its
+  matched and to-independent vertices are not connected through edges and
+  shared twin-class neighborhoods.  Once a cover bijection is fixed,
   the twin classes pair only within label classes (their cover
   neighborhood under the bijection), so the bijection can reach at most
   the matched and to-independent cover vertices plus
@@ -53,7 +56,7 @@ import itertools
 import math
 import os
 from dataclasses import dataclass
-from typing import Iterator, Sequence, Union
+from typing import Callable, Iterator, NamedTuple, Sequence, Union
 
 from .graphs import (
     Graph,
@@ -107,8 +110,10 @@ class SolveStats:
     examines and ``bijections_pruned`` those of them the label-class bound
     skips whole.  ``pairs_tried`` counts the tripartition pairs with equal
     matched degree multisets it reaches in a live bucket, and
-    ``pairs_pruned`` those of them the pair bound skips before their first
-    bijection.  ``search_nodes`` counts the placements ``isi_backtracking``
+    ``pairs_pruned`` those of them skipped before their first bijection, by
+    the pair bound or by a to-independent vertex whose degree signature no
+    opposite trace has; in connected mode only tripartitions with a
+    connected cover part take part.  ``search_nodes`` counts the placements ``isi_backtracking``
     makes: a pattern vertex on a host vertex, or a pattern component in a
     host component.
     """
@@ -458,66 +463,104 @@ def _cover_bijections(
     return _embeddings(inner1, inner2, [order], [0], sorted(inner2), [0])
 
 
-_TripClasses = tuple[dict[frozenset[int], list[int]], dict[frozenset[int], list[int]]]
+def _signature(inner: dict[int, frozenset[int]], vertices: frozenset[int]) -> tuple[int, ...]:
+    """The sorted degrees of ``vertices`` inside a matched part, given its
+    adjacency ``inner``; every cover bijection keeps it."""
+    return tuple(sorted(len(inner[v]) for v in vertices))
 
 
-def _trip_classes(twins: TwinPartition, t: Tripartition) -> _TripClasses:
-    """A tripartition's view of its own graph's twin classes.
+class _Part(NamedTuple):
+    """A matched cover part annotated for the search, once per part."""
 
-    Returns the classes grouped by their neighborhood inside the matched
-    cover part, and the same grouping of the pairable classes only.  A class
-    adjacent to the cover part mapped into the opposite independent set
-    cannot be paired: its vertices would need a neighbor inside an
-    independent set.
-    """
+    inner: dict[int, frozenset[int]]  # adjacency inside the part
+    degms: tuple[int, ...]  # the sorted inner degrees
+    traces: dict[frozenset[int], list[int]]  # twin classes by trace
+    trace_of: list[frozenset[int]]  # each twin class's trace
+    sig: dict[frozenset[int], tuple[int, ...]]  # each trace's degree signature
+    offers: frozenset[tuple[int, ...]]  # the signatures of all traces
+
+
+def _matched_part(g: Graph, twins: TwinPartition, matched: frozenset[int]) -> _Part:
+    """The view of ``g``'s twin classes from its matched cover part: a class's
+    trace is its neighborhood inside the part."""
+    inner = {v: g.adj[v] & matched for v in matched}
+    trace_of = [c.neighborhood & matched for c in twins.classes]
     traces: dict[frozenset[int], list[int]] = {}
-    pairable: dict[frozenset[int], list[int]] = {}
-    for idx, cls in enumerate(twins.classes):
-        trace = cls.neighborhood & t.matched
+    for idx, trace in enumerate(trace_of):
         traces.setdefault(trace, []).append(idx)
-        if not cls.neighborhood & t.to_independent:
-            pairable.setdefault(trace, []).append(idx)
-    return traces, pairable
+    sig = {trace: _signature(inner, trace) for trace in traces}
+    return _Part(inner, _signature(inner, matched), traces, trace_of, sig, frozenset(sig.values()))
 
 
-_Side = tuple[
-    Tripartition, tuple[int, ...], tuple[int, ...], _TripClasses, int, dict[tuple[int, ...], int]
-]
+def _cover_links(g: Graph, twins: TwinPartition, cover: frozenset[int]) -> Graph:
+    """The cover link graph: two cover vertices are linked if adjacent or in
+    one twin class's neighborhood.  A candidate's vertices outside the cover
+    are pairwise non-adjacent, so a connected candidate's cover vertices are
+    connected here."""
+    edges = [(u, v) for u, v in g.edges if u in cover and v in cover]
+    edges += [e for c in twins.classes for e in itertools.combinations(c.neighborhood, 2)]
+    return Graph.from_edges(g.n, edges)
+
+
+class _Side(NamedTuple):
+    """One tripartition with what the pair loop and the pair search read."""
+
+    trip: Tripartition
+    indep: tuple[int, ...]  # the to-independent part, sorted
+    part: _Part  # the matched part's view
+    pairable: dict[frozenset[int], list[int]]  # pairable twin classes by trace
+    total: int  # member total of the pairable classes that can pair
+    by_sig: dict[tuple[int, ...], int]  # the same per degree signature of the trace
+    needs: frozenset[tuple[int, ...]]  # the to-independent vertices' trace signatures
 
 
 def _side_bucket(
     g: Graph,
     twins: TwinPartition,
     cover: frozenset[int],
-    connected: bool,
+    parts: Callable[[frozenset[int]], _Part],
+    links: Graph | None,
     sizes: tuple[int, int],
 ) -> list[_Side]:
-    """One cover's tripartitions with ``sizes`` (matched, to-independent), each
-    with its sorted to-independent part, its degree multiset inside the
-    matched part, its twin-class view, and the member total of its pairable
-    classes, whole and per degree signature of their trace.
+    """One cover's tripartitions with ``sizes`` (matched, to-independent).
 
-    A trace's degree signature is the sorted degrees of its vertices inside
-    the matched part; every cover bijection keeps it, so classes pair only
-    within one signature.  The empty trace counts only outside connected
-    mode, as in the class plan.  Tripartitions whose to-independent part is
-    not pairwise non-adjacent are dropped: their vertices would have to map
-    into an independent set.
+    A tripartition whose to-independent part is not pairwise non-adjacent is
+    dropped: its vertices would have to map into an independent set.  In
+    connected mode (``links`` is the cover link graph) one whose matched and
+    to-independent parts together are empty or not connected in ``links`` is
+    dropped too: those are a candidate's cover vertices on this side, so it
+    has at most one vertex or is not connected.
+
+    A twin class adjacent to the to-independent part cannot be paired: its
+    vertices would need a neighbor inside an independent set.  The pairable
+    classes' members count whole and per degree signature of their trace;
+    the empty trace counts only outside connected mode, as in the class
+    plan.  ``needs`` holds each to-independent vertex's signature in the
+    matched part: under any cover bijection it finds an opposite class only
+    if the opposite part ``offers`` it.
     """
     bucket = []
     for t in tripartitions(cover, sizes):
         indep = tuple(sorted(t.to_independent))
         if any(g.has_edge(u, v) for u, v in itertools.combinations(indep, 2)):
             continue
-        deg = {v: len(g.adj[v] & t.matched) for v in t.matched}
-        traces, pairable = _trip_classes(twins, t)
+        if links is not None:
+            used = t.matched | t.to_independent
+            if not used or not induces_connected(links, used):
+                continue
+        part = parts(t.matched)
+        pairable: dict[frozenset[int], list[int]] = {}
         by_sig: dict[tuple[int, ...], int] = {}
-        for trace, idxs in pairable.items():
-            if trace or not connected:
-                sig = tuple(sorted(deg[v] for v in trace))
-                by_sig[sig] = by_sig.get(sig, 0) + sum(len(twins.classes[i].members) for i in idxs)
-        degms = tuple(sorted(deg.values()))
-        bucket.append((t, indep, degms, (traces, pairable), sum(by_sig.values()), by_sig))
+        for idx, cls in enumerate(twins.classes):
+            if cls.neighborhood & t.to_independent:
+                continue
+            trace = part.trace_of[idx]
+            pairable.setdefault(trace, []).append(idx)
+            if trace or links is None:
+                sig = part.sig[trace]
+                by_sig[sig] = by_sig.get(sig, 0) + len(cls.members)
+        needs = frozenset(_signature(part.inner, g.adj[u] & t.matched) for u in indep)
+        bucket.append(_Side(t, indep, part, pairable, sum(by_sig.values()), by_sig, needs))
     return bucket
 
 
@@ -603,22 +646,33 @@ def _iter_search(
     Buckets (matched size and the two to-independent sizes) are visited in
     decreasing order of their ceiling; each side's tripartitions of one
     bucket come from ``tripartitions`` when the search first reaches it.
-    A tripartition pair whose pairable twin-class members cannot lift the
-    bucket's cover part above ``best`` is skipped before its first cover
-    bijection, and a first-side tripartition whose own members cannot is
-    skipped with all its pairs.  A first-side tripartition draws its cover
-    bijections lazily once per opposite matched part: ``itertools.tee`` lets
-    the first live opposite tripartition with that part drive them and later
-    ones replay and continue; a skipped one drops its copy.
+    Each side's matched parts are annotated once per search
+    (:func:`_matched_part`), and in connected mode each side's cover link
+    graph is built once.  A tripartition pair whose pairable twin-class
+    members cannot lift the bucket's cover part above ``best``, or in which
+    a to-independent vertex's degree signature is offered by no opposite
+    trace, is skipped before its first cover bijection, and a first-side
+    tripartition whose own members cannot is skipped with all its pairs.
+    Per-search constants of the twin classes are built here, not per pair.
+    A first-side tripartition draws its cover bijections lazily once per
+    opposite matched part: ``itertools.tee`` lets the first live opposite
+    tripartition with that part drive them and later ones replay and
+    continue; a skipped one drops its copy.
     """
     split1, split2 = min_vertex_cover(g1), min_vertex_cover(g2)
     twins1, twins2 = twin_partition(g1, split1), twin_partition(g2, split2)
     k1, k2 = len(split1.cover), len(split2.cover)
     i1_total, i2_total = len(split1.independent), len(split2.independent)
-    side1 = functools.cache(functools.partial(_side_bucket, g1, twins1, split1.cover, connected))
-    side2 = functools.cache(functools.partial(_side_bucket, g2, twins2, split2.cover, connected))
-    inner1 = functools.cache(lambda m: {v: g1.adj[v] & m for v in m})
-    inner2 = functools.cache(lambda m: {v: g2.adj[v] & m for v in m})
+    parts1 = functools.cache(functools.partial(_matched_part, g1, twins1))
+    parts2 = functools.cache(functools.partial(_matched_part, g2, twins2))
+    links1 = _cover_links(g1, twins1, split1.cover) if connected else None
+    links2 = _cover_links(g2, twins2, split2.cover) if connected else None
+    side1 = functools.cache(functools.partial(_side_bucket, g1, twins1, split1.cover, parts1, links1))
+    side2 = functools.cache(functools.partial(_side_bucket, g2, twins2, split2.cover, parts2, links2))
+    size1 = [len(c.members) for c in twins1.classes]
+    size2 = [len(c.members) for c in twins2.classes]
+    nbhd1 = [c.neighborhood for c in twins1.classes]
+    nbhd2 = [c.neighborhood for c in twins2.classes]
 
     buckets = []
     for ms in range(min(k1, k2) + 1):
@@ -636,39 +690,44 @@ def _iter_search(
             continue
         by_degms: dict[tuple[int, ...], list[_Side]] = {}
         for s2 in side2((ms, i2s)):
-            by_degms.setdefault(s2[2], []).append(s2)
+            by_degms.setdefault(s2.part.degms, []).append(s2)
         base = ms + i1s + i2s
         for s1 in trips1:
             if ub <= best[0]:
                 break
-            opposite = by_degms.get(s1[2], ())
+            opposite = by_degms.get(s1.part.degms, ())
             stats.pairs_tried += len(opposite)
             # a pair can pair at most sum(min(L_sig, R_sig)) <= min(P1, P2)
             # twin-class members: the label-class bound of any bijection sums
             # min(L_key, R_key) over keys that each lie within one signature
-            p1, sig1 = s1[4], s1[5]
-            if base + p1 <= best[0]:
+            if base + s1.total <= best[0]:
                 stats.pairs_pruned += len(opposite)
                 continue
             # readers still to come per opposite matched part (the part fixes
             # its degrees, so they all share this group)
-            left = collections.Counter(s2[0].matched for s2 in opposite)
+            left = collections.Counter(s2.trip.matched for s2 in opposite)
             shared: dict[frozenset[int], list[Iterator[dict[int, int]]]] = {}
             for s2 in opposite:
-                m2, p2, sig2 = s2[0].matched, s2[4], s2[5]
+                m2 = s2.trip.matched
                 left[m2] -= 1
-                if base + min(p1, p2) <= best[0] or base + sum(
-                    min(n, sig2.get(sig, 0)) for sig, n in sig1.items()
-                ) <= best[0]:
+                # a to-independent vertex whose signature no opposite trace
+                # has fails _class_choices under every bijection
+                if (
+                    not (s1.needs <= s2.part.offers and s2.needs <= s1.part.offers)
+                    or base + min(s1.total, s2.total) <= best[0]
+                    or base + sum(min(n, s2.by_sig.get(sig, 0)) for sig, n in s1.by_sig.items())
+                    <= best[0]
+                ):
                     stats.pairs_pruned += 1
                     if m2 in shared:  # drop its copy, or it buffers what the others read
                         shared[m2].pop()
                     continue
                 if m2 not in shared:
-                    sigmas = _cover_bijections(inner1(s1[0].matched), inner2(m2))
+                    sigmas = _cover_bijections(s1.part.inner, s2.part.inner)
                     shared[m2] = list(itertools.tee(sigmas, left[m2] + 1))
                 yield from _search_pair(
-                    g1, g2, s1, s2, shared[m2].pop(), twins1, twins2, connected, stats, best, ub
+                    g1, g2, s1, s2, shared[m2].pop(), twins1, twins2,
+                    size1, size2, nbhd1, nbhd2, connected, stats, best, ub,
                 )
 
 
@@ -680,13 +739,18 @@ def _search_pair(
     sigmas: Iterator[dict[int, int]],
     twins1: TwinPartition,
     twins2: TwinPartition,
+    size1: list[int],
+    size2: list[int],
+    nbhd1: list[frozenset[int]],
+    nbhd2: list[frozenset[int]],
     connected: bool,
     stats: SolveStats,
     best: list[int],
     ub: int,
 ) -> Iterator[tuple[CoverConfiguration, VertexMapping]]:
     """Every configuration of one tripartition pair under the cover
-    bijections ``sigmas``, pruned against ``best``.
+    bijections ``sigmas``, pruned against ``best``; ``size`` and ``nbhd``
+    list each twin class's member count and cover neighborhood.
 
     A candidate's size is known before it is built: the matched and
     to-independent cover vertices plus, for each key of the class plan,
@@ -695,12 +759,7 @@ def _search_pair(
     whole bijection; a candidate is assembled only if its size beats
     ``best`` and its two assignments agree on cross adjacency.
     """
-    t1, indep1, _, (trace1, pairable1), _, _ = s1
-    t2, indep2, _, (trace2, pairable2), _, _ = s2
-    size1 = [len(c.members) for c in twins1.classes]
-    size2 = [len(c.members) for c in twins2.classes]
-    nbhd1 = [c.neighborhood for c in twins1.classes]
-    nbhd2 = [c.neighborhood for c in twins2.classes]
+    t1, indep1, t2, indep2 = s1.trip, s1.indep, s2.trip, s2.indep
     base = len(t1.matched) + len(indep1) + len(indep2)
 
     for sigma in sigmas:
@@ -708,13 +767,13 @@ def _search_pair(
             return
         stats.bijections_tried += 1
         inv = {v: u for u, v in sigma.items()}
-        cands1 = _class_choices(indep1, g1.adj, t1.matched, sigma, trace2)
+        cands1 = _class_choices(indep1, g1.adj, t1.matched, sigma, s2.part.traces)
         if cands1 is None:
             continue
-        cands2 = _class_choices(indep2, g2.adj, t2.matched, inv, trace1)
+        cands2 = _class_choices(indep2, g2.adj, t2.matched, inv, s1.part.traces)
         if cands2 is None:
             continue
-        plan = _class_plan(pairable1, pairable2, sigma, connected)
+        plan = _class_plan(s1.pairable, s2.pairable, sigma, connected)
         cap1 = [sum(size1[i] for i in lefts) for lefts, _ in plan]
         cap2 = [sum(size2[j] for j in rights) for _, rights in plan]
         # the label-class bound: no choice below can pair more than this

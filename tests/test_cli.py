@@ -1,9 +1,14 @@
 """End-to-end tests of the command-line surface via main(argv)."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import mcislab
 from mcislab.cli import (
     EXIT_CHECK_FAILED,
     EXIT_OK,
@@ -11,7 +16,7 @@ from mcislab.cli import (
     EXIT_USAGE,
     main,
 )
-from mcislab.graphs import complete_graph, path_graph, serialize_graph
+from mcislab.graphs import complete_graph, edgeless_graph, path_graph, serialize_graph
 from mcislab.reductions import read_reduction
 
 
@@ -61,6 +66,29 @@ def test_solve_isi_json_reports_search_nodes(graph_files, capsys):
     report = json.loads(capsys.readouterr().out)
     assert report["result"]["answer"] is True
     assert report["stats"]["search_nodes"] >= 3
+
+
+def test_solve_isi_empty_pattern_answers_yes_in_text_and_json(graph_files, capsys):
+    empty = graph_files("empty.el", edgeless_graph(0))
+    p3 = graph_files("p3.el", path_graph(3))
+    assert main(["solve", "--problem", "isi", empty, p3]) == EXIT_OK
+    assert capsys.readouterr().out.splitlines() == ["yes", "witness: "]
+    assert main(["solve", "--problem", "isi", "--json", empty, p3]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["result"] == {"answer": True, "witness": []}
+
+
+def test_solve_into_a_closed_pipe_exits_1_without_a_traceback(graph_files):
+    p3 = graph_files("p3.el", path_graph(3))
+    k3 = graph_files("k3.el", complete_graph(3))
+    src = str(Path(mcislab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    argv = [sys.executable, "-m", "mcislab.cli", "solve", "--problem", "mcis", "--json", p3, k3]
+    proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    proc.stdout.close()  # the reader goes away before the report is written
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == EXIT_USAGE
+    assert "Traceback" not in err and "BrokenPipeError" not in err, err
 
 
 def test_solve_decision_threshold(graph_files, capsys):

@@ -11,13 +11,14 @@ from mcislab.graphs import (
     Graph,
     VertexMapping,
     complete_graph,
+    connected_components,
     cycle_graph,
     edgeless_graph,
     induces_connected,
     is_induced_isomorphism,
     path_graph,
 )
-from mcislab.params import min_vertex_cover
+from mcislab.params import min_vertex_cover, twin_partition
 from mcislab.reductions import (
     ThreePartitionInstance,
     incidence_graph,
@@ -319,6 +320,47 @@ def test_fpt_matches_bruteforce_on_larger_planted_covers():
             result = mcis_vc_fpt(query)
             assert result.size == mcis_bruteforce(query).size, (g1.edges, g2.edges, conn)
             assert_valid_witness(query, result)
+
+
+def test_fpt_check_seed_64_pair_drops_what_cannot_yield():
+    # the costliest check-oracle pair before the cover-part and signature
+    # filters: 117,589 configurations connected, 117 bijections unconnected
+    g1, g2 = random_graph_pair(random.Random(64), 9)
+    query = SolveQuery(g1, g2, connected=True)
+    result = mcis_vc_fpt(query)
+    assert result.size == 5
+    assert result.witness.pairs == ((1, 2), (2, 4), (3, 8), (5, 5), (7, 7))
+    assert_valid_witness(query, result)
+    assert result.stats.configurations <= 2_000
+    assert mcis_vc_fpt(SolveQuery(g1, g2)).stats.bijections_tried < 117
+
+
+def test_fpt_matches_bruteforce_on_pairs_with_several_components():
+    # the pairs where the connected cover part filter drops tripartitions
+    rng = random.Random(44)
+    kept = 0
+    while kept < 60:
+        g1, g2 = random_graph_pair(rng, 9)
+        if max(len(connected_components(g)) for g in (g1, g2)) < 2:
+            continue
+        kept += 1
+        for conn in (False, True):
+            query = SolveQuery(g1, g2, connected=conn)
+            result = mcis_vc_fpt(query)
+            assert result.size == mcis_bruteforce(query).size, (g1.edges, g2.edges, conn)
+            assert_valid_witness(query, result)
+
+
+def test_cover_links_connect_a_part_iff_it_and_its_independent_neighbors_do():
+    rng = random.Random(45)
+    for _ in range(40):
+        g, _ = random_graph_pair(rng, 9)
+        split = min_vertex_cover(g)
+        links = solvers._cover_links(g, twin_partition(g, split), split.cover)
+        for size in range(1, len(split.cover) + 1):
+            for part in itertools.combinations(sorted(split.cover), size):
+                joined = set(part) | {v for v in split.independent if g.adj[v] & set(part)}
+                assert induces_connected(links, part) == induces_connected(g, joined)
 
 
 def test_cover_bijections_are_the_induced_permutations_each_once():
