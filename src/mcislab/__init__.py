@@ -28,7 +28,6 @@ from .params import (
     TwinPartition,
     min_feedback_vertex_set,
     min_vertex_cover,
-    tripartitions,
     twin_partition,
     vertex_cover_number,
 )

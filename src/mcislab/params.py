@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import AbstractSet, Iterable, Iterator, Mapping
+from typing import AbstractSet, Mapping
 
 from .graphs import Graph
 
@@ -183,32 +183,3 @@ def twin_partition(g: Graph, split: CoverSplit) -> TwinPartition:
     )
     return TwinPartition(classes)
 
-
-def tripartitions(
-    cover: Iterable[int], sizes: tuple[int, int] | None = None
-) -> Iterator[Tripartition]:
-    """The 3^|cover| role assignments, generated lazily in a fixed order.
-
-    The order is ``itertools.product`` order over the roles (matched, unused,
-    to-independent) with the smallest vertex most significant.  With
-    ``sizes=(m, i)`` only the assignments with m matched and i to-independent
-    vertices are generated, in the same relative order.
-    """
-    order = sorted(set(cover))
-    k = len(order)
-    quota = [k, k, k] if sizes is None else [sizes[0], k - sum(sizes), sizes[1]]
-    if min(quota) < 0:  # sizes that do not fit the cover: the checks below would miss it
-        return
-    parts: tuple[list[int], list[int], list[int]] = ([], [], [])
-
-    def extend(pos: int) -> Iterator[Tripartition]:
-        if pos == k:
-            yield Tripartition(frozenset(parts[0]), frozenset(parts[1]), frozenset(parts[2]))
-            return
-        for part, room in zip(parts, quota):
-            if len(part) < room:
-                part.append(order[pos])
-                yield from extend(pos + 1)
-                part.pop()
-
-    yield from extend(0)

@@ -16,26 +16,27 @@ each other:
 * :func:`mcis_vc_fpt` — the vertex-cover-parameterized algorithm: minimum
   covers on both sides, twin classes of the independent sets, then an
   enumeration of cover tripartitions, cover bijections and
-  cover-to-twin-class assignments.  Tripartitions are visited size bucket
-  by size bucket in decreasing order of the bucket's ceiling, each bucket
-  drawn lazily from :func:`mcislab.params.tripartitions` when the search
-  reaches it.  The cover bijections are placements of the vertex layer,
-  the one search for induced embeddings, drawn once per first-side
-  tripartition and opposite matched part.  Each tripartition pair is bounded
-  before its first bijection: it can pair at most ``min(P1, P2)``
-  twin-class members, P being a side's pairable member total, and at most
-  the sum of ``min`` per degree signature of the classes' traces, which the
-  bijections keep; it yields nothing if a to-independent vertex's signature
-  is no opposite trace's.  For MCCIS a tripartition is dropped when its
-  matched and to-independent vertices are not connected through edges and
-  shared twin-class neighborhoods.  Once a cover bijection is fixed,
-  the twin classes pair only within label classes (their cover
-  neighborhood under the bijection), so the bijection can reach at most
-  the matched and to-independent cover vertices plus
+  cover-to-twin-class assignments.  Each side holds its cover adjacency and
+  twin classes as bitmasks (:class:`_Cover`) and generates its
+  tripartitions per size bucket when the search first reaches it, buckets
+  in decreasing order of their ceiling; to-independent parts must be
+  independent, and for MCCIS the cover part linked.  A tripartition pair
+  can pair at most ``min(P1, P2)`` twin-class members, P being a side's
+  pairable member total, and at most the sum of ``min`` per degree
+  signature of the classes' traces, which the bijections keep; it yields
+  nothing if a to-independent vertex's signature is no opposite trace's.
+  These tests skip pairs before their first bijection, by bitmask lookup
+  in an index built once per bucket.  The cover bijections are placements
+  of the vertex layer, the one search for induced embeddings, drawn once
+  per first-side tripartition and opposite matched part.  Once a cover
+  bijection is fixed, the twin classes pair only within label classes
+  (their cover neighborhood under the bijection), so the bijection can
+  reach at most the matched and to-independent cover vertices plus
   ``sum(min(L_key, R_key))`` over the keys (McSplit's bound); a bijection
-  whose bound cannot beat the best size so far is skipped whole.  Below
-  it, each candidate's size is computed from the class capacities before
-  the mapping is built, and only a candidate that beats the best size is
+  whose bound cannot beat the best size so far is skipped whole.  Below it,
+  each candidate's size is computed from the class capacities before the
+  mapping is built, and only a candidate that beats the best size (and for
+  MCCIS is linked through the twin classes giving it members) is
   assembled.  A candidate is kept only if every cover vertex sent into an
   opposite twin class agrees on adjacency with every twin class member
   sent onto an opposite cover vertex, so every assembled mapping is
@@ -50,8 +51,6 @@ vertices?" is answered from the exact optimum (``solve -k``).
 from __future__ import annotations
 
 import bisect
-import collections
-import functools
 import itertools
 import math
 import os
@@ -70,7 +69,6 @@ from .params import (
     Tripartition,
     TwinPartition,
     min_vertex_cover,
-    tripartitions,
     twin_partition,
 )
 
@@ -463,105 +461,182 @@ def _cover_bijections(
     return _embeddings(inner1, inner2, [order], [0], sorted(inner2), [0])
 
 
-def _signature(inner: dict[int, frozenset[int]], vertices: frozenset[int]) -> tuple[int, ...]:
-    """The sorted degrees of ``vertices`` inside a matched part, given its
-    adjacency ``inner``; every cover bijection keeps it."""
-    return tuple(sorted(len(inner[v]) for v in vertices))
+def _bits(mask: int) -> Iterator[int]:
+    """The positions of the set bits of ``mask``, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _spans(used: int, adj: list[int], cliques: list[int]) -> bool:
+    """Whether the positions of ``used`` are non-empty and connected through
+    the edges ``adj`` (neighbor masks) and the cliques (masks) inside it."""
+    reach, grown = 0, used & -used
+    while grown != reach:
+        reach = grown
+        for j in _bits(reach):
+            grown |= adj[j]
+        for c in cliques:
+            if c & reach:
+                grown |= c
+        grown &= used
+    return reach == used != 0
+
+
+class _Table(dict):
+    """A dict that fills a missing key from ``fill(key)`` on first lookup."""
+
+    def __init__(self, fill: Callable) -> None:
+        self.fill = fill
+
+    def __missing__(self, key):
+        value = self[key] = self.fill(key)
+        return value
 
 
 class _Part(NamedTuple):
-    """A matched cover part annotated for the search, once per part."""
+    """A matched cover part as the pair loop reads it, once per part.  A
+    vertex set's degree signature is the sorted degrees inside the part of
+    its vertices there; every cover bijection keeps it."""
 
+    degms: tuple[int, ...]  # the part's own signature
+    offers: frozenset[tuple[int, ...]]  # the signatures of all twin-class traces
+    sig_at: list[tuple[int, ...]]  # per cover position: its neighbors' signature
+    sig_members: dict[tuple[int, ...], int]  # per trace signature: members that count
+
+
+class _View(NamedTuple):
+    """A matched cover part as the pair search reads it (live pairs only)."""
+
+    matched: frozenset[int]
     inner: dict[int, frozenset[int]]  # adjacency inside the part
-    degms: tuple[int, ...]  # the sorted inner degrees
     traces: dict[frozenset[int], list[int]]  # twin classes by trace
-    trace_of: list[frozenset[int]]  # each twin class's trace
-    sig: dict[frozenset[int], tuple[int, ...]]  # each trace's degree signature
-    offers: frozenset[tuple[int, ...]]  # the signatures of all traces
-
-
-def _matched_part(g: Graph, twins: TwinPartition, matched: frozenset[int]) -> _Part:
-    """The view of ``g``'s twin classes from its matched cover part: a class's
-    trace is its neighborhood inside the part."""
-    inner = {v: g.adj[v] & matched for v in matched}
-    trace_of = [c.neighborhood & matched for c in twins.classes]
-    traces: dict[frozenset[int], list[int]] = {}
-    for idx, trace in enumerate(trace_of):
-        traces.setdefault(trace, []).append(idx)
-    sig = {trace: _signature(inner, trace) for trace in traces}
-    return _Part(inner, _signature(inner, matched), traces, trace_of, sig, frozenset(sig.values()))
-
-
-def _cover_links(g: Graph, twins: TwinPartition, cover: frozenset[int]) -> Graph:
-    """The cover link graph: two cover vertices are linked if adjacent or in
-    one twin class's neighborhood.  A candidate's vertices outside the cover
-    are pairwise non-adjacent, so a connected candidate's cover vertices are
-    connected here."""
-    edges = [(u, v) for u, v in g.edges if u in cover and v in cover]
-    edges += [e for c in twins.classes for e in itertools.combinations(c.neighborhood, 2)]
-    return Graph.from_edges(g.n, edges)
 
 
 class _Side(NamedTuple):
-    """One tripartition with what the pair loop and the pair search read."""
+    """One kept tripartition with what the pair loop reads."""
 
-    trip: Tripartition
-    indep: tuple[int, ...]  # the to-independent part, sorted
-    part: _Part  # the matched part's view
-    pairable: dict[frozenset[int], list[int]]  # pairable twin classes by trace
+    part: _Part  # the matched part's signatures
+    mm: int  # the matched positions
+    im: int  # the to-independent positions
     total: int  # member total of the pairable classes that can pair
-    by_sig: dict[tuple[int, ...], int]  # the same per degree signature of the trace
-    needs: frozenset[tuple[int, ...]]  # the to-independent vertices' trace signatures
+    needs: frozenset[tuple[int, ...]]  # the to-independent vertices' signatures
 
 
-def _side_bucket(
-    g: Graph,
-    twins: TwinPartition,
-    cover: frozenset[int],
-    parts: Callable[[frozenset[int]], _Part],
-    links: Graph | None,
-    sizes: tuple[int, int],
-) -> list[_Side]:
-    """One cover's tripartitions with ``sizes`` (matched, to-independent).
+class _Cover:
+    """One side of the FPT search, its cover vertices numbered 0..k-1 in
+    increasing order so that cover adjacency, twin-class neighborhoods and
+    twin-class members are bitmasks.  Every table keyed by a matched or
+    to-independent part is filled when the search first asks for that part,
+    never for all 2^k parts up front."""
 
-    A tripartition whose to-independent part is not pairwise non-adjacent is
-    dropped: its vertices would have to map into an independent set.  In
-    connected mode (``links`` is the cover link graph) one whose matched and
-    to-independent parts together are empty or not connected in ``links`` is
-    dropped too: those are a candidate's cover vertices on this side, so it
-    has at most one vertex or is not connected.
+    def __init__(self, g: Graph, connected: bool):
+        split = min_vertex_cover(g)
+        self.g, self.cover, self.connected = g, split.cover, connected
+        self.twins = twin_partition(g, split)
+        self.order = sorted(split.cover)
+        pos = {v: j for j, v in enumerate(self.order)}
+        self.size = [len(c.members) for c in self.twins.classes]
+        self.nbhd = [c.neighborhood for c in self.twins.classes]
+        self.adjmask = [sum(1 << pos[w] for w in g.adj[v] if w in pos) for v in self.order]
+        self.nbhdmask = [sum(1 << pos[w] for w in nb) for nb in self.nbhd]
+        ends = itertools.accumulate(self.size, initial=0)
+        self.members = [(1 << b) - (1 << a) for a, b in itertools.pairwise(ends)]
+        self.positions = _Table(lambda mask: tuple(_bits(mask)))
+        self.buckets = _Table(self._bucket)
+        self.parts = _Table(self._part)
+        self.views = _Table(self._view)
+        self.pairable = _Table(self._pairable)
+        # per (matched, to-independent) part: the members of the pairable
+        # classes that can pair, counted per degree signature of their trace
+        self.by_sig = _Table(lambda key: {
+            s: n for s, mk in self.parts[key[0]].sig_members.items()
+            if (n := (mk & self.free[key[1]]).bit_count())
+        })
+        self.choices = _Table(self._choices)
+        self.linked = _Table(lambda used: _spans(used, self.adjmask, self.nbhdmask))
+        # per to-independent part: the members of the classes with no neighbor in it
+        self.free = _Table(
+            lambda im: sum(b for b, nb in zip(self.members, self.nbhdmask) if not nb & im)
+        )
 
-    A twin class adjacent to the to-independent part cannot be paired: its
-    vertices would need a neighbor inside an independent set.  The pairable
-    classes' members count whole and per degree signature of their trace;
-    the empty trace counts only outside connected mode, as in the class
-    plan.  ``needs`` holds each to-independent vertex's signature in the
-    matched part: under any cover bijection it finds an opposite class only
-    if the opposite part ``offers`` it.
-    """
-    bucket = []
-    for t in tripartitions(cover, sizes):
-        indep = tuple(sorted(t.to_independent))
-        if any(g.has_edge(u, v) for u, v in itertools.combinations(indep, 2)):
-            continue
-        if links is not None:
-            used = t.matched | t.to_independent
-            if not used or not induces_connected(links, used):
-                continue
-        part = parts(t.matched)
-        pairable: dict[frozenset[int], list[int]] = {}
-        by_sig: dict[tuple[int, ...], int] = {}
-        for idx, cls in enumerate(twins.classes):
-            if cls.neighborhood & t.to_independent:
-                continue
-            trace = part.trace_of[idx]
-            pairable.setdefault(trace, []).append(idx)
-            if trace or links is None:
-                sig = part.sig[trace]
-                by_sig[sig] = by_sig.get(sig, 0) + len(cls.members)
-        needs = frozenset(_signature(part.inner, g.adj[u] & t.matched) for u in indep)
-        bucket.append(_Side(t, indep, part, pairable, sum(by_sig.values()), by_sig, needs))
-    return bucket
+    def vertices(self, mask: int) -> tuple[int, ...]:
+        return tuple(self.order[j] for j in self.positions[mask])
+
+    def trip(self, s: _Side) -> Tripartition:
+        matched, to_indep = self.views[s.mm].matched, frozenset(self.vertices(s.im))
+        return Tripartition(matched, self.cover - matched - to_indep, to_indep)
+
+    def _part(self, mm: int) -> _Part:
+        """Signatures in the matched part ``mm``; a twin class's trace is its
+        neighborhood inside the part."""
+        degree = [(a & mm).bit_count() for a in self.adjmask]
+        sig = _Table(lambda t: tuple(sorted([degree[j] for j in self.positions[t]])))
+        sig_members: dict[tuple[int, ...], int] = {}
+        for nb, mk in zip(self.nbhdmask, self.members):
+            if nb & mm or not self.connected:  # as in the class plan
+                s = sig[nb & mm]
+                sig_members[s] = sig_members.get(s, 0) | mk
+        offers = frozenset([sig[nb & mm] for nb in self.nbhdmask])
+        return _Part(sig[mm], offers, [sig[a & mm] for a in self.adjmask], sig_members)
+
+    def _view(self, mm: int) -> _View:
+        matched = frozenset(self.vertices(mm))
+        traces: dict[frozenset[int], list[int]] = {}
+        for idx, nb in enumerate(self.nbhd):
+            traces.setdefault(nb & matched, []).append(idx)
+        return _View(matched, {v: self.g.adj[v] & matched for v in matched}, traces)
+
+    def _pairable(self, key: tuple[int, int]) -> dict[frozenset[int], list[int]]:
+        """The twin classes with no neighbor in the to-independent part, by
+        trace in the matched part."""
+        mm, im = key
+        return {trace: keep for trace, idxs in self.views[mm].traces.items()
+                if (keep := [idx for idx in idxs if not self.nbhdmask[idx] & im])}
+
+    def _choices(self, key: tuple[int, bool]) -> list[tuple[int, int]]:
+        """The cover's ``size``-subsets, or its independent ones, each grown
+        from a smaller one, as (mask, weight): the weight is the subset's
+        value in base 3 with position 0 the most significant digit."""
+        size, independent = key
+        k = len(self.order)
+        return [(0, 0)] if size == 0 else [
+            (mask | 1 << j, w + 3 ** (k - 1 - j)) for mask, w in self.choices[size - 1, independent]
+            for j in range(mask.bit_length(), k) if not (independent and self.adjmask[j] & mask)
+        ]
+
+    def _bucket(self, sizes: tuple[int, int]) -> list[_Side]:
+        """The tripartition generator: the cover's tripartitions with
+        ``sizes`` (matched, to-independent), in ``itertools.product`` order
+        over the roles (matched, unused, to-independent), smallest vertex
+        most significant, which ranks a choice by W(I) − W(M).
+
+        The matched part M runs over all subsets, the to-independent part I
+        over the independent ones that miss M: I maps into an independent
+        set.  In connected mode M ∪ I must be non-empty and connected through
+        cover edges and shared twin-class neighborhoods: those are a
+        candidate's cover vertices on this side, and its other vertices are
+        pairwise non-adjacent.  Only the kept choices are built.  A twin
+        class adjacent to I cannot pair, so ``total`` counts the members of
+        the others (the empty trace only outside connected mode, as in the
+        class plan); ``needs`` holds the signature in M of each vertex of I,
+        which an opposite part must offer.
+        """
+        m, i = sizes
+        kept = []
+        for mm, wm in self.choices[m, False]:
+            for im, wi in self.choices[i, True]:
+                if not im & mm and (not self.connected or self.linked[mm | im]):
+                    kept.append((wi - wm, mm, im))
+        kept.sort()
+        bucket = []
+        for _, mm, im in kept:
+            part = self.parts[mm]
+            needs = frozenset([part.sig_at[j] for j in self.positions[im]])
+            total = (sum(part.sig_members.values()) & self.free[im]).bit_count()
+            bucket.append(_Side(part, mm, im, total, needs))
+        return bucket
 
 
 def _class_plan(
@@ -645,34 +720,23 @@ def _iter_search(
     the consumer; subtrees whose size ceiling cannot beat it are skipped.
     Buckets (matched size and the two to-independent sizes) are visited in
     decreasing order of their ceiling; each side's tripartitions of one
-    bucket come from ``tripartitions`` when the search first reaches it.
-    Each side's matched parts are annotated once per search
-    (:func:`_matched_part`), and in connected mode each side's cover link
-    graph is built once.  A tripartition pair whose pairable twin-class
-    members cannot lift the bucket's cover part above ``best``, or in which
-    a to-independent vertex's degree signature is offered by no opposite
-    trace, is skipped before its first cover bijection, and a first-side
-    tripartition whose own members cannot is skipped with all its pairs.
-    Per-search constants of the twin classes are built here, not per pair.
+    bucket come from its :class:`_Cover` when the search first reaches it.
+    A tripartition pair whose pairable twin-class members cannot lift the
+    bucket's cover part above ``best``, or in which a to-independent
+    vertex's degree signature is offered by no opposite trace, is skipped
+    before its first cover bijection, and a first-side tripartition whose
+    own members cannot is skipped with all its pairs.  The opposite side of
+    a bucket is grouped by matched degree multiset once; per first-side
+    tripartition the static tests pick the live pairs of its group by
+    bitmask lookup, in visit order, and only those are tested one by one.
     A first-side tripartition draws its cover bijections lazily once per
     opposite matched part: ``itertools.tee`` lets the first live opposite
     tripartition with that part drive them and later ones replay and
     continue; a skipped one drops its copy.
     """
-    split1, split2 = min_vertex_cover(g1), min_vertex_cover(g2)
-    twins1, twins2 = twin_partition(g1, split1), twin_partition(g2, split2)
-    k1, k2 = len(split1.cover), len(split2.cover)
-    i1_total, i2_total = len(split1.independent), len(split2.independent)
-    parts1 = functools.cache(functools.partial(_matched_part, g1, twins1))
-    parts2 = functools.cache(functools.partial(_matched_part, g2, twins2))
-    links1 = _cover_links(g1, twins1, split1.cover) if connected else None
-    links2 = _cover_links(g2, twins2, split2.cover) if connected else None
-    side1 = functools.cache(functools.partial(_side_bucket, g1, twins1, split1.cover, parts1, links1))
-    side2 = functools.cache(functools.partial(_side_bucket, g2, twins2, split2.cover, parts2, links2))
-    size1 = [len(c.members) for c in twins1.classes]
-    size2 = [len(c.members) for c in twins2.classes]
-    nbhd1 = [c.neighborhood for c in twins1.classes]
-    nbhd2 = [c.neighborhood for c in twins2.classes]
+    c1, c2 = _Cover(g1, connected), _Cover(g2, connected)
+    k1, k2 = len(c1.order), len(c2.order)
+    i1_total, i2_total = g1.n - k1, g2.n - k2
 
     buckets = []
     for ms in range(min(k1, k2) + 1):
@@ -685,95 +749,93 @@ def _iter_search(
     for ub, ms, i1s, i2s in buckets:
         if ub <= best[0]:
             break
-        trips1 = side1((ms, i1s))
+        trips1 = c1.buckets[ms, i1s]
         if not trips1:
             continue
         by_degms: dict[tuple[int, ...], list[_Side]] = {}
-        for s2 in side2((ms, i2s)):
+        for s2 in c2.buckets[ms, i2s]:
             by_degms.setdefault(s2.part.degms, []).append(s2)
+        # per group and first-side key: the group positions passing the static tests
+        passing = _Table(lambda key: sum(
+            1 << p for p, s2 in enumerate(by_degms[key[0]])
+            if key[1] <= s2.part.offers and s2.needs <= key[2] and s2.total > key[3]
+        ))
         base = ms + i1s + i2s
         for s1 in trips1:
             if ub <= best[0]:
                 break
-            opposite = by_degms.get(s1.part.degms, ())
-            stats.pairs_tried += len(opposite)
+            group = by_degms.get(s1.part.degms)
+            if group is None:
+                continue
+            stats.pairs_tried += len(group)
             # a pair can pair at most sum(min(L_sig, R_sig)) <= min(P1, P2)
             # twin-class members: the label-class bound of any bijection sums
-            # min(L_key, R_key) over keys that each lie within one signature
-            if base + s1.total <= best[0]:
-                stats.pairs_pruned += len(opposite)
+            # min(L_key, R_key) over keys that each lie within one signature;
+            # and a to-independent vertex whose signature no opposite trace
+            # has fails _class_choices under every bijection
+            room = best[0] - base
+            live = passing[s1.part.degms, s1.needs, s1.part.offers, room] if s1.total > room else 0
+            opposite = [group[p] for p in _bits(live)]
+            stats.pairs_pruned += len(group) - len(opposite)
+            if not opposite:
                 continue
-            # readers still to come per opposite matched part (the part fixes
-            # its degrees, so they all share this group)
-            left = collections.Counter(s2.trip.matched for s2 in opposite)
-            shared: dict[frozenset[int], list[Iterator[dict[int, int]]]] = {}
-            for s2 in opposite:
-                m2 = s2.trip.matched
-                left[m2] -= 1
-                # a to-independent vertex whose signature no opposite trace
-                # has fails _class_choices under every bijection
-                if (
-                    not (s1.needs <= s2.part.offers and s2.needs <= s1.part.offers)
-                    or base + min(s1.total, s2.total) <= best[0]
-                    or base + sum(min(n, s2.by_sig.get(sig, 0)) for sig, n in s1.by_sig.items())
-                    <= best[0]
-                ):
+            by_sig1 = c1.by_sig[s1.mm, s1.im].items()
+            shared: dict[int, list[Iterator[dict[int, int]]]] = {}
+            for idx, s2 in enumerate(opposite):
+                m2, by_sig2 = s2.mm, c2.by_sig[s2.mm, s2.im]
+                if base + sum([min(n, by_sig2.get(sig, 0)) for sig, n in by_sig1]) <= best[0]:
                     stats.pairs_pruned += 1
                     if m2 in shared:  # drop its copy, or it buffers what the others read
                         shared[m2].pop()
                     continue
                 if m2 not in shared:
-                    sigmas = _cover_bijections(s1.part.inner, s2.part.inner)
-                    shared[m2] = list(itertools.tee(sigmas, left[m2] + 1))
-                yield from _search_pair(
-                    g1, g2, s1, s2, shared[m2].pop(), twins1, twins2,
-                    size1, size2, nbhd1, nbhd2, connected, stats, best, ub,
-                )
+                    sigmas = _cover_bijections(c1.views[s1.mm].inner, c2.views[m2].inner)
+                    # one copy per live reader still to come with this part
+                    shared[m2] = list(itertools.tee(sigmas, sum(s.mm == m2 for s in opposite[idx:])))
+                yield from _search_pair(c1, c2, s1, s2, shared[m2].pop(), stats, best, ub)
 
 
 def _search_pair(
-    g1: Graph,
-    g2: Graph,
+    c1: _Cover,
+    c2: _Cover,
     s1: _Side,
     s2: _Side,
     sigmas: Iterator[dict[int, int]],
-    twins1: TwinPartition,
-    twins2: TwinPartition,
-    size1: list[int],
-    size2: list[int],
-    nbhd1: list[frozenset[int]],
-    nbhd2: list[frozenset[int]],
-    connected: bool,
     stats: SolveStats,
     best: list[int],
     ub: int,
 ) -> Iterator[tuple[CoverConfiguration, VertexMapping]]:
     """Every configuration of one tripartition pair under the cover
-    bijections ``sigmas``, pruned against ``best``; ``size`` and ``nbhd``
-    list each twin class's member count and cover neighborhood.
+    bijections ``sigmas``, pruned against ``best``.
 
     A candidate's size is known before it is built: the matched and
     to-independent cover vertices plus, for each key of the class plan,
     ``min(L_key, R_key)`` net of the members the assignments consume.  With
     nothing consumed this is McSplit's label-class bound, which prunes a
     whole bijection; a candidate is assembled only if its size beats
-    ``best`` and its two assignments agree on cross adjacency.
+    ``best`` and its two assignments agree on cross adjacency.  In connected
+    mode it must also pass a test on masks first: its first-side cover
+    vertices connected through cover edges and the neighborhoods of the twin
+    classes that give it a member, each of which has a neighbor among them.
     """
-    t1, indep1, t2, indep2 = s1.trip, s1.indep, s2.trip, s2.indep
-    base = len(t1.matched) + len(indep1) + len(indep2)
+    g1, g2, size1, size2, nbhd1, nbhd2 = c1.g, c2.g, c1.size, c2.size, c1.nbhd, c2.nbhd
+    indep1, indep2 = c1.vertices(s1.im), c2.vertices(s2.im)
+    view1, view2 = c1.views[s1.mm], c2.views[s2.mm]
+    base = len(view1.matched) + len(indep1) + len(indep2)
+    used1, connected = s1.mm | s1.im, c1.connected
 
     for sigma in sigmas:
         if ub <= best[0]:
             return
         stats.bijections_tried += 1
         inv = {v: u for u, v in sigma.items()}
-        cands1 = _class_choices(indep1, g1.adj, t1.matched, sigma, s2.part.traces)
+        cands1 = _class_choices(indep1, g1.adj, view1.matched, sigma, view2.traces)
         if cands1 is None:
             continue
-        cands2 = _class_choices(indep2, g2.adj, t2.matched, inv, s1.part.traces)
+        cands2 = _class_choices(indep2, g2.adj, view2.matched, inv, view1.traces)
         if cands2 is None:
             continue
-        plan = _class_plan(s1.pairable, s2.pairable, sigma, connected)
+        plan = _class_plan(c1.pairable[s1.mm, s1.im], c2.pairable[s2.mm, s2.im], sigma, connected)
         cap1 = [sum(size1[i] for i in lefts) for lefts, _ in plan]
         cap2 = [sum(size2[j] for j in rights) for _, rights in plan]
         # the label-class bound: no choice below can pair more than this
@@ -813,8 +875,16 @@ def _search_pair(
                 cross = itertools.product(zip(indep1, choice1), zip(indep2, choice2))
                 if any((u in nbhd1[r]) != (y in nbhd2[s]) for (u, s), (y, r) in cross):
                     continue
+                if connected:
+                    # a key's classes share their neighborhood among used1
+                    gives = [c1.nbhdmask[r] for r in choice2] + [
+                        c1.nbhdmask[lefts[0]] for k, (lefts, _) in enumerate(plan)
+                        if min(cap1[k] - drop.get(k, 0), free2[k])
+                    ]
+                    if not all(c & used1 for c in gives) or not _spans(used1, c1.adjmask, gives):
+                        continue
                 mapping = _assemble(
-                    indep1, indep2, twins1, twins2, sigma, choice1, choice2, plan
+                    indep1, indep2, c1.twins, c2.twins, sigma, choice1, choice2, plan
                 )
                 if len(mapping) != size:
                     raise WitnessError(
@@ -826,7 +896,7 @@ def _search_pair(
                 # both sides are isomorphic, so one side's connectivity decides
                 if connected and not induces_connected(g1, [u for u, _ in mapping.pairs]):
                     continue
-                config = CoverConfiguration(t1, t2, tuple(sorted(sigma.items())))
+                config = CoverConfiguration(c1.trip(s1), c2.trip(s2), tuple(sorted(sigma.items())))
                 yield config, mapping
 
 

@@ -11,16 +11,19 @@ from mcislab.graphs import (
     complete_graph,
     cycle_graph,
     edgeless_graph,
+    induces_connected,
     path_graph,
 )
 from mcislab.params import (
     CoverSplit,
     min_feedback_vertex_set,
+    Tripartition,
     min_vertex_cover,
-    tripartitions,
     twin_partition,
     vertex_cover_number,
 )
+from mcislab.corpus import random_graph
+from mcislab.solvers import _Cover
 
 
 def brute_min_cover_size(g: Graph) -> int:
@@ -231,53 +234,99 @@ def test_twins_cover_the_independent_set_and_swaps_are_automorphisms():
 
 
 # --- tripartitions ---------------------------------------------------------
+# The FPT solver's generator: one cover's tripartitions per (matched,
+# to-independent) size, the to-independent part pairwise non-adjacent and, in
+# connected mode, the matched and to-independent parts together linked.
+
+
+def bipartite(left, right):
+    return Graph.from_edges(max(left + right) + 1, [(u, v) for u in left for v in right])
+
+
+def generated(g, connected=False):
+    """Each (m, i) bucket of the generator over g's minimum cover."""
+    cover = _Cover(g, connected)
+    sizes = range(len(cover.order) + 2)
+    return {(m, i): [cover.trip(s) for s in cover.buckets[m, i]] for m in sizes for i in sizes}
+
+
+def reference(g, connected=False):
+    """itertools.product order over the roles (matched, unused,
+    to-independent), smallest vertex most significant, filtered by
+    independence and, in connected mode, by connectivity in g of the used
+    cover vertices with their independent neighbours."""
+    split = min_vertex_cover(g)
+    kept = []
+    for roles in itertools.product(range(3), repeat=len(split.cover)):
+        parts = ([], [], [])
+        for v, role in zip(sorted(split.cover), roles):
+            parts[role].append(v)
+        if any(g.has_edge(u, v) for u, v in itertools.combinations(parts[2], 2)):
+            continue
+        used = set(parts[0] + parts[2])
+        joined = used | {v for v in split.independent if g.adj[v] & used}
+        if connected and not (used and induces_connected(g, joined)):
+            continue
+        kept.append(Tripartition(*map(frozenset, parts)))
+    return kept
 
 
 def test_tripartition_counts():
-    assert len(list(tripartitions([]))) == 1
-    assert len(list(tripartitions([3, 7]))) == 9
-    assert len(list(tripartitions([0, 1, 2]))) == 27
+    # with an independent cover nothing is filtered: 3^k in all
+    assert sum(map(len, generated(edgeless_graph(3)).values())) == 1
+    assert sum(map(len, generated(bipartite([3, 7], [0, 1, 2])).values())) == 9
+    assert sum(map(len, generated(bipartite([0, 1, 2], [3, 4, 5, 6])).values())) == 27
 
 
 def test_tripartition_parts_partition_the_cover():
     cover = {1, 4, 6}
     seen = set()
-    for trip in tripartitions(cover):
-        parts = (trip.matched, trip.unused, trip.to_independent)
-        assert frozenset().union(*parts) == frozenset(cover)
-        assert sum(len(p) for p in parts) == len(cover)
-        seen.add(tuple(tuple(sorted(p)) for p in parts))
-    assert len(seen) == 27  # all distinct, deterministic order
+    for bucket in generated(bipartite(sorted(cover), [0, 2, 3, 5])).values():
+        for trip in bucket:
+            parts = (trip.matched, trip.unused, trip.to_independent)
+            assert frozenset().union(*parts) == frozenset(cover)
+            assert sum(len(p) for p in parts) == len(cover)
+            seen.add(tuple(tuple(sorted(p)) for p in parts))
+    assert len(seen) == 27  # all distinct
 
 
 def test_tripartition_order_is_deterministic():
-    first = [t for t in tripartitions({2, 5})]
-    second = [t for t in tripartitions({2, 5})]
-    assert first == second
+    g = random_graph(random.Random(3), 9, 0.5)
+    assert generated(g) == generated(g)
+    assert generated(g, True) == generated(g, True)
 
 
 def test_tripartition_order_is_product_order():
     # roles (matched, unused, to-independent), smallest vertex most significant
-    cover = {8, 1, 5}
+    g = bipartite([8, 1, 5], [0, 2, 3, 4])
     expected = []
     for roles in itertools.product(range(3), repeat=3):
         parts = ([], [], [])
         for v, r in zip((1, 5, 8), roles):
             parts[r].append(v)
         expected.append(tuple(map(frozenset, parts)))
-    got = [(t.matched, t.unused, t.to_independent) for t in tripartitions(cover)]
-    assert got == expected
+    for (m, i), bucket in generated(g).items():
+        got = [(t.matched, t.unused, t.to_independent) for t in bucket]
+        assert got == [t for t in expected if (len(t[0]), len(t[2])) == (m, i)]
 
 
 def test_tripartition_size_buckets_filter_the_full_stream():
-    for k in range(7):
-        cover = [3 * v + 1 for v in range(k)]
-        full = list(tripartitions(cover))
-        for m, i in itertools.product(range(k + 2), repeat=2):
-            expected = [t for t in full if (len(t.matched), len(t.to_independent)) == (m, i)]
-            assert list(tripartitions(cover, (m, i))) == expected, (k, m, i)
-            if m + i > k:
-                assert expected == []
+    rng = random.Random(46)
+    graphs = [edgeless_graph(2)] + [random_graph(rng, rng.randint(2, 10), rng.choice((0.2, 0.5))) for _ in range(60)]
+    covers = set()
+    for g in graphs:
+        k = vertex_cover_number(g)
+        if k > 6:
+            continue
+        covers.add(k)
+        for conn in (False, True):
+            full = reference(g, conn)
+            for (m, i), bucket in generated(g, conn).items():
+                expected = [t for t in full if (len(t.matched), len(t.to_independent)) == (m, i)]
+                assert bucket == expected, (g.edges, conn, m, i)
+                if m + i > k:
+                    assert expected == []
+    assert covers == set(range(7))
 
 
 def test_vertex_cover_number_helper():

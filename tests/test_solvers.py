@@ -18,7 +18,7 @@ from mcislab.graphs import (
     is_induced_isomorphism,
     path_graph,
 )
-from mcislab.params import min_vertex_cover, twin_partition
+from mcislab.params import min_vertex_cover
 from mcislab.reductions import (
     ThreePartitionInstance,
     incidence_graph,
@@ -352,15 +352,46 @@ def test_fpt_matches_bruteforce_on_pairs_with_several_components():
 
 
 def test_cover_links_connect_a_part_iff_it_and_its_independent_neighbors_do():
+    # links: cover edges and shared twin-class neighborhoods, held as masks
     rng = random.Random(45)
     for _ in range(40):
         g, _ = random_graph_pair(rng, 9)
         split = min_vertex_cover(g)
-        links = solvers._cover_links(g, twin_partition(g, split), split.cover)
+        cover = solvers._Cover(g, True)
         for size in range(1, len(split.cover) + 1):
             for part in itertools.combinations(sorted(split.cover), size):
+                mask = sum(1 << cover.order.index(v) for v in part)
                 joined = set(part) | {v for v in split.independent if g.adj[v] & set(part)}
-                assert induces_connected(links, part) == induces_connected(g, joined)
+                assert cover.linked[mask] == induces_connected(g, joined)
+        assert not cover.linked[0]
+
+
+def test_fpt_work_counters_stay_under_recorded_ceilings():
+    # summed over check seeds 1-20 (the first 120 check-oracle solves); the
+    # ceilings are the sums recorded before the bitmask cover tables, so a
+    # change that adds work fails here even when timing noise hides it
+    ceilings = {
+        "configurations": 2_843,
+        "candidates_validated": 303,
+        "bijections_tried": 669,
+        "pairs_tried": 6_078,
+        "pairs_pruned": 5_498,
+    }
+    totals = dict.fromkeys(ceilings, 0)
+    connected_candidates = 0
+    for seed in range(1, 21):
+        rng = random.Random(seed)
+        for _ in range(3):
+            g1, g2 = random_graph_pair(rng, 9)
+            for conn in (False, True):
+                stats = mcis_vc_fpt(SolveQuery(g1, g2, connected=conn)).stats
+                for name in totals:
+                    totals[name] += getattr(stats, name)
+                connected_candidates += stats.candidates_validated if conn else 0
+    assert all(totals[name] <= ceilings[name] for name in ceilings), totals
+    # the connectivity pre-test: 202 connected candidates were validated
+    # before it, most of them then failing the final connectivity check
+    assert connected_candidates <= 101
 
 
 def test_cover_bijections_are_the_induced_permutations_each_once():
@@ -388,17 +419,21 @@ def test_cover_bijections_are_the_induced_permutations_each_once():
 
 
 def test_fpt_draws_tripartition_buckets_lazily(monkeypatch):
-    generated = []
-    real = solvers.tripartitions
-
-    def counting(cover, sizes=None):
-        for trip in real(cover, sizes):
-            generated.append(trip)
-            yield trip
-
-    monkeypatch.setattr(solvers, "tripartitions", counting)
     g = planted_cover_graph(random.Random(1), 40, 4)
     k = len(min_vertex_cover(g).cover)
+    sizes = range(k + 1)
+    # all buckets of both sides together reach the bound below, so it is not vacuous
+    everything = sum(len(solvers._Cover(g, False).buckets[m, i]) for m in sizes for i in sizes)
+    assert 2 * everything >= (3**k + 3**k) // 2
+    generated = []
+    real = solvers._Cover._bucket
+
+    def counting(self, sizes):
+        bucket = real(self, sizes)
+        generated.extend(bucket)
+        return bucket
+
+    monkeypatch.setattr(solvers._Cover, "_bucket", counting)
     assert mcis_vc_fpt(SolveQuery(g, g)).size == 40
     # once the whole graph is matched no later bucket's ceiling can beat it,
     # so the bucket loop stops before most buckets are generated
