@@ -19,6 +19,7 @@ from .graphs import (
     Graph,
     add_universal_vertex,
     complete_graph,
+    connected_components,
     graph_stats,
     induced_subgraph,
     parse_graph,
@@ -263,9 +264,13 @@ def isi_to_mccis(g1: Graph, g2: Graph) -> ReductionOutput:
 
     Adds a universal vertex to each side; the two universal vertices are the
     only ones with high enough degree to be matched together, so the lifted
-    target is ``|V(g1)| + 1``.  Certificates assume forest inputs (feedback
-    vertex set of each output is at most 1).
+    target is ``|V(g1)| + 1``.  Both inputs must be forests (m = n minus the
+    number of components), so that each output's feedback vertex set is at
+    most 1; an input with a cycle raises :class:`SoundnessError`.
     """
+    for name, g in (("g1", g1), ("g2", g2)):
+        if g.m != g.n - len(connected_components(g)):
+            raise SoundnessError(f"{name} has a cycle; the lift needs forest inputs")
     out1 = add_universal_vertex(g1)
     out2 = add_universal_vertex(g2)
     certificates = {

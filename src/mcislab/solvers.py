@@ -26,9 +26,11 @@ each other:
   signature of the classes' traces, which the bijections keep; it yields
   nothing if a to-independent vertex's signature is no opposite trace's.
   These tests skip pairs before their first bijection, by bitmask lookup
-  in an index built once per bucket.  The cover bijections are placements
-  of the vertex layer, the one search for induced embeddings, drawn once
-  per first-side tripartition and opposite matched part.  Once a cover
+  in an index built once per bucket.  The cover bijections of a live pair
+  are placements of the vertex layer, the one search for induced
+  embeddings, over the adjacency inside the two matched parts.  The pair
+  search reads cover positions and bitmasks only, and translates them to
+  vertex ids only when it assembles a candidate.  Once a cover
   bijection is fixed, the twin classes pair only within label classes
   (their cover neighborhood under the bijection), so the bijection can
   reach at most the matched and to-independent cover vertices plus
@@ -40,8 +42,9 @@ each other:
   assembled.  A candidate is kept only if every cover vertex sent into an
   opposite twin class agrees on adjacency with every twin class member
   sent onto an opposite cover vertex, so every assembled mapping is
-  induced by construction; the trusted arbiter still checks each one, as a
-  guard that raises :class:`WitnessError`.
+  induced by construction, and for MCCIS connected; the trusted arbiter
+  and the connectivity check still test each one, as guards that raise
+  :class:`WitnessError`.
 
 :func:`enumerate_configurations` exposes the same enumeration as a stream.
 The threshold question "is there a common induced subgraph on ``k``
@@ -65,12 +68,7 @@ from .graphs import (
     induces_connected,
     is_induced_isomorphism,
 )
-from .params import (
-    Tripartition,
-    TwinPartition,
-    min_vertex_cover,
-    twin_partition,
-)
+from .params import Tripartition, min_vertex_cover, twin_partition
 
 DEFAULT_ORACLE_BOUND = 10
 ORACLE_BOUND_ENV = "MCIS_ORACLE_BOUND"
@@ -455,8 +453,8 @@ def _cover_bijections(
     inner1: dict[int, frozenset[int]], inner2: dict[int, frozenset[int]]
 ) -> Iterator[dict[int, int]]:
     """The induced isomorphisms between two equal-size matched cover parts,
-    given the adjacency inside each: the vertex layer's placements of the
-    first part, by (-degree, id), onto the sorted second part."""
+    given the position adjacency inside each: the vertex layer's placements
+    of the first part, by (-degree, position), onto the sorted second part."""
     order = sorted(inner1, key=lambda v: (-len(inner1[v]), v))
     return _embeddings(inner1, inner2, [order], [0], sorted(inner2), [0])
 
@@ -496,22 +494,16 @@ class _Table(dict):
 
 
 class _Part(NamedTuple):
-    """A matched cover part as the pair loop reads it, once per part.  A
-    vertex set's degree signature is the sorted degrees inside the part of
-    its vertices there; every cover bijection keeps it."""
+    """A matched cover part as the pair loop and the pair search read it,
+    once per part.  A twin class's trace is its neighborhood mask inside
+    the part.  A vertex set's degree signature is the sorted degrees inside
+    the part of its vertices there; every cover bijection keeps it."""
 
     degms: tuple[int, ...]  # the part's own signature
     offers: frozenset[tuple[int, ...]]  # the signatures of all twin-class traces
     sig_at: list[tuple[int, ...]]  # per cover position: its neighbors' signature
     sig_members: dict[tuple[int, ...], int]  # per trace signature: members that count
-
-
-class _View(NamedTuple):
-    """A matched cover part as the pair search reads it (live pairs only)."""
-
-    matched: frozenset[int]
-    inner: dict[int, frozenset[int]]  # adjacency inside the part
-    traces: dict[frozenset[int], list[int]]  # twin classes by trace
+    traces: dict[int, list[int]]  # twin classes by trace
 
 
 class _Side(NamedTuple):
@@ -538,15 +530,17 @@ class _Cover:
         self.order = sorted(split.cover)
         pos = {v: j for j, v in enumerate(self.order)}
         self.size = [len(c.members) for c in self.twins.classes]
-        self.nbhd = [c.neighborhood for c in self.twins.classes]
         self.adjmask = [sum(1 << pos[w] for w in g.adj[v] if w in pos) for v in self.order]
-        self.nbhdmask = [sum(1 << pos[w] for w in nb) for nb in self.nbhd]
+        self.nbhdmask = [sum(1 << pos[w] for w in c.neighborhood) for c in self.twins.classes]
         ends = itertools.accumulate(self.size, initial=0)
         self.members = [(1 << b) - (1 << a) for a, b in itertools.pairwise(ends)]
         self.positions = _Table(lambda mask: tuple(_bits(mask)))
         self.buckets = _Table(self._bucket)
         self.parts = _Table(self._part)
-        self.views = _Table(self._view)
+        # per matched part: the position adjacency inside it
+        self.inner = _Table(lambda mm: {
+            j: frozenset(self.positions[self.adjmask[j] & mm]) for j in self.positions[mm]
+        })
         self.pairable = _Table(self._pairable)
         # per (matched, to-independent) part: the members of the pairable
         # classes that can pair, counted per degree signature of their trace
@@ -564,35 +558,33 @@ class _Cover:
     def vertices(self, mask: int) -> tuple[int, ...]:
         return tuple(self.order[j] for j in self.positions[mask])
 
+    def image(self, mask: int, sigma: dict[int, int]) -> int:
+        """The mask of the images under ``sigma`` of the positions of ``mask``."""
+        return sum([1 << sigma[j] for j in self.positions[mask]])
+
     def trip(self, s: _Side) -> Tripartition:
-        matched, to_indep = self.views[s.mm].matched, frozenset(self.vertices(s.im))
+        matched, to_indep = frozenset(self.vertices(s.mm)), frozenset(self.vertices(s.im))
         return Tripartition(matched, self.cover - matched - to_indep, to_indep)
 
     def _part(self, mm: int) -> _Part:
-        """Signatures in the matched part ``mm``; a twin class's trace is its
-        neighborhood inside the part."""
+        """Signatures and twin classes by trace in the matched part ``mm``."""
         degree = [(a & mm).bit_count() for a in self.adjmask]
         sig = _Table(lambda t: tuple(sorted([degree[j] for j in self.positions[t]])))
         sig_members: dict[tuple[int, ...], int] = {}
-        for nb, mk in zip(self.nbhdmask, self.members):
+        traces: dict[int, list[int]] = {}
+        for idx, (nb, mk) in enumerate(zip(self.nbhdmask, self.members)):
+            traces.setdefault(nb & mm, []).append(idx)
             if nb & mm or not self.connected:  # as in the class plan
                 s = sig[nb & mm]
                 sig_members[s] = sig_members.get(s, 0) | mk
-        offers = frozenset([sig[nb & mm] for nb in self.nbhdmask])
-        return _Part(sig[mm], offers, [sig[a & mm] for a in self.adjmask], sig_members)
+        offers = frozenset([sig[t] for t in traces])
+        return _Part(sig[mm], offers, [sig[a & mm] for a in self.adjmask], sig_members, traces)
 
-    def _view(self, mm: int) -> _View:
-        matched = frozenset(self.vertices(mm))
-        traces: dict[frozenset[int], list[int]] = {}
-        for idx, nb in enumerate(self.nbhd):
-            traces.setdefault(nb & matched, []).append(idx)
-        return _View(matched, {v: self.g.adj[v] & matched for v in matched}, traces)
-
-    def _pairable(self, key: tuple[int, int]) -> dict[frozenset[int], list[int]]:
+    def _pairable(self, key: tuple[int, int]) -> dict[int, list[int]]:
         """The twin classes with no neighbor in the to-independent part, by
         trace in the matched part."""
         mm, im = key
-        return {trace: keep for trace, idxs in self.views[mm].traces.items()
+        return {trace: keep for trace, idxs in self.parts[mm].traces.items()
                 if (keep := [idx for idx in idxs if not self.nbhdmask[idx] & im])}
 
     def _choices(self, key: tuple[int, bool]) -> list[tuple[int, int]]:
@@ -640,47 +632,43 @@ class _Cover:
 
 
 def _class_plan(
-    pairable1: dict[frozenset[int], list[int]],
-    pairable2: dict[frozenset[int], list[int]],
-    sigma: dict[int, int],
-    connected: bool,
+    c1: _Cover, c2: _Cover, s1: _Side, s2: _Side, sigma: dict[int, int]
 ) -> list[tuple[list[int], list[int]]]:
     """Pairable twin classes under ``sigma``, one ``(left, right)`` entry per key.
 
     A key is the image in the second graph's matched cover part of a class's
-    neighborhood there; classes pair only within a key present on both
-    sides.  In connected mode the empty key is dropped (its vertices would be
-    isolated in the candidate).
+    trace; classes pair only within a key present on both sides (sigma is a
+    bijection, so distinct traces keep distinct images).  In connected mode
+    the empty key is dropped (its vertices would be isolated in the
+    candidate).
     """
-    # sigma is a bijection, so distinct traces keep distinct images
-    groups1 = {frozenset(sigma[x] for x in trace): idxs for trace, idxs in pairable1.items()}
-    keys = [key for key in groups1 if key in pairable2 and (key or not connected)]
-    keys.sort(key=lambda k: tuple(sorted(k)))
-    return [(groups1[key], pairable2[key]) for key in keys]
+    pairable2, connected = c2.pairable[s2.mm, s2.im], c1.connected
+    keyed = [(lefts, c1.image(trace, sigma)) for trace, lefts in c1.pairable[s1.mm, s1.im].items()]
+    return [(lefts, pairable2[key]) for lefts, key in keyed if key in pairable2 and (key or not connected)]
 
 
 def _assemble(
-    indep1: tuple[int, ...],
-    indep2: tuple[int, ...],
-    twins1: TwinPartition,
-    twins2: TwinPartition,
+    c1: _Cover,
+    c2: _Cover,
+    s1: _Side,
+    s2: _Side,
     sigma: dict[int, int],
     choice1: tuple[int, ...],
     choice2: tuple[int, ...],
     plan: list[tuple[list[int], list[int]]],
 ) -> VertexMapping:
-    """Build the full candidate mapping for one configuration.
+    """Build the full candidate mapping for one configuration, in vertex ids.
 
     Within each key of ``plan`` the members of the first graph's classes are
     paired in order with those of the second graph's, net of the members
     consumed by the cover-to-independent-set assignments.
     """
     # one cursor per twin class: the assignments take members first
-    rest1 = [iter(c.members) for c in twins1.classes]
-    rest2 = [iter(c.members) for c in twins2.classes]
-    pairs = list(sigma.items())
-    pairs += [(u, next(rest2[s])) for u, s in zip(indep1, choice1)]
-    pairs += [(next(rest1[r]), y) for y, r in zip(indep2, choice2)]
+    rest1 = [iter(c.members) for c in c1.twins.classes]
+    rest2 = [iter(c.members) for c in c2.twins.classes]
+    pairs = [(c1.order[u], c2.order[v]) for u, v in sigma.items()]
+    pairs += [(u, next(rest2[s])) for u, s in zip(c1.vertices(s1.im), choice1)]
+    pairs += [(next(rest1[r]), y) for y, r in zip(c2.vertices(s2.im), choice2)]
     for lefts, rights in plan:
         free1 = [u for i in lefts for u in rest1[i]]
         free2 = [v for j in rights for v in rest2[j]]
@@ -689,21 +677,13 @@ def _assemble(
 
 
 def _class_choices(
-    indep: tuple[int, ...],
-    adj: tuple[frozenset[int], ...],
-    mset: frozenset[int],
-    image: dict[int, int],
-    trace: dict[frozenset[int], list[int]],
+    c: _Cover, s: _Side, image: dict[int, int], traces: dict[int, list[int]]
 ) -> list[list[int]] | None:
-    """For each vertex of ``indep``, the opposite twin classes whose cover
-    neighborhood matches its own under ``image``; None if one has none."""
-    cands = []
-    for u in indep:
-        lst = trace.get(frozenset(image[x] for x in adj[u] & mset))
-        if not lst:
-            return None
-        cands.append(lst)
-    return cands
+    """For each to-independent position of ``s``, the opposite twin classes
+    whose trace is the image under ``image`` of its neighbors in the matched
+    part; None if one has none."""
+    cands = [traces.get(c.image(c.adjmask[u] & s.mm, image)) for u in c.positions[s.im]]
+    return cands if all(cands) else None
 
 
 def _iter_search(
@@ -729,10 +709,7 @@ def _iter_search(
     a bucket is grouped by matched degree multiset once; per first-side
     tripartition the static tests pick the live pairs of its group by
     bitmask lookup, in visit order, and only those are tested one by one.
-    A first-side tripartition draws its cover bijections lazily once per
-    opposite matched part: ``itertools.tee`` lets the first live opposite
-    tripartition with that part drive them and later ones replay and
-    continue; a skipped one drops its copy.
+    Each pair that passes them all draws its own cover bijections.
     """
     c1, c2 = _Cover(g1, connected), _Cover(g2, connected)
     k1, k2 = len(c1.order), len(c2.order)
@@ -780,19 +757,12 @@ def _iter_search(
             if not opposite:
                 continue
             by_sig1 = c1.by_sig[s1.mm, s1.im].items()
-            shared: dict[int, list[Iterator[dict[int, int]]]] = {}
-            for idx, s2 in enumerate(opposite):
-                m2, by_sig2 = s2.mm, c2.by_sig[s2.mm, s2.im]
+            for s2 in opposite:
+                by_sig2 = c2.by_sig[s2.mm, s2.im]
                 if base + sum([min(n, by_sig2.get(sig, 0)) for sig, n in by_sig1]) <= best[0]:
                     stats.pairs_pruned += 1
-                    if m2 in shared:  # drop its copy, or it buffers what the others read
-                        shared[m2].pop()
                     continue
-                if m2 not in shared:
-                    sigmas = _cover_bijections(c1.views[s1.mm].inner, c2.views[m2].inner)
-                    # one copy per live reader still to come with this part
-                    shared[m2] = list(itertools.tee(sigmas, sum(s.mm == m2 for s in opposite[idx:])))
-                yield from _search_pair(c1, c2, s1, s2, shared[m2].pop(), stats, best, ub)
+                yield from _search_pair(c1, c2, s1, s2, stats, best, ub)
 
 
 def _search_pair(
@@ -800,14 +770,14 @@ def _search_pair(
     c2: _Cover,
     s1: _Side,
     s2: _Side,
-    sigmas: Iterator[dict[int, int]],
     stats: SolveStats,
     best: list[int],
     ub: int,
 ) -> Iterator[tuple[CoverConfiguration, VertexMapping]]:
-    """Every configuration of one tripartition pair under the cover
-    bijections ``sigmas``, pruned against ``best``.
+    """Every configuration of one tripartition pair, pruned against ``best``.
 
+    Cover bijections, traces and choices are positions and masks; a
+    candidate is translated to vertex ids only by :func:`_assemble`.
     A candidate's size is known before it is built: the matched and
     to-independent cover vertices plus, for each key of the class plan,
     ``min(L_key, R_key)`` net of the members the assignments consume.  With
@@ -817,25 +787,28 @@ def _search_pair(
     mode it must also pass a test on masks first: its first-side cover
     vertices connected through cover edges and the neighborhoods of the twin
     classes that give it a member, each of which has a neighbor among them.
+    For a candidate of two or more vertices that test is exact, since class
+    members are pairwise non-adjacent and meet the cover only in their
+    class neighborhood.
     """
-    g1, g2, size1, size2, nbhd1, nbhd2 = c1.g, c2.g, c1.size, c2.size, c1.nbhd, c2.nbhd
-    indep1, indep2 = c1.vertices(s1.im), c2.vertices(s2.im)
-    view1, view2 = c1.views[s1.mm], c2.views[s2.mm]
-    base = len(view1.matched) + len(indep1) + len(indep2)
+    g1, g2, size1, size2, nbhd1, nbhd2 = c1.g, c2.g, c1.size, c2.size, c1.nbhdmask, c2.nbhdmask
+    traces1, traces2 = c1.parts[s1.mm].traces, c2.parts[s2.mm].traces
+    indep1, indep2 = c1.positions[s1.im], c2.positions[s2.im]
+    base = s1.mm.bit_count() + len(indep1) + len(indep2)
     used1, connected = s1.mm | s1.im, c1.connected
 
-    for sigma in sigmas:
+    for sigma in _cover_bijections(c1.inner[s1.mm], c2.inner[s2.mm]):
         if ub <= best[0]:
             return
         stats.bijections_tried += 1
         inv = {v: u for u, v in sigma.items()}
-        cands1 = _class_choices(indep1, g1.adj, view1.matched, sigma, view2.traces)
+        cands1 = _class_choices(c1, s1, sigma, traces2)
         if cands1 is None:
             continue
-        cands2 = _class_choices(indep2, g2.adj, view2.matched, inv, view1.traces)
+        cands2 = _class_choices(c2, s2, inv, traces1)
         if cands2 is None:
             continue
-        plan = _class_plan(c1.pairable[s1.mm, s1.im], c2.pairable[s2.mm, s2.im], sigma, connected)
+        plan = _class_plan(c1, c2, s1, s2, sigma)
         cap1 = [sum(size1[i] for i in lefts) for lefts, _ in plan]
         cap2 = [sum(size2[j] for j in rights) for _, rights in plan]
         # the label-class bound: no choice below can pair more than this
@@ -873,19 +846,17 @@ def _search_pair(
                 # u goes into class s while a member of class r comes to y;
                 # the candidate is induced only if u~r and y~s agree
                 cross = itertools.product(zip(indep1, choice1), zip(indep2, choice2))
-                if any((u in nbhd1[r]) != (y in nbhd2[s]) for (u, s), (y, r) in cross):
+                if any((nbhd1[r] >> u ^ nbhd2[s] >> y) & 1 for (u, s), (y, r) in cross):
                     continue
                 if connected:
                     # a key's classes share their neighborhood among used1
-                    gives = [c1.nbhdmask[r] for r in choice2] + [
-                        c1.nbhdmask[lefts[0]] for k, (lefts, _) in enumerate(plan)
+                    gives = [nbhd1[r] for r in choice2] + [
+                        nbhd1[lefts[0]] for k, (lefts, _) in enumerate(plan)
                         if min(cap1[k] - drop.get(k, 0), free2[k])
                     ]
                     if not all(c & used1 for c in gives) or not _spans(used1, c1.adjmask, gives):
                         continue
-                mapping = _assemble(
-                    indep1, indep2, c1.twins, c2.twins, sigma, choice1, choice2, plan
-                )
+                mapping = _assemble(c1, c2, s1, s2, sigma, choice1, choice2, plan)
                 if len(mapping) != size:
                     raise WitnessError(
                         f"assembled {len(mapping)} pairs where the class plan predicts {size}"
@@ -895,8 +866,9 @@ def _search_pair(
                     raise WitnessError(f"mcis_vc_fpt built a non-induced mapping {mapping.pairs}")
                 # both sides are isomorphic, so one side's connectivity decides
                 if connected and not induces_connected(g1, [u for u, _ in mapping.pairs]):
-                    continue
-                config = CoverConfiguration(c1.trip(s1), c2.trip(s2), tuple(sorted(sigma.items())))
+                    raise WitnessError(f"mcis_vc_fpt built a disconnected candidate {mapping.pairs}")
+                bijection = tuple((c1.order[u], c2.order[v]) for u, v in sorted(sigma.items()))
+                config = CoverConfiguration(c1.trip(s1), c2.trip(s2), bijection)
                 yield config, mapping
 
 

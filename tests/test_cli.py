@@ -16,7 +16,7 @@ from mcislab.cli import (
     EXIT_USAGE,
     main,
 )
-from mcislab.graphs import complete_graph, edgeless_graph, path_graph, serialize_graph
+from mcislab.graphs import complete_graph, cycle_graph, edgeless_graph, path_graph, serialize_graph
 from mcislab.reductions import read_reduction
 
 
@@ -222,6 +222,14 @@ def test_reduce_universal(graph_files, tmp_path):
     code = main(["reduce", "--which", "universal", p2, p4, "--outdir", str(outdir)])
     assert code == EXIT_OK
     assert read_reduction(outdir).target == 3
+
+
+def test_reduce_universal_refuses_a_graph_with_a_cycle(graph_files, tmp_path, capsys):
+    c5 = graph_files("c5.el", cycle_graph(5))
+    outdir = tmp_path / "lift"
+    assert main(["reduce", "--which", "universal", c5, c5, "--outdir", str(outdir)]) == EXIT_USAGE
+    assert not outdir.exists()
+    assert "has a cycle" in capsys.readouterr().err
 
 
 def test_reduce_3partition(tmp_path, capsys):

@@ -179,6 +179,16 @@ def test_universal_lift_on_single_vertex():
     assert out.g1.edges == path_graph(2).edges
 
 
+def test_universal_lift_rejects_inputs_with_a_cycle():
+    # a cycle survives the lift, so the fvs-at-most-1 certificate would be false
+    for g1, g2 in ((cycle_graph(5), path_graph(3)), (path_graph(3), cycle_graph(3))):
+        with pytest.raises(SoundnessError, match="has a cycle"):
+            isi_to_mccis(g1, g2)
+    # a forest with several components has m = n - components, and passes
+    forest = Graph.from_edges(5, [(0, 1), (2, 3)])
+    assert isi_to_mccis(forest, forest).certificates["fvs_bound"] == 1
+
+
 def test_universal_lift_equivalence_on_random_forests():
     rng = random.Random(34)
     from mcislab.corpus import random_forest

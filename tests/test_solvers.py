@@ -188,6 +188,13 @@ def test_witness_guards_raise_without_assert(monkeypatch):
     monkeypatch.setattr(solvers, "is_induced_isomorphism", lambda *args: False)
     with pytest.raises(WitnessError):
         mcis_vc_fpt(SolveQuery(path_graph(3), path_graph(3)))
+    # and so is the final connectivity check: with a mask test that passes
+    # every part, the two edges of 2K2 reach it as one disconnected candidate
+    monkeypatch.undo()
+    monkeypatch.setattr(solvers, "_spans", lambda *args: True)
+    two_edges = Graph.from_edges(4, [(0, 1), (2, 3)])
+    with pytest.raises(WitnessError, match="disconnected"):
+        mcis_vc_fpt(SolveQuery(two_edges, two_edges, connected=True))
 
 
 # --- the FPT solver --------------------------------------------------------
@@ -491,7 +498,12 @@ def test_enumerate_every_item_is_validated():
         g1, g2 = random_graph_pair(rng, 5)
         for config, mapping in enumerate_configurations(g1, g2):
             assert is_induced_isomorphism(g1, g2, mapping)
-            assert len(config.cover_bijection) == len(config.trip1.matched)
+            # the cover bijection, in vertex ids, is the mapping on the matched parts
+            bijection = config.cover_bijection
+            assert set(bijection) <= set(mapping.pairs)
+            assert {u for u, _ in bijection} == config.trip1.matched
+            assert {v for _, v in bijection} == config.trip2.matched
+            assert len(bijection) == len(config.trip1.matched)
 
 
 def test_enumerate_dominates_every_bruteforce_optimum():

@@ -50,3 +50,20 @@ def test_no_module_imports_a_name_it_never_reads():
         elif isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__":
             bound |= {(path.stem, (alias.asname or alias.name).partition(".")[0]) for alias in node.names}
     assert sorted(f"{module}.{name}" for module, name in bound - read) == []
+
+
+def test_no_private_helper_is_left_unread():
+    # a module-level private def or class that no other top-level statement of
+    # the package reads is dead code; reads from tests do not keep it alive
+    defined, readers = {}, {}
+    for path in sorted(Path(mcislab.__file__).parent.rglob("*.py")):
+        for index, top in enumerate(ast.parse(path.read_text(), str(path)).body):
+            owner = (path.name, index)
+            if isinstance(top, (ast.FunctionDef, ast.ClassDef)) and top.name.startswith("_"):
+                defined[f"{path.name}:{top.lineno} {top.name}"] = (top.name, owner)
+            for node in ast.walk(top):
+                name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+                if name:
+                    readers.setdefault(name, set()).add(owner)
+    found = [where for where, (name, owner) in defined.items() if not readers.get(name, set()) - {owner}]
+    assert found == []
