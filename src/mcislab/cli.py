@@ -164,6 +164,8 @@ def cmd_reduce(args: argparse.Namespace) -> int:
             if len(args.inputs) != 1 or args.clique_size is None:
                 raise CliError("clique-incidence needs one graph file and --clique-size")
             g, text = _load_graph(args.inputs[0])
+            # k above n cannot embed, and the pattern, built from K_k, grows as k^2
+            CliqueInstance(g, args.clique_size)
             out = clique_to_incidence_isi(g, args.clique_size)
             digest = _digest(args.which, text, str(args.clique_size))
         elif args.which == "cross-compose":

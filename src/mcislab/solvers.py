@@ -30,21 +30,19 @@ each other:
   are placements of the vertex layer, the one search for induced
   embeddings, over the adjacency inside the two matched parts.  The pair
   search reads cover positions and bitmasks only, and translates them to
-  vertex ids only when it assembles a candidate.  Once a cover
-  bijection is fixed, the twin classes pair only within label classes
-  (their cover neighborhood under the bijection), so the bijection can
-  reach at most the matched and to-independent cover vertices plus
-  ``sum(min(L_key, R_key))`` over the keys (McSplit's bound); a bijection
-  whose bound cannot beat the best size so far is skipped whole.  Below it,
-  each candidate's size is computed from the class capacities before the
-  mapping is built, and only a candidate that beats the best size (and for
-  MCCIS is linked through the twin classes giving it members) is
-  assembled.  A candidate is kept only if every cover vertex sent into an
-  opposite twin class agrees on adjacency with every twin class member
-  sent onto an opposite cover vertex, so every assembled mapping is
-  induced by construction, and for MCCIS connected; the trusted arbiter
-  and the connectivity check still test each one, as guards that raise
-  :class:`WitnessError`.
+  vertex ids only when it assembles a candidate.  Once a cover bijection is
+  fixed, the twin classes pair only within label classes (their cover
+  neighborhood under the bijection), so the bijection can reach at most the
+  matched and to-independent cover vertices plus ``sum(min(L_key, R_key))``
+  over the keys (McSplit's bound); a bijection whose bound cannot beat the
+  best size so far is skipped whole.  Below it, one depth-first search, one
+  step for both sides, gives each to-independent cover vertex a twin class
+  and tests each choice as it is made: members left in the class,
+  adjacency agreeing with the opposite side's choices, and the size still
+  reachable, which only falls.  So every assembled mapping is induced by
+  construction, and for MCCIS, after a link test on masks, connected; the
+  arbiter and the connectivity check still test each one, as guards that
+  raise :class:`WitnessError`.
 
 :func:`enumerate_configurations` exposes the same enumeration as a stream.
 The threshold question "is there a common induced subgraph on ``k``
@@ -101,20 +99,23 @@ class SolveQuery:
 class SolveStats:
     """Deterministic work counters.
 
-    ``configurations`` counts the (choice1, choice2) assignment pairs the FPT
-    enumeration reaches; ``bijections_tried`` the cover bijections it
-    examines and ``bijections_pruned`` those of them the label-class bound
-    skips whole.  ``pairs_tried`` counts the tripartition pairs with equal
-    matched degree multisets it reaches in a live bucket, and
-    ``pairs_pruned`` those of them skipped before their first bijection, by
-    the pair bound or by a to-independent vertex whose degree signature no
-    opposite trace has; in connected mode only tripartitions with a
-    connected cover part take part.  ``search_nodes`` counts the placements ``isi_backtracking``
-    makes: a pattern vertex on a host vertex, or a pattern component in a
-    host component.
+    ``configurations`` counts the complete cover-to-twin-class assignments the
+    FPT choice search reaches, and ``choice_nodes`` the class choices it places
+    (within capacity and agreeing on cross adjacency with the choices before
+    it; a choice that cannot beat the best size ends its branch).
+    ``bijections_tried`` counts the cover bijections the FPT examines and
+    ``bijections_pruned`` those the label-class bound skips whole.
+    ``pairs_tried`` counts the tripartition pairs with equal matched degree
+    multisets it reaches in a live bucket (in connected mode, of tripartitions
+    with a connected cover part), and ``pairs_pruned`` those skipped before
+    their first bijection, by the pair bound or by a to-independent vertex
+    whose degree signature no opposite trace has.  ``search_nodes`` counts
+    the placements ``isi_backtracking`` makes: a pattern vertex on a host
+    vertex, or a pattern component in a host component.
     """
 
     configurations: int = 0
+    choice_nodes: int = 0
     candidates_validated: int = 0
     bijections_tried: int = 0
     bijections_pruned: int = 0
@@ -653,22 +654,22 @@ def _assemble(
     s1: _Side,
     s2: _Side,
     sigma: dict[int, int],
-    choice1: tuple[int, ...],
-    choice2: tuple[int, ...],
+    chosen: Sequence[int],
     plan: list[tuple[list[int], list[int]]],
 ) -> VertexMapping:
     """Build the full candidate mapping for one configuration, in vertex ids.
 
-    Within each key of ``plan`` the members of the first graph's classes are
-    paired in order with those of the second graph's, net of the members
-    consumed by the cover-to-independent-set assignments.
+    Each to-independent vertex takes a member of its class in ``chosen``,
+    the first side's first; within each key of ``plan`` the first graph's
+    members left are paired in order with the second graph's.
     """
     # one cursor per twin class: the assignments take members first
     rest1 = [iter(c.members) for c in c1.twins.classes]
     rest2 = [iter(c.members) for c in c2.twins.classes]
     pairs = [(c1.order[u], c2.order[v]) for u, v in sigma.items()]
-    pairs += [(u, next(rest2[s])) for u, s in zip(c1.vertices(s1.im), choice1)]
-    pairs += [(next(rest1[r]), y) for y, r in zip(c2.vertices(s2.im), choice2)]
+    indep1 = c1.vertices(s1.im)
+    pairs += [(u, next(rest2[s])) for u, s in zip(indep1, chosen)]
+    pairs += [(next(rest1[r]), y) for y, r in zip(c2.vertices(s2.im), chosen[len(indep1) :])]
     for lefts, rights in plan:
         free1 = [u for i in lefts for u in rest1[i]]
         free2 = [v for j in rights for v in rest2[j]]
@@ -777,99 +778,98 @@ def _search_pair(
     """Every configuration of one tripartition pair, pruned against ``best``.
 
     Cover bijections, traces and choices are positions and masks; a
-    candidate is translated to vertex ids only by :func:`_assemble`.
-    A candidate's size is known before it is built: the matched and
-    to-independent cover vertices plus, for each key of the class plan,
-    ``min(L_key, R_key)`` net of the members the assignments consume.  With
-    nothing consumed this is McSplit's label-class bound, which prunes a
-    whole bijection; a candidate is assembled only if its size beats
-    ``best`` and its two assignments agree on cross adjacency.  In connected
-    mode it must also pass a test on masks first: its first-side cover
-    vertices connected through cover edges and the neighborhoods of the twin
-    classes that give it a member, each of which has a neighbor among them.
-    For a candidate of two or more vertices that test is exact, since class
-    members are pairwise non-adjacent and meet the cover only in their
-    class neighborhood.
+    candidate is translated to vertex ids only by :func:`_assemble`.  Its
+    size is known before it is built: the matched and to-independent cover
+    vertices plus, for each key of the class plan, ``min(L_key, R_key)``
+    net of the members the assignments consume.  With nothing consumed
+    this is McSplit's label-class bound, which prunes a whole bijection.
+    Below it a depth-first search (``place``) chooses the classes, first
+    side first, and cuts a branch as soon as a choice exceeds its class's
+    members, disagrees on cross adjacency with a choice made, or drops the
+    size to ``best``.  In connected mode a complete assignment must also
+    pass a test on masks: its first-side cover vertices connected through
+    cover edges and the neighborhoods of the twin classes that give it a
+    member, each with a neighbor among them.  For a candidate of two or
+    more vertices that test is exact, since class members are pairwise
+    non-adjacent and meet the cover only in their class neighborhood.
     """
-    g1, g2, size1, size2, nbhd1, nbhd2 = c1.g, c2.g, c1.size, c2.size, c1.nbhdmask, c2.nbhdmask
-    traces1, traces2 = c1.parts[s1.mm].traces, c2.parts[s2.mm].traces
+    g1, g2, nbhd1, nbhd2 = c1.g, c2.g, c1.nbhdmask, c2.nbhdmask
     indep1, indep2 = c1.positions[s1.im], c2.positions[s2.im]
     base = s1.mm.bit_count() + len(indep1) + len(indep2)
     used1, connected = s1.mm | s1.im, c1.connected
+    chosen: list[int] = []  # the classes chosen so far, the first side's first
+
+    # depth first over the steps of the bijection below, in product order, one
+    # level per to-independent position (at most k1 + k2 deep), yielding each
+    # complete assignment's size; step t gives position v a class of graph g
+    def place(t: int, size: int) -> Iterator[int]:
+        if t == len(steps):
+            yield size
+            return
+        v, options, g = steps[t]
+        for c in options:
+            # a member of class c is left; and if u went into class s while it
+            # comes to v, the candidate is induced only if u~c and v~s agree
+            if not left[g][c] or not g and any(
+                (nbhd1[c] >> u ^ nbhd2[s] >> v) & 1 for u, s in zip(indep1, chosen)
+            ):
+                continue
+            stats.choice_nodes += 1
+            k = slot[g].get(c)
+            left[g][c] -= 1
+            if k is not None:
+                free[g][k] -= 1
+            # the members left to pair only fall as choices consume them
+            size = base + sum(map(min, *free))
+            if size > best[0]:
+                chosen.append(c)
+                yield from place(t + 1, size)
+                chosen.pop()
+            left[g][c] += 1
+            if k is not None:
+                free[g][k] += 1
 
     for sigma in _cover_bijections(c1.inner[s1.mm], c2.inner[s2.mm]):
         if ub <= best[0]:
             return
         stats.bijections_tried += 1
-        inv = {v: u for u, v in sigma.items()}
-        cands1 = _class_choices(c1, s1, sigma, traces2)
+        cands1 = _class_choices(c1, s1, sigma, c2.parts[s2.mm].traces)
         if cands1 is None:
             continue
-        cands2 = _class_choices(c2, s2, inv, traces1)
+        cands2 = _class_choices(c2, s2, {v: u for u, v in sigma.items()}, c1.parts[s1.mm].traces)
         if cands2 is None:
             continue
         plan = _class_plan(c1, c2, s1, s2, sigma)
-        cap1 = [sum(size1[i] for i in lefts) for lefts, _ in plan]
-        cap2 = [sum(size2[j] for j in rights) for _, rights in plan]
+        # per graph: members left per key of the plan
+        free = [[sum(c.size[i] for i in key[g]) for key in plan] for g, c in enumerate((c1, c2))]
         # the label-class bound: no choice below can pair more than this
-        if base + sum(map(min, cap1, cap2)) <= best[0]:
+        bound = base + sum(map(min, *free))
+        if bound <= best[0]:
             stats.bijections_pruned += 1
             continue
-        slot1 = {i: k for k, (lefts, _) in enumerate(plan) for i in lefts}
-        slot2 = {j: k for k, (_, rights) in enumerate(plan) for j in rights}
-        for choice1 in itertools.product(*cands1):
-            if any(choice1.count(s) > size2[s] for s in set(choice1)):
-                continue
-            # second-graph capacity left per key once choice1 is placed
-            free2 = cap2[:]
-            for s in choice1:
-                if s in slot2:
-                    free2[slot2[s]] -= 1
-            paired = list(map(min, cap1, free2))
-            reach = base + sum(paired)
-            if reach <= best[0]:
-                continue
-            for choice2 in itertools.product(*cands2):
-                stats.configurations += 1
-                if any(choice2.count(r) > size1[r] for r in set(choice2)):
+        slot = [{i: k for k, key in enumerate(plan) for i in key[g]} for g in (0, 1)]
+        left = [c1.size[:], c2.size[:]]  # per graph: members left per class
+        steps = [(u, cs, 1) for u, cs in zip(indep1, cands1)] + [(y, cs, 0) for y, cs in zip(indep2, cands2)]
+        for size in place(0, bound):
+            stats.configurations += 1
+            if connected:
+                # a key's classes share their neighborhood among used1
+                gives = [nbhd1[r] for r in chosen[len(indep1) :]]
+                gives += [nbhd1[lefts[0]] for (lefts, _), n1, n2 in zip(plan, *free) if min(n1, n2)]
+                if not all(c & used1 for c in gives) or not _spans(used1, c1.adjmask, gives):
                     continue
-                # the candidate's exact size, before it is built
-                drop: dict[int, int] = {}
-                for r in choice2:
-                    if r in slot1:
-                        drop[slot1[r]] = drop.get(slot1[r], 0) + 1
-                size = reach + sum(
-                    min(cap1[k] - d, free2[k]) - paired[k] for k, d in drop.items()
-                )
-                if size <= best[0]:
-                    continue
-                # u goes into class s while a member of class r comes to y;
-                # the candidate is induced only if u~r and y~s agree
-                cross = itertools.product(zip(indep1, choice1), zip(indep2, choice2))
-                if any((nbhd1[r] >> u ^ nbhd2[s] >> y) & 1 for (u, s), (y, r) in cross):
-                    continue
-                if connected:
-                    # a key's classes share their neighborhood among used1
-                    gives = [nbhd1[r] for r in choice2] + [
-                        nbhd1[lefts[0]] for k, (lefts, _) in enumerate(plan)
-                        if min(cap1[k] - drop.get(k, 0), free2[k])
-                    ]
-                    if not all(c & used1 for c in gives) or not _spans(used1, c1.adjmask, gives):
-                        continue
-                mapping = _assemble(c1, c2, s1, s2, sigma, choice1, choice2, plan)
-                if len(mapping) != size:
-                    raise WitnessError(
-                        f"assembled {len(mapping)} pairs where the class plan predicts {size}"
-                    )
-                stats.candidates_validated += 1
-                if not is_induced_isomorphism(g1, g2, mapping):
-                    raise WitnessError(f"mcis_vc_fpt built a non-induced mapping {mapping.pairs}")
-                # both sides are isomorphic, so one side's connectivity decides
-                if connected and not induces_connected(g1, [u for u, _ in mapping.pairs]):
-                    raise WitnessError(f"mcis_vc_fpt built a disconnected candidate {mapping.pairs}")
-                bijection = tuple((c1.order[u], c2.order[v]) for u, v in sorted(sigma.items()))
-                config = CoverConfiguration(c1.trip(s1), c2.trip(s2), bijection)
-                yield config, mapping
+            mapping = _assemble(c1, c2, s1, s2, sigma, chosen, plan)
+            if len(mapping) != size:
+                raise WitnessError(f"assembled {len(mapping)} pairs where the class plan predicts {size}")
+            stats.candidates_validated += 1
+            if not is_induced_isomorphism(g1, g2, mapping):
+                raise WitnessError(f"mcis_vc_fpt built a non-induced mapping {mapping.pairs}")
+            # both sides are isomorphic, so one side's connectivity decides
+            if connected and not induces_connected(g1, [u for u, _ in mapping.pairs]):
+                raise WitnessError(f"mcis_vc_fpt built a disconnected candidate {mapping.pairs}")
+            bijection = tuple((c1.order[u], c2.order[v]) for u, v in sorted(sigma.items()))
+            config = CoverConfiguration(c1.trip(s1), c2.trip(s2), bijection)
+            yield config, mapping
 
 
 def enumerate_configurations(

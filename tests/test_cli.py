@@ -112,6 +112,7 @@ def test_solve_json_report_shape(graph_files, capsys):
     assert report["stats"]["configurations"] >= 1
     assert report["stats"]["bijections_tried"] >= report["stats"]["bijections_pruned"] >= 0
     assert report["stats"]["pairs_tried"] >= report["stats"]["pairs_pruned"] >= 0
+    assert report["stats"]["choice_nodes"] >= report["stats"]["configurations"] >= 1
 
 
 def test_solve_json_deterministic_modulo_timings(graph_files, capsys):
@@ -230,6 +231,19 @@ def test_reduce_universal_refuses_a_graph_with_a_cycle(graph_files, tmp_path, ca
     assert main(["reduce", "--which", "universal", c5, c5, "--outdir", str(outdir)]) == EXIT_USAGE
     assert not outdir.exists()
     assert "has a cycle" in capsys.readouterr().err
+
+
+def test_reduce_clique_incidence_refuses_a_clique_larger_than_the_graph(graph_files, tmp_path, capsys):
+    # the pattern is the incidence graph of K_k, so k = 800 on a path of 3
+    # once built 320,400 vertices; cross-compose refuses the same k
+    p3 = graph_files("p3.el", path_graph(3))
+    outdir = tmp_path / "inc"
+    argv = ["reduce", "--which", "clique-incidence", p3, "--clique-size", "4", "--outdir", str(outdir)]
+    assert main(argv) == EXIT_USAGE
+    assert not outdir.exists()
+    assert capsys.readouterr().out == ""
+    argv[5] = "3"
+    assert main(argv) == EXIT_OK
 
 
 def test_reduce_3partition(tmp_path, capsys):

@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from mcislab.corpus import random_graph_pair
+from mcislab.corpus import random_graph, random_graph_pair
 from mcislab.graphs import (
     Graph,
     VertexMapping,
@@ -399,6 +399,55 @@ def test_fpt_work_counters_stay_under_recorded_ceilings():
     # the connectivity pre-test: 202 connected candidates were validated
     # before it, most of them then failing the final connectivity check
     assert connected_candidates <= 101
+
+
+def test_fpt_choice_layer_tests_each_class_choice_as_it_is_made():
+    # when the choices of both sides were two itertools.product loops, tested
+    # for size and cross adjacency only at their leaves, the 7th pair reached
+    # 197,306 and 18,000 configurations and the 9th 7,411,060
+    rng = random.Random(3)
+    pairs = [
+        (random_graph(rng, n, p), random_graph(rng, n, p))
+        for n in (10, 10, 10, 12, 16) for p in (0.2, 0.3)
+    ]
+    g1, g2 = pairs[6]
+    assert len(min_vertex_cover(g1).cover) == len(min_vertex_cover(g2).cover) == 6
+    for conn in (False, True):
+        query = SolveQuery(g1, g2, connected=conn)
+        result = mcis_vc_fpt(query)
+        assert result.size == 9
+        assert_valid_witness(query, result)
+        assert result.stats.configurations <= 100
+    g1, g2 = pairs[8]
+    assert len(min_vertex_cover(g1).cover) == len(min_vertex_cover(g2).cover) == 8
+    query = SolveQuery(g1, g2)
+    result = mcis_vc_fpt(query)
+    assert result.size == 12
+    assert_valid_witness(query, result)
+    assert result.stats.configurations <= 100 and result.stats.choice_nodes > 0
+
+
+def test_fpt_matches_networkx_ismags_past_the_bruteforce_bound():
+    # an MCIS oracle that shares no code with the package, on pairs whose
+    # choice layer places many class choices
+    nx = pytest.importorskip("networkx")
+    from networkx.algorithms.isomorphism import ISMAGS
+
+    def to_nx(g):
+        h = nx.Graph()
+        h.add_nodes_from(range(g.n))
+        h.add_edges_from(g.edges)
+        return h
+
+    rng = random.Random(6)
+    placed = 0
+    for n, p in [(11, 0.2), (11, 0.3), (12, 0.2), (12, 0.3)] * 2:
+        g1, g2 = random_graph(rng, n, p), random_graph(rng, n, p)
+        best = next(iter(ISMAGS(to_nx(g1), to_nx(g2)).largest_common_subgraph()), {})
+        result = mcis_vc_fpt(SolveQuery(g1, g2))
+        assert result.size == len(best), (g1.edges, g2.edges)
+        placed += result.stats.choice_nodes
+    assert placed > 1_000
 
 
 def test_cover_bijections_are_the_induced_permutations_each_once():

@@ -1,10 +1,12 @@
-"""Rules that hold for the package source as a whole."""
+"""Rules that hold for the package source, and its README, as a whole."""
 
 import ast
+import dataclasses
 import sys
 from pathlib import Path
 
 import mcislab
+from mcislab.solvers import SolveStats
 
 
 def _nodes():
@@ -67,3 +69,10 @@ def test_no_private_helper_is_left_unread():
                     readers.setdefault(name, set()).add(owner)
     found = [where for where, (name, owner) in defined.items() if not readers.get(name, set()) - {owner}]
     assert found == []
+
+
+def test_every_solve_counter_is_named_in_the_readme():
+    # `solve --json` prints every SolveStats field; the README says what each counts
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    missing = [f.name for f in dataclasses.fields(SolveStats) if f"`{f.name}`" not in readme]
+    assert missing == []
