@@ -18,7 +18,7 @@ from pathlib import Path
 
 from . import harness
 from .graphs import Graph, GraphParseError, connected_components, graph_stats, parse_graph
-from .params import min_feedback_vertex_set, min_vertex_cover, vertex_cover_number
+from .params import min_feedback_vertex_set, vertex_cover_number
 from .reductions import (
     CliqueInstance,
     ThreePartitionInstance,
@@ -29,13 +29,13 @@ from .reductions import (
     write_reduction,
 )
 from .solvers import (
+    ORACLE_BOUND,
     OracleBoundError,
     SolveQuery,
     SolveStats,
     isi_backtracking,
     mcis_bruteforce,
     mcis_vc_fpt,
-    oracle_bound,
 )
 
 EXIT_OK = 0
@@ -130,12 +130,12 @@ def cmd_solve(args: argparse.Namespace) -> int:
         vc_max = max(vertex_cover_number(g1), vertex_cover_number(g2))
         if vc_max <= VC_CUTOFF:
             algo = "vc-fpt"
-        elif max(g1.n, g2.n) <= oracle_bound():
+        elif max(g1.n, g2.n) <= ORACLE_BOUND:
             algo = "brute"
         else:
             raise CliError(
                 f"refusing: max cover size {vc_max} exceeds cutoff {VC_CUTOFF} "
-                f"and inputs exceed the oracle bound {oracle_bound()}",
+                f"and inputs exceed the oracle bound {ORACLE_BOUND}",
                 EXIT_REFUSED,
             )
     try:
@@ -218,9 +218,8 @@ def cmd_check(args: argparse.Namespace) -> int:
     if args.suite in ("oracle", "all"):
         if args.max_n < 2:
             raise CliError(f"--max-n must be at least 2, got {args.max_n}")
-        bound = oracle_bound()
-        if args.max_n > bound:
-            raise CliError(f"--max-n {args.max_n} exceeds the oracle bound {bound}", EXIT_REFUSED)
+        if args.max_n > ORACLE_BOUND:
+            raise CliError(f"--max-n {args.max_n} exceeds the oracle bound {ORACLE_BOUND}", EXIT_REFUSED)
         reports.append(harness.run_oracle_suite(args.seed, args.count, args.max_n))
     if args.suite in ("reductions", "all"):
         reports.append(harness.run_reduction_suite(args.seed, args.count))
@@ -242,10 +241,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     started = time.perf_counter()
     g, text = _load_graph(args.file)
     stats = graph_stats(g)
-    cover = min_vertex_cover(g)
-    fvs_size = (
-        min_feedback_vertex_set(g).size if g.n <= oracle_bound() else None
-    )
+    fvs_size = min_feedback_vertex_set(g).size if g.n <= ORACLE_BOUND else None
     result = {
         "n": g.n,
         "m": g.m,
@@ -254,7 +250,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         "girth": stats.girth if stats.girth is not None else "acyclic",
         "bipartite": stats.bipartite,
         "c4_free": stats.c4_free,
-        "vertex_cover_size": len(cover.cover),
+        "vertex_cover_size": vertex_cover_number(g),
         "fvs_size": fvs_size,
     }
     lines = [f"{key} {value}" for key, value in result.items()]
@@ -321,11 +317,6 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_OK
-    try:
-        oracle_bound()
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     try:
         code = args.func(args)
         sys.stdout.flush()  # a closed reader surfaces here, not at interpreter exit

@@ -242,6 +242,7 @@ def cross_compose(instances: list[CliqueInstance]) -> ReductionOutput:
     g1 = Graph.from_edges(len(plabels), pedges, plabels)
 
     target = g1.n
+    vc_g1 = vertex_cover_number(g1)
     z = sorted([p, r] + [e_index[pair] for pair in pair_list])
     certificates = {
         "n": n,
@@ -253,8 +254,8 @@ def cross_compose(instances: list[CliqueInstance]) -> ReductionOutput:
         "unique_triangle": ["p", "q", "r"],
         "g2_minus_p_bipartite": True,
         # the composition's parameter is not pinned down; report both readings
-        "parameter_z_plus_vc_g1": len(z) + vertex_cover_number(g1),
-        "parameter_vc_sum": vertex_cover_number(g1) + vertex_cover_number(g2),
+        "parameter_z_plus_vc_g1": len(z) + vc_g1,
+        "parameter_vc_sum": vc_g1 + vertex_cover_number(g2),
     }
     return ReductionOutput("cross-compose", g1, g2, target, certificates)
 

@@ -11,8 +11,8 @@ each other:
   stack, pruned by degree, non-degree and adjacency to the placed images.
 * :func:`mcis_bruteforce` — the oracle: enumerate vertex subsets of the
   smaller graph in decreasing size and try to embed each into the other
-  graph.  Refuses inputs above the oracle bound (:func:`oracle_bound`); it
-  exists for validation, not production use.
+  graph.  Refuses inputs above :data:`ORACLE_BOUND` vertices; it exists
+  for validation, not production use.
 * :func:`mcis_vc_fpt` — the vertex-cover-parameterized algorithm: minimum
   covers on both sides, twin classes of the independent sets, then an
   enumeration of cover tripartitions, cover bijections and
@@ -54,7 +54,6 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
-import os
 from dataclasses import dataclass
 from typing import Callable, Iterator, NamedTuple, Sequence, Union
 
@@ -68,8 +67,8 @@ from .graphs import (
 )
 from .params import Tripartition, min_vertex_cover, twin_partition
 
-DEFAULT_ORACLE_BOUND = 10
-ORACLE_BOUND_ENV = "MCIS_ORACLE_BOUND"
+# the most vertices a graph may have for the brute-force oracle to take it
+ORACLE_BOUND = 10
 
 
 class OracleBoundError(RuntimeError):
@@ -78,14 +77,6 @@ class OracleBoundError(RuntimeError):
 
 class WitnessError(RuntimeError):
     """A solver built a witness that the arbiter rejects (a solver bug)."""
-
-
-def oracle_bound() -> int:
-    """Current oracle size bound; MCIS_ORACLE_BOUND, if set, must be a non-negative integer."""
-    raw = os.environ.get(ORACLE_BOUND_ENV, str(DEFAULT_ORACLE_BOUND))
-    if not raw.strip().isdecimal():
-        raise ValueError(f"{ORACLE_BOUND_ENV} must be a non-negative integer, got {raw!r}")
-    return int(raw)
 
 
 @dataclass(frozen=True)
@@ -418,10 +409,9 @@ def isi_backtracking(
 
 def mcis_bruteforce(q: SolveQuery) -> SolveResult:
     """Exact optimum by decreasing-size subset enumeration; validation only."""
-    limit = oracle_bound()
-    if q.g1.n > limit or q.g2.n > limit:
+    if q.g1.n > ORACLE_BOUND or q.g2.n > ORACLE_BOUND:
         raise OracleBoundError(
-            f"oracle bound {limit} exceeded (inputs have {q.g1.n} and {q.g2.n} vertices)"
+            f"oracle bound {ORACLE_BOUND} exceeded (inputs have {q.g1.n} and {q.g2.n} vertices)"
         )
     stats = SolveStats()
     swap = q.g1.n > q.g2.n

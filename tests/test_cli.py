@@ -1,7 +1,9 @@
 """End-to-end tests of the command-line surface via main(argv)."""
 
+import dataclasses
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -9,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import mcislab
+from mcislab import harness
 from mcislab.cli import (
     EXIT_CHECK_FAILED,
     EXIT_OK,
@@ -16,8 +19,17 @@ from mcislab.cli import (
     EXIT_USAGE,
     main,
 )
-from mcislab.graphs import complete_graph, cycle_graph, edgeless_graph, path_graph, serialize_graph
+from mcislab.corpus import random_graph_pair
+from mcislab.graphs import (
+    complete_graph,
+    cycle_graph,
+    edgeless_graph,
+    parse_graph,
+    path_graph,
+    serialize_graph,
+)
 from mcislab.reductions import read_reduction
+from mcislab.solvers import SolveQuery, mcis_bruteforce, mcis_vc_fpt
 
 
 @pytest.fixture
@@ -127,13 +139,30 @@ def test_solve_json_deterministic_modulo_timings(graph_files, capsys):
     assert reports[0] == reports[1]
 
 
-def test_solve_refuses_oversized_brute(graph_files, capsys, monkeypatch):
-    monkeypatch.setenv("MCIS_ORACLE_BOUND", "4")
-    big = graph_files("p6.el", path_graph(6))
+def test_solve_refuses_oversized_brute(graph_files, capsys):
+    big = graph_files("p11.el", path_graph(11))
     code = main(
         ["solve", "--problem", "mcis", "--algo", "brute", big, big]
     )
     assert code == EXIT_REFUSED
+    assert capsys.readouterr().err.startswith("error: oracle bound 10 exceeded")
+
+
+@pytest.mark.parametrize("problem", ["mcis", "mccis"])
+def test_solve_auto_past_the_cover_cutoff_uses_the_oracle_or_refuses(problem, graph_files, capsys):
+    # K10 has cover 9, above the cutoff 8, but 10 vertices are within the oracle bound
+    k10 = graph_files("k10.el", complete_graph(10))
+    assert main(["solve", "--problem", problem, "--json", k10, k10]) == EXIT_OK
+    result = json.loads(capsys.readouterr().out)["result"]
+    assert result["method"] == "brute" and result["size"] == 10
+    k11 = graph_files("k11.el", complete_graph(11))
+    assert main(["solve", "--problem", problem, k11, k11]) == EXIT_REFUSED
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: refusing: max cover size 10 exceeds cutoff 8 "
+        "and inputs exceed the oracle bound 10\n"
+    )
 
 
 def test_solve_usage_errors(graph_files, capsys):
@@ -327,6 +356,40 @@ def test_check_json_contains_counter_totals(capsys):
     assert suite["counter_bound_checked"] == suite["instances"]
 
 
+@pytest.fixture
+def fpt_one_too_large(monkeypatch):
+    def wrong(query):
+        result = mcis_vc_fpt(query)
+        return dataclasses.replace(result, size=result.size + 1)
+
+    monkeypatch.setattr(harness, "mcis_vc_fpt", wrong)
+
+
+def test_oracle_suite_failures_carry_a_replayable_instance(fpt_one_too_large):
+    report = harness.run_oracle_suite(7, 2, 6)
+    assert not report["ok"] and len(report["failures"]) == report["instances"] == 4
+    rng = random.Random(7)
+    drawn = [random_graph_pair(rng, 6) for _ in range(2)]
+    for failure in report["failures"]:
+        g1, g2 = drawn[failure["index"]]
+        oracle = mcis_bruteforce(SolveQuery(g1, g2, connected=failure["connected"])).size
+        assert failure["problems"] == [
+            f"size mismatch: fpt={oracle + 1} oracle={oracle}",
+            "fpt witness invalid",
+        ]
+        for text, g in ((failure["g1"], g1), (failure["g2"], g2)):
+            again = parse_graph(text)
+            assert (again.n, again.edges) == (g.n, g.edges)
+
+
+def test_check_oracle_failure_exits_3_and_prints_each_failure(fpt_one_too_large, capsys):
+    argv = ["check", "--suite", "oracle", "--seed", "7", "--count", "2", "--max-n", "6"]
+    assert main(argv) == EXIT_CHECK_FAILED
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "oracle: FAIL (4 checks)"
+    assert len(lines) == 5 and all(line.startswith("  failure: {") for line in lines[1:])
+
+
 @pytest.mark.parametrize(
     "flags, code",
     [
@@ -388,15 +451,6 @@ def test_analyze_forest_reports_acyclic(graph_files, capsys):
     out = capsys.readouterr().out
     assert "girth acyclic" in out
     assert "fvs_size 0" in out
-
-
-def test_analyze_rejects_a_bad_oracle_bound(graph_files, capsys, monkeypatch):
-    p4 = graph_files("p4.el", path_graph(4))
-    for bad in ("abc", "-2", "", "2.5"):
-        monkeypatch.setenv("MCIS_ORACLE_BOUND", bad)
-        assert main(["analyze", p4]) == EXIT_USAGE
-        err = capsys.readouterr().err
-        assert err.startswith("error: MCIS_ORACLE_BOUND must be a non-negative integer")
 
 
 def test_analyze_rejects_a_wrong_header_edge_count(tmp_path, capsys):

@@ -82,6 +82,27 @@ def test_parse_malformed_line_reports_line_number():
     assert exc.value.line_no == 3
 
 
+@pytest.mark.parametrize(
+    "text, line_no, message",
+    [
+        ("c comment\np graph 3 0\n", 2, "expected DIMACS header 'p edge n m'"),
+        ("3\n", 1, "expected header 'n m'"),
+        ("3 two\n", 1, "header counts must be integers"),
+        ("-1 0\n", 1, "vertex count must be non-negative"),
+        ("p edge 3 1\nc comment\nf 1 2\n", 3, "expected edge line 'e u v'"),
+        ("3 1\n0 x\n", 2, "endpoints must be integers"),
+        ("# nothing but a comment\n\n", 1, "empty document"),
+    ],
+    ids=["dimacs-header", "header-tokens", "header-counts", "negative-n", "dimacs-edge",
+         "endpoint", "empty"],
+)
+def test_parse_errors_name_their_line(text, line_no, message):
+    with pytest.raises(GraphParseError) as exc:
+        parse_graph(text)
+    assert exc.value.line_no == line_no
+    assert str(exc.value) == f"line {line_no}: {message}"
+
+
 def test_roundtrip_serialize_parse():
     rng = random.Random(11)
     for _ in range(20):

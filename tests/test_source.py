@@ -41,6 +41,18 @@ def test_runtime_imports_are_standard_library():
     assert found == []
 
 
+def test_no_module_reads_the_environment():
+    # what the package does depends on its arguments and input files alone;
+    # os.environ, os.getenv and `from os import environ` all show up here
+    names = {"environ", "environb", "getenv", "getenvb"}
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path, node in _nodes()
+        if {getattr(node, "attr", None), getattr(node, "id", None), getattr(node, "name", None)} & names
+    ]
+    assert found == []
+
+
 def test_no_module_imports_a_name_it_never_reads():
     # an __init__.py's imports are its exports; __future__ imports are directives
     bound, read = set(), set()
