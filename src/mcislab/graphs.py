@@ -150,73 +150,55 @@ def complete_graph(n: int) -> Graph:
 def parse_graph(text: str) -> Graph:
     """Parse an edge-list document, or DIMACS as an alternate input dialect.
 
-    Edge-list: first meaningful line ``n m``, then ``u v`` lines with 0-based
-    endpoints; ``#`` starts a comment line.  DIMACS: ``c`` comments,
-    ``p edge n m`` header, ``e u v`` lines with 1-based endpoints.  The
-    header's ``m`` must equal the number of edge lines; duplicate edge lines
-    count there but collapse to one edge.
+    One grammar serves both: after the prefix is stripped, every meaningful
+    line holds two integers, first the header ``n m`` and then one edge per
+    line.  Edge-list: no prefix, 0-based endpoints.  DIMACS, chosen when the
+    first meaningful line starts with ``c`` or ``p``: ``c`` comment lines, a
+    ``p edge`` header prefix, an ``e`` edge prefix, 1-based endpoints.  In
+    both, ``#`` starts a comment, and the header's ``m`` must equal the
+    number of edge lines; duplicate edge lines count there but collapse to
+    one edge.
     """
-    header: tuple[int, int] | None = None
-    header_line = 0
-    dimacs = False
-    n = 0
+    dimacs: bool | None = None
+    header: tuple[int, int, int] | None = None  # n, m and the header's line number
     edge_lines = 0
     edges: set[tuple[int, int]] = set()
     for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        tokens = raw.split("#", 1)[0].split()
+        if not tokens:
             continue
-        tokens = line.split()
-        if header is None:
-            if tokens[0] in ("c", "p"):
-                dimacs = True
-            if dimacs:
-                if tokens[0] == "c":
-                    continue
-                if tokens[0] != "p" or len(tokens) != 4 or tokens[1] != "edge":
-                    raise GraphParseError(line_no, "expected DIMACS header 'p edge n m'")
-                count_tokens = tokens[2:]
-            else:
-                if len(tokens) != 2:
-                    raise GraphParseError(line_no, "expected header 'n m'")
-                count_tokens = tokens
-            try:
-                n, m = (int(t) for t in count_tokens)
-            except ValueError:
-                raise GraphParseError(line_no, "header counts must be integers") from None
-            if n < 0:
-                raise GraphParseError(line_no, "vertex count must be non-negative")
-            header = (n, m)
-            header_line = line_no
+        if dimacs is None:
+            dimacs = tokens[0] in ("c", "p")
+        if dimacs and tokens[0] == "c":
             continue
-        if dimacs:
-            if tokens[0] == "c":
-                continue
-            if tokens[0] != "e" or len(tokens) != 3:
-                raise GraphParseError(line_no, "expected edge line 'e u v'")
-            endpoint_tokens = tokens[1:]
-            offset = 1
-        else:
-            if len(tokens) != 2:
-                raise GraphParseError(line_no, "expected edge line 'u v'")
-            endpoint_tokens = tokens
-            offset = 0
+        prefix = ("p edge " if header is None else "e ") if dimacs else ""
+        if len(tokens) < 2 or tokens[:-2] != prefix.split():
+            if header is not None:
+                raise GraphParseError(line_no, f"expected edge line '{prefix}u v'")
+            kind = "DIMACS header" if dimacs else "header"
+            raise GraphParseError(line_no, f"expected {kind} '{prefix}n m'")
         try:
-            u, v = (int(t) - offset for t in endpoint_tokens)
+            a, b = int(tokens[-2]), int(tokens[-1])
         except ValueError:
-            raise GraphParseError(line_no, "endpoints must be integers") from None
-        if u == v:
-            raise GraphParseError(line_no, f"self-loop at vertex {u + offset}")
-        if not (0 <= u < n and 0 <= v < n):
-            raise GraphParseError(line_no, f"endpoint out of range [0, {n})")
-        edges.add((min(u, v), max(u, v)))
+            what = "header counts" if header is None else "endpoints"
+            raise GraphParseError(line_no, f"{what} must be integers") from None
+        if header is None:
+            if a < 0:
+                raise GraphParseError(line_no, "vertex count must be non-negative")
+            header = (a, b, line_no)
+            continue
+        if a == b:
+            raise GraphParseError(line_no, f"self-loop at vertex {a}")
+        u, v = sorted((a - dimacs, b - dimacs))  # DIMACS ids start at 1
+        if u < 0 or v >= header[0]:
+            raise GraphParseError(line_no, f"endpoint out of range [0, {header[0]})")
+        edges.add((u, v))
         edge_lines += 1
     if header is None:
         raise GraphParseError(1, "empty document")
-    if edge_lines != header[1]:
-        raise GraphParseError(
-            header_line, f"header declares {header[1]} edges, found {edge_lines} edge lines"
-        )
+    n, m, line_no = header
+    if edge_lines != m:
+        raise GraphParseError(line_no, f"header declares {m} edges, found {edge_lines} edge lines")
     return Graph(n, frozenset(edges))
 
 

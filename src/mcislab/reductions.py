@@ -14,6 +14,7 @@ import itertools
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Iterable
 
 from .graphs import (
     Graph,
@@ -282,6 +283,16 @@ def isi_to_mccis(g1: Graph, g2: Graph) -> ReductionOutput:
     return ReductionOutput("universal", out1, out2, g1.n + 1, certificates)
 
 
+def _labelled_paths(paths: Iterable[tuple[int, str]]) -> Graph:
+    """Disjoint union of paths from (length, label) pairs, numbered in order."""
+    edges: list[tuple[int, int]] = []
+    labels: list[str] = []
+    for length, label in paths:
+        edges += [(len(labels) + j, len(labels) + j + 1) for j in range(length - 1)]
+        labels += [label] * length
+    return Graph.from_edges(len(labels), edges, labels)
+
+
 def three_partition_to_forest_isi(inst: ThreePartitionInstance) -> ReductionOutput:
     """3-Partition -> ISI on forests (paths into slightly longer paths).
 
@@ -296,22 +307,8 @@ def three_partition_to_forest_isi(inst: ThreePartitionInstance) -> ReductionOutp
             "items must satisfy B/4 < a_i < B/2; the packing argument needs it"
         )
     host_len = inst.B + 2
-    edges: list[tuple[int, int]] = []
-    labels: list[str] = []
-    offset = 0
-    for i, a in enumerate(inst.items):
-        edges += [(offset + j, offset + j + 1) for j in range(a - 1)]
-        labels += [f"piece_{i + 1}"] * a
-        offset += a
-    g1 = Graph.from_edges(offset, edges, labels)
-    hedges: list[tuple[int, int]] = []
-    hlabels: list[str] = []
-    offset = 0
-    for i in range(inst.m):
-        hedges += [(offset + j, offset + j + 1) for j in range(host_len - 1)]
-        hlabels += [f"host_{i + 1}"] * host_len
-        offset += host_len
-    g2 = Graph.from_edges(offset, hedges, hlabels)
+    g1 = _labelled_paths((a, f"piece_{i + 1}") for i, a in enumerate(inst.items))
+    g2 = _labelled_paths((host_len, f"host_{i + 1}") for i in range(inst.m))
     certificates = {
         "m": inst.m,
         "B": inst.B,

@@ -28,7 +28,7 @@ from mcislab.graphs import (
     path_graph,
     serialize_graph,
 )
-from mcislab.reductions import read_reduction
+from mcislab.reductions import CheckOutcome, ReductionReport, read_reduction
 from mcislab.solvers import SolveQuery, mcis_bruteforce, mcis_vc_fpt
 
 
@@ -302,11 +302,21 @@ def test_reduce_has_no_host_length_flag(tmp_path, capsys):
     assert capsys.readouterr().out == ""
 
 
-def test_reduce_usage_errors(graph_files, tmp_path):
+def test_reduce_usage_errors(graph_files, tmp_path, capsys):
     k4 = graph_files("k4.el", complete_graph(4))
     out = str(tmp_path / "x")
     # missing --clique-size
     assert main(["reduce", "--which", "clique-incidence", k4, "--outdir", out]) == EXIT_USAGE
+    # missing inputs or flags that each builder needs
+    for argv, message in (
+        (["cross-compose", "--clique-size", "3"], "cross-compose needs graph files and --clique-size"),
+        (["universal", k4], "universal needs exactly two graph files"),
+        (["3partition", "--items", "4,4,5", "--target-sum", "13"],
+         "3partition needs --items, --groups and --target-sum"),
+    ):
+        capsys.readouterr()
+        assert main(["reduce", "--which", *argv, "--outdir", out]) == EXIT_USAGE
+        assert capsys.readouterr().err == f"error: {message}\n"
     # heterogeneous batch sizes reach the builder and fail as usage
     p3 = graph_files("p3.el", path_graph(3))
     assert (
@@ -426,6 +436,22 @@ def test_check_reduction_suite_decides_the_seed_1_three_partition_no_instance(ca
     assert capsys.readouterr().out == "reductions: PASS (24 checks)\n"
 
 
+def test_check_reduction_failure_exits_3_and_prints_each_failed_check(monkeypatch, capsys):
+    def failing(out, source_answer):
+        return ReductionReport((CheckOutcome("sound", True), CheckOutcome("forced", False, out.kind)))
+
+    monkeypatch.setattr(harness, "verify_reduction", failing)
+    argv = ["check", "--suite", "reductions", "--count", "1"]
+    assert main(argv) == EXIT_CHECK_FAILED
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "reductions: FAIL (8 checks)"
+    # each builder's report names its output's kind, which is the builder's name
+    assert lines[1:] == [
+        "  failure: " + json.dumps({"builder": b, "check": "forced", "detail": b})
+        for b in ("clique-incidence", "cross-compose", "universal", "3partition")
+    ]
+
+
 def test_check_reduction_suite_rejects_a_zero_count(capsys):
     assert main(["check", "--suite", "reductions", "--count", "0"]) == EXIT_USAGE
     captured = capsys.readouterr()
@@ -451,6 +477,14 @@ def test_analyze_forest_reports_acyclic(graph_files, capsys):
     out = capsys.readouterr().out
     assert "girth acyclic" in out
     assert "fvs_size 0" in out
+
+
+def test_analyze_skips_the_fvs_above_the_oracle_bound(graph_files, capsys):
+    p11 = graph_files("p11.el", path_graph(11))
+    assert main(["analyze", p11]) == EXIT_OK
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-1] == "fvs_size skipped (above oracle bound)"
+    assert "vertex_cover_size 5" in lines
 
 
 def test_analyze_rejects_a_wrong_header_edge_count(tmp_path, capsys):

@@ -97,10 +97,29 @@ def test_isi_three_partition_m3_yes_and_no_instances():
 
 
 def test_isi_three_partition_m2_no_instance_stays_within_a_node_budget():
-    # the vertex-by-vertex search over the whole host placed about 245k nodes
+    # m=2: the vertex-by-vertex search over the whole host placed about 245k nodes.
+    # m=6: about 2.3k; without the host twin rule of _pack, about 130k.
+    for items, m in (((4, 4, 6, 4, 4, 4), 2), ((6,) + (4,) * 13 + (5,) * 4, 6)):
+        stats = SolveStats()
+        assert isi_backtracking(*three_partition_isi(items, m), stats) is None
+        assert 0 < stats.search_nodes <= 5_000
+
+
+def test_isi_refutes_disjoint_triangles_in_a_connected_host_within_a_node_budget():
+    # 5 triangles into 4, each hung from a hub by a path a_i - p_i - hub: one
+    # host component, so the vertex layer alone decides.  About 10k nodes;
+    # without the floor that orders isomorphic pattern components, about 159k.
+    triangles = [(3 * i + a, 3 * i + b) for i in range(5) for a, b in ((0, 1), (1, 2), (0, 2))]
+    pattern = Graph.from_edges(15, triangles)
+    hub = 16
+    edges = []
+    for i in range(4):
+        a, b, c, p = 4 * i, 4 * i + 1, 4 * i + 2, 4 * i + 3
+        edges += [(a, b), (b, c), (a, c), (a, p), (p, hub)]
+    host = Graph.from_edges(17, edges)
     stats = SolveStats()
-    assert isi_backtracking(*three_partition_isi((4, 4, 6, 4, 4, 4), 2), stats) is None
-    assert 0 < stats.search_nodes <= 5_000
+    assert isi_backtracking(pattern, host, stats) is None
+    assert 0 < stats.search_nodes <= 20_000
 
 
 def test_isi_long_path_embeds_without_recursion():
