@@ -12,10 +12,11 @@ whole package: solver output is only reported after it passes
 from __future__ import annotations
 
 import itertools
+import re
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator
+from typing import AbstractSet, Iterable, Iterator
 
 
 class GraphParseError(ValueError):
@@ -151,13 +152,13 @@ def parse_graph(text: str) -> Graph:
     """Parse an edge-list document, or DIMACS as an alternate input dialect.
 
     One grammar serves both: after the prefix is stripped, every meaningful
-    line holds two integers, first the header ``n m`` and then one edge per
-    line.  Edge-list: no prefix, 0-based endpoints.  DIMACS, chosen when the
-    first meaningful line starts with ``c`` or ``p``: ``c`` comment lines, a
-    ``p edge`` header prefix, an ``e`` edge prefix, 1-based endpoints.  In
-    both, ``#`` starts a comment, and the header's ``m`` must equal the
-    number of edge lines; duplicate edge lines count there but collapse to
-    one edge.
+    line holds two integers ``-?[0-9]+``, first the header ``n m`` and then
+    one edge per line.  Edge-list: no prefix, 0-based endpoints.  DIMACS,
+    chosen when the first meaningful line starts with ``c`` or ``p``: ``c``
+    comment lines, a ``p edge`` header prefix, an ``e`` edge prefix, 1-based
+    endpoints.  In both, ``#`` starts a comment, and the header's ``m`` must
+    equal the number of edge lines; duplicate edge lines count there but
+    collapse to one edge.
     """
     dimacs: bool | None = None
     header: tuple[int, int, int] | None = None  # n, m and the header's line number
@@ -177,21 +178,22 @@ def parse_graph(text: str) -> Graph:
                 raise GraphParseError(line_no, f"expected edge line '{prefix}u v'")
             kind = "DIMACS header" if dimacs else "header"
             raise GraphParseError(line_no, f"expected {kind} '{prefix}n m'")
-        try:
-            a, b = int(tokens[-2]), int(tokens[-1])
-        except ValueError:
+        if not all(re.fullmatch("-?[0-9]+", token) for token in tokens[-2:]):
             what = "header counts" if header is None else "endpoints"
-            raise GraphParseError(line_no, f"{what} must be integers") from None
+            raise GraphParseError(line_no, f"{what} must be integers")
+        a, b = int(tokens[-2]), int(tokens[-1])
         if header is None:
-            if a < 0:
-                raise GraphParseError(line_no, "vertex count must be non-negative")
+            if min(a, b) < 0:
+                what = "vertex" if a < 0 else "edge"
+                raise GraphParseError(line_no, f"{what} count must be non-negative")
             header = (a, b, line_no)
             continue
         if a == b:
             raise GraphParseError(line_no, f"self-loop at vertex {a}")
         u, v = sorted((a - dimacs, b - dimacs))  # DIMACS ids start at 1
         if u < 0 or v >= header[0]:
-            raise GraphParseError(line_no, f"endpoint out of range [0, {header[0]})")
+            span = f"[1, {header[0]}]" if dimacs else f"[0, {header[0]})"
+            raise GraphParseError(line_no, f"endpoint out of range {span}")
         edges.add((u, v))
         edge_lines += 1
     if header is None:
@@ -252,96 +254,90 @@ def add_universal_vertex(g: Graph) -> Graph:
     return Graph.from_edges(g.n + 1, edges, base + ("universal",))
 
 
+def _levels(
+    g: Graph, start: int, inside: AbstractSet[int] | None = None, depth: int | None = None
+) -> dict[int, int]:
+    """Breadth-first distances from ``start``, through ``inside`` only when it
+    is given and at most ``depth`` deep when that is given."""
+    dist = {start: 0}
+    queue = deque([start])
+    while queue:
+        v = queue.popleft()
+        d = dist[v] + 1
+        if depth is not None and d > depth:
+            break
+        for w in g.adj[v]:
+            if w not in dist and (inside is None or w in inside):
+                dist[w] = d
+                queue.append(w)
+    return dist
+
+
 def connected_components(g: Graph) -> list[frozenset[int]]:
     """Partition of the vertex set into maximal connected sets."""
-    seen = [False] * g.n
     components: list[frozenset[int]] = []
+    seen: set[int] = set()
     for start in range(g.n):
-        if seen[start]:
-            continue
-        queue = deque([start])
-        seen[start] = True
-        comp = {start}
-        while queue:
-            v = queue.popleft()
-            for w in g.adj[v]:
-                if not seen[w]:
-                    seen[w] = True
-                    comp.add(w)
-                    queue.append(w)
-        components.append(frozenset(comp))
+        if start not in seen:
+            components.append(frozenset(_levels(g, start)))
+            seen |= components[-1]
     return components
 
 
 def induces_connected(g: Graph, vertices: Iterable[int]) -> bool:
     """True iff ``vertices`` induce a connected subgraph (empty set counts)."""
     vs = set(vertices)
-    if len(vs) <= 1:
-        return True
-    start = min(vs)
-    queue = deque([start])
-    seen = {start}
-    while queue:
-        v = queue.popleft()
-        for w in g.adj[v]:
-            if w in vs and w not in seen:
-                seen.add(w)
-                queue.append(w)
-    return seen == vs
+    return len(vs) <= 1 or len(_levels(g, min(vs), inside=vs)) == len(vs)
 
 
-def _girth(g: Graph) -> int | None:
-    # Shortest cycle through each edge: drop the edge, measure the u-v distance.
-    best: int | None = None
-    for u, v in g.edges:
-        dist = {u: 0}
-        queue = deque([u])
-        while queue:
-            x = queue.popleft()
-            if x == v:
-                break
-            for y in g.adj[x]:
-                if (x, y) in ((u, v), (v, u)):
-                    continue
-                if y not in dist:
-                    dist[y] = dist[x] + 1
-                    queue.append(y)
-        if v in dist:
-            cycle = dist[v] + 1
-            if best is None or cycle < best:
-                best = cycle
-    return best
-
-
-def _is_bipartite(g: Graph) -> bool:
-    color: dict[int, int] = {}
-    for start in range(g.n):
-        if start in color:
-            continue
-        color[start] = 0
-        queue = deque([start])
-        while queue:
-            v = queue.popleft()
-            for w in g.adj[v]:
-                if w not in color:
-                    color[w] = 1 - color[v]
-                    queue.append(w)
-                elif color[w] == color[v]:
-                    return False
+def induces_forest(g: Graph, vertices: Iterable[int]) -> bool:
+    """True iff ``vertices`` induce an acyclic subgraph (the empty set counts)."""
+    vs = set(vertices)
+    # a graph has at least |V| - |E| components, and exactly that many iff it is a forest
+    trees = len(vs) - sum(len(g.adj[v] & vs) for v in vs) // 2
+    seen: set[int] = set()
+    for v in vs:
+        if v not in seen:
+            trees -= 1
+            if trees < 0:
+                return False
+            seen.update(_levels(g, v, inside=vs))
     return True
 
 
 def graph_stats(g: Graph) -> GraphStats:
-    """Girth, bipartiteness, C4-freeness and connectivity in one shot."""
-    c4_free = not any(
-        len(g.adj[u] & g.adj[v]) >= 2 for u, v in itertools.combinations(range(g.n), 2)
-    )
-    return GraphStats(
-        girth=_girth(g),
-        bipartite=_is_bipartite(g),
-        c4_free=c4_free,
-        connected=len(connected_components(g)) <= 1,
-    )
+    """Girth, bipartiteness, C4-freeness and connectivity in one shot.
+
+    One breadth-first search per root.  An edge inside level d closes a cycle
+    of at most 2d + 1 vertices, a vertex at level d with two neighbours at
+    level d - 1 one of at most 2d, and a root on a shortest cycle sees its
+    length; so once a cycle of length c is known, later roots are searched
+    only to depth c // 2.  The first root of each component is searched in
+    full: the graph is bipartite iff no edge lies inside a level there.
+    """
+    c4_free = all(len(g.adj[u] & g.adj[v]) < 2 for u, v in itertools.combinations(range(g.n), 2))
+    girth = g.n + 1  # longer than any cycle
+    bipartite = True
+    seen: set[int] = set()
+    components = 0
+    for root in range(g.n):
+        first = root not in seen
+        levels = _levels(g, root, depth=None if first else girth // 2)
+        if first:
+            seen.update(levels)
+            components += 1
+        for v, d in levels.items():
+            parents = 0
+            for w in g.adj[v]:
+                e = levels.get(w)
+                if e == d:
+                    bipartite = False
+                    girth = min(girth, 2 * d + 1)
+                elif e == d - 1:
+                    parents += 1
+            if parents >= 2:
+                girth = min(girth, 2 * d)
+    return GraphStats(girth if girth <= g.n else None, bipartite, c4_free, components <= 1)
 
 
 def triangles(g: Graph) -> Iterator[tuple[int, int, int]]:

@@ -13,7 +13,7 @@ import itertools
 from dataclasses import dataclass
 from typing import AbstractSet, Mapping
 
-from .graphs import Graph
+from .graphs import Graph, induces_forest
 
 
 @dataclass(frozen=True)
@@ -129,30 +129,11 @@ def min_vertex_cover(g: Graph) -> CoverSplit:
 # feedback vertex set
 
 
-def _acyclic_without(g: Graph, removed: set[int]) -> bool:
-    parent = {v: v for v in range(g.n) if v not in removed}
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for u, v in g.edges:
-        if u in removed or v in removed:
-            continue
-        ru, rv = find(u), find(v)
-        if ru == rv:
-            return False
-        parent[ru] = rv
-    return True
-
-
 def min_feedback_vertex_set(g: Graph) -> FvsResult:
     """Exact FVS by subset enumeration in increasing size (desk scale only)."""
     for size in range(g.n + 1):
         for combo in itertools.combinations(range(g.n), size):
-            if _acyclic_without(g, set(combo)):
+            if induces_forest(g, set(range(g.n)).difference(combo)):
                 return FvsResult(frozenset(combo), size)
     raise AssertionError("removing all vertices always leaves a forest")
 

@@ -20,9 +20,9 @@ from .graphs import (
     Graph,
     add_universal_vertex,
     complete_graph,
-    connected_components,
     graph_stats,
     induced_subgraph,
+    induces_forest,
     parse_graph,
     serialize_graph,
     triangles,
@@ -266,12 +266,12 @@ def isi_to_mccis(g1: Graph, g2: Graph) -> ReductionOutput:
 
     Adds a universal vertex to each side; the two universal vertices are the
     only ones with high enough degree to be matched together, so the lifted
-    target is ``|V(g1)| + 1``.  Both inputs must be forests (m = n minus the
-    number of components), so that each output's feedback vertex set is at
-    most 1; an input with a cycle raises :class:`SoundnessError`.
+    target is ``|V(g1)| + 1``.  Both inputs must be forests, so that each
+    output's feedback vertex set is at most 1; an input with a cycle raises
+    :class:`SoundnessError`.
     """
     for name, g in (("g1", g1), ("g2", g2)):
-        if g.m != g.n - len(connected_components(g)):
+        if not induces_forest(g, range(g.n)):
             raise SoundnessError(f"{name} has a cycle; the lift needs forest inputs")
     out1 = add_universal_vertex(g1)
     out2 = add_universal_vertex(g2)
@@ -386,7 +386,7 @@ def verify_reduction(out: ReductionOutput, source_answer: bool) -> ReductionRepo
         )
     elif out.kind == "3partition":
         for side, g in (("g1", out.g1), ("g2", out.g2)):
-            check(f"{side}_is_forest", graph_stats(g).girth is None)
+            check(f"{side}_is_forest", induces_forest(g, range(g.n)))
         check(
             "host_size",
             out.g2.n == out.certificates["m"] * out.certificates["host_len"],

@@ -18,6 +18,8 @@ from mcislab.graphs import (
     edgeless_graph,
     graph_stats,
     induced_subgraph,
+    induces_connected,
+    induces_forest,
     is_induced_isomorphism,
     parse_graph,
     path_graph,
@@ -57,7 +59,7 @@ def test_parse_collapses_duplicate_edges():
 
 
 def test_parse_rejects_header_edge_count_mismatch():
-    for text in ("3 7\n0 1\n", "3 1\n0 1\n1 2\n", "p edge 3 2\ne 1 2\n", "2 -1\n"):
+    for text in ("3 7\n0 1\n", "3 1\n0 1\n1 2\n", "p edge 3 2\ne 1 2\n"):
         with pytest.raises(GraphParseError) as exc:
             parse_graph(text)
         assert "edge lines" in str(exc.value)
@@ -92,9 +94,14 @@ def test_parse_malformed_line_reports_line_number():
         ("p edge 3 1\nc comment\nf 1 2\n", 3, "expected edge line 'e u v'"),
         ("3 1\n0 x\n", 2, "endpoints must be integers"),
         ("# nothing but a comment\n\n", 1, "empty document"),
+        ("p edge 3 1\ne 0 1\n", 2, "endpoint out of range [1, 3]"),
+        ("1_0 0\n", 1, "header counts must be integers"),
+        ("3 1\n+0 \u0662\n", 2, "endpoints must be integers"),
+        ("3 -1\n", 1, "edge count must be non-negative"),
     ],
     ids=["dimacs-header", "header-tokens", "header-counts", "negative-n", "dimacs-edge",
-         "endpoint", "empty"],
+         "endpoint", "empty", "dimacs-range", "header-underscore", "endpoint-sign-and-digit",
+         "negative-m"],
 )
 def test_parse_errors_name_their_line(text, line_no, message):
     with pytest.raises(GraphParseError) as exc:
@@ -321,3 +328,33 @@ def test_connected_graph_one_component():
 
 def test_edgeless_graph_singletons():
     assert len(connected_components(edgeless_graph(3))) == 3
+
+
+# --- differential against networkx ------------------------------------------
+
+
+def test_structural_facts_match_networkx():
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(16)
+    cases = []
+    for n in range(6):  # every labelled graph with n <= 5
+        pairs = list(itertools.combinations(range(n), 2))
+        for keep in itertools.product((0, 1), repeat=len(pairs)):
+            cases.append(Graph.from_edges(n, itertools.compress(pairs, keep)))
+    for n in range(2, 41):
+        for p in (1.5 / n, 3 / n):
+            pairs = itertools.combinations(range(n), 2)
+            cases.append(Graph.from_edges(n, [e for e in pairs if rng.random() < p]))
+    for g in cases:
+        h = nx.empty_graph(g.n)
+        h.add_edges_from(g.edges)
+        stats = graph_stats(g)
+        assert (stats.girth or float("inf")) == nx.girth(h)
+        assert stats.bipartite == nx.is_bipartite(h)
+        assert stats.connected == (g.n == 0 or nx.is_connected(h))
+        components = sorted(map(sorted, nx.connected_components(h)))
+        assert sorted(map(sorted, connected_components(g))) == components
+        subset = [v for v in range(g.n) if rng.random() < 0.6]
+        sub = h.subgraph(subset)
+        assert induces_connected(g, subset) == (not subset or nx.is_connected(sub))
+        assert induces_forest(g, subset) == (not subset or nx.is_forest(sub))

@@ -10,23 +10,26 @@ from mcislab.solvers import SolveStats
 
 
 def _nodes():
+    """Every node of the package's syntax trees, with its module path and the
+    top-level statement it lies in."""
     modules = sorted(Path(mcislab.__file__).parent.rglob("*.py"))
     assert modules
     for path in modules:
-        for node in ast.walk(ast.parse(path.read_text(), str(path))):
-            yield path, node
+        for top in ast.parse(path.read_text(), str(path)).body:
+            for node in ast.walk(top):
+                yield path, top, node
 
 
 def test_no_guard_relies_on_assert():
     # python -O strips assert statements, so a guard written as one vanishes
-    found = [f"{path.name}:{node.lineno}" for path, node in _nodes() if isinstance(node, ast.Assert)]
+    found = [f"{path.name}:{node.lineno}" for path, _, node in _nodes() if isinstance(node, ast.Assert)]
     assert found == []
 
 
 def test_runtime_imports_are_standard_library():
     # the runtime package must install and run with nothing but the interpreter
     found = []
-    for path, node in _nodes():
+    for path, _, node in _nodes():
         if isinstance(node, ast.Import):
             names = [alias.name for alias in node.names]
         elif isinstance(node, ast.ImportFrom) and node.level == 0:
@@ -47,7 +50,7 @@ def test_no_module_reads_the_environment():
     names = {"environ", "environb", "getenv", "getenvb"}
     found = [
         f"{path.name}:{node.lineno}"
-        for path, node in _nodes()
+        for path, _, node in _nodes()
         if {getattr(node, "attr", None), getattr(node, "id", None), getattr(node, "name", None)} & names
     ]
     assert found == []
@@ -56,7 +59,7 @@ def test_no_module_reads_the_environment():
 def test_no_module_imports_a_name_it_never_reads():
     # an __init__.py's imports are its exports; __future__ imports are directives
     bound, read = set(), set()
-    for path, node in _nodes():
+    for path, _, node in _nodes():
         if path.name == "__init__.py":
             continue
         if isinstance(node, ast.Name):
@@ -70,17 +73,26 @@ def test_no_private_helper_is_left_unread():
     # a module-level private def or class that no other top-level statement of
     # the package reads is dead code; reads from tests do not keep it alive
     defined, readers = {}, {}
-    for path in sorted(Path(mcislab.__file__).parent.rglob("*.py")):
-        for index, top in enumerate(ast.parse(path.read_text(), str(path)).body):
-            owner = (path.name, index)
-            if isinstance(top, (ast.FunctionDef, ast.ClassDef)) and top.name.startswith("_"):
-                defined[f"{path.name}:{top.lineno} {top.name}"] = (top.name, owner)
-            for node in ast.walk(top):
-                name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
-                if name:
-                    readers.setdefault(name, set()).add(owner)
+    for path, top, node in _nodes():
+        if node is top and isinstance(top, (ast.FunctionDef, ast.ClassDef)) and top.name.startswith("_"):
+            defined[f"{path.name}:{top.lineno} {top.name}"] = (top.name, top)
+        name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+        if name:
+            readers.setdefault(name, set()).add(top)
     found = [where for where, (name, owner) in defined.items() if not readers.get(name, set()) - {owner}]
     assert found == []
+
+
+def test_only_the_one_breadth_first_search_builds_a_deque():
+    # graphs._levels is the package's one graph traversal; a deque built
+    # anywhere else is a second breadth-first search creeping back in
+    found = [
+        f"{path.stem}.{getattr(top, 'name', '')}:{node.lineno}"
+        for path, top, node in _nodes()
+        if isinstance(node, ast.Call)
+        and "deque" in {getattr(node.func, "id", None), getattr(node.func, "attr", None)}
+    ]
+    assert [where for where in found if not where.startswith("graphs._levels:")] == []
 
 
 def test_every_solve_counter_is_named_in_the_readme():
