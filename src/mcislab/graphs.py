@@ -313,19 +313,28 @@ def graph_stats(g: Graph) -> GraphStats:
     level d - 1 one of at most 2d, and a root on a shortest cycle sees its
     length; so once a cycle of length c is known, later roots are searched
     only to depth c // 2.  The first root of each component is searched in
-    full: the graph is bipartite iff no edge lies inside a level there.
+    full: the graph is bipartite iff no edge lies inside a level there, and
+    a component with one edge fewer than vertices is a tree, whose other
+    roots are skipped.  There is a 4-cycle iff some root u reaches some
+    x > u along two paths of length 2 (opposite corners); the test stops at
+    the first root that does.
     """
-    c4_free = all(len(g.adj[u] & g.adj[v]) < 2 for u, v in itertools.combinations(range(g.n), 2))
     girth = g.n + 1  # longer than any cycle
-    bipartite = True
-    seen: set[int] = set()
+    bipartite = c4_free = True
+    tree: dict[int, bool] = {}  # per vertex reached so far: is its component a tree
     components = 0
     for root in range(g.n):
-        first = root not in seen
+        if tree.get(root):
+            continue
+        first = root not in tree
         levels = _levels(g, root, depth=None if first else girth // 2)
         if first:
-            seen.update(levels)
             components += 1
+            acyclic = sum(len(g.adj[v]) for v in levels) == 2 * (len(levels) - 1)  # m = n - 1
+            tree.update(dict.fromkeys(levels, acyclic))
+        if c4_free:
+            ends = [x for w in g.adj[root] for x in g.adj[w] if x > root]
+            c4_free = len(set(ends)) == len(ends)
         for v, d in levels.items():
             parents = 0
             for w in g.adj[v]:

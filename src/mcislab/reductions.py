@@ -109,20 +109,21 @@ class ReductionReport:
 # shared pieces
 
 
+def _named(labels: list[str], edges: Iterable[tuple[str, str]]) -> Graph:
+    """Graph on ``labels``, numbered in label order, with edges as label pairs."""
+    index = {name: i for i, name in enumerate(labels)}
+    return Graph.from_edges(len(labels), ((index[a], index[b]) for a, b in edges), labels)
+
+
 def incidence_graph(g: Graph) -> Graph:
     """Bipartite incidence graph: one node per vertex, one per edge.
 
     Vertex nodes come first and keep 1-based labels ``v_i``; edge nodes are
     labeled ``e_u_v`` and are adjacent to their two endpoints.
     """
-    labels = [f"v_{i + 1}" for i in range(g.n)]
-    edges = []
-    for idx, (u, v) in enumerate(sorted(g.edges)):
-        node = g.n + idx
-        labels.append(f"e_{u + 1}_{v + 1}")
-        edges.append((u, node))
-        edges.append((v, node))
-    return Graph.from_edges(g.n + g.m, edges, labels)
+    ends = {f"e_{u + 1}_{v + 1}": (u, v) for u, v in sorted(g.edges)}
+    edges = [(f"v_{x + 1}", e) for e, pair in ends.items() for x in pair]
+    return _named([f"v_{i + 1}" for i in range(g.n)] + list(ends), edges)
 
 
 def has_clique(g: Graph, l: int) -> bool:
@@ -207,44 +208,25 @@ def cross_compose(instances: list[CliqueInstance]) -> ReductionOutput:
         )
     t = len(instances)
 
-    # host: p q r | a_1..a_t | e_uv for all pairs | v_1..v_n
-    labels = ["p", "q", "r"]
-    labels += [f"a_{i + 1}" for i in range(t)]
-    pair_list = list(itertools.combinations(range(n), 2))
-    e_index = {}
-    for u, v in pair_list:
-        e_index[(u, v)] = len(labels)
-        labels.append(f"e_{u + 1}_{v + 1}")
-    v_base = len(labels)
-    labels += [f"v_{i + 1}" for i in range(n)]
-    p, q, r = 0, 1, 2
-    edges = [(p, q), (p, r), (q, r)]
-    edges += [(r, 3 + i) for i in range(t)]
-    for i, inst in enumerate(instances):
-        for u, v in inst.graph.edges:
-            edges.append((3 + i, e_index[(u, v)]))
-    for u, v in pair_list:
-        edges.append((e_index[(u, v)], v_base + u))
-        edges.append((e_index[(u, v)], v_base + v))
-    g2 = Graph.from_edges(len(labels), edges, labels)
+    # host: p q r | a_1..a_t | e_u_v for all pairs | v_1..v_n
+    vnames = [f"v_{i + 1}" for i in range(n)]
+    enames = {(u, v): f"e_{u + 1}_{v + 1}" for u, v in itertools.combinations(range(n), 2)}
+    anames = [f"a_{i + 1}" for i in range(t)]
+    edges = [("p", "q"), ("p", "r"), ("q", "r")] + [("r", a) for a in anames]
+    for a, inst in zip(anames, instances):
+        edges += [(a, enames[pair]) for pair in inst.graph.edges]
+    edges += [(e, vnames[x]) for pair, e in enames.items() for x in pair]
+    g2 = _named(["p", "q", "r", *anames, *enames.values(), *vnames], edges)
 
     # pattern: p q r a | e_1..e_{l(l-1)/2} | v_1..v_l
-    plabels = ["p", "q", "r", "a"]
-    k_pairs = list(itertools.combinations(range(l), 2))
-    e1_base = 4
-    plabels += [f"e_{i + 1}" for i in range(len(k_pairs))]
-    v1_base = 4 + len(k_pairs)
-    plabels += [f"v_{i + 1}" for i in range(l)]
-    pedges = [(0, 1), (0, 2), (1, 2), (2, 3)]
-    pedges += [(3, e1_base + i) for i in range(len(k_pairs))]
-    for i, (u, v) in enumerate(k_pairs):
-        pedges.append((e1_base + i, v1_base + u))
-        pedges.append((e1_base + i, v1_base + v))
-    g1 = Graph.from_edges(len(plabels), pedges, plabels)
+    ends = {f"e_{i + 1}": pair for i, pair in enumerate(itertools.combinations(range(l), 2))}
+    pedges = [("p", "q"), ("p", "r"), ("q", "r"), ("r", "a")] + [("a", e) for e in ends]
+    pedges += [(e, f"v_{x + 1}") for e, pair in ends.items() for x in pair]
+    g1 = _named(["p", "q", "r", "a", *ends, *(f"v_{i + 1}" for i in range(l))], pedges)
 
     target = g1.n
     vc_g1 = vertex_cover_number(g1)
-    z = sorted([p, r] + [e_index[pair] for pair in pair_list])
+    z = sorted(_label_index(g2, name) for name in ["p", "r", *enames.values()])
     certificates = {
         "n": n,
         "l": l,

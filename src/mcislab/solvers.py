@@ -281,13 +281,13 @@ def _pack(
     """The component layer: give each pattern component a host component.
 
     ``comps`` is largest first with each class contiguous.  A host
-    component's share is the sorted tuple of pattern classes given to it;
-    adding a class must keep the share within the component's size and must
-    fit, which the vertex layer decides once per (share, host class) on the
-    disjoint union of the share's components.  Components of one class take
-    non-decreasing host indices, and of two host components that had the
-    same class and the same share when the class was reached, the later
-    one never gets more of it.  Images in different host components are
+    component's share is the tuple of pattern classes given to it, in the
+    order given; adding a class must fit, which the vertex layer decides
+    once per (share, host class) on the disjoint union of the share's
+    components (a share larger than the component fails before any
+    placement).  Components of one class take non-decreasing host indices,
+    and none goes to a host component while an earlier one of the same
+    class holds the same share.  Images in different host components are
     never adjacent, so the witness is built per host component.
     """
     hclasses = _component_classes(hadj, host_comps, tally)
@@ -308,33 +308,18 @@ def _pack(
         return fits[share, hc]
 
     share: list[tuple[int, ...]] = [()] * len(pools)
-    room = [len(c) for c in pools]
     where = [-1] * len(comps)
-    # per class: for each host component, the nearest earlier one with the same
-    # class and share when the class was reached, or the component itself
-    twins: dict[int, list[int]] = {}
     t = 0
     while 0 <= t < len(comps):
-        cid, size, h = classes[t], len(comps[t]), where[t]
+        cid, h = classes[t], where[t]
         if h >= 0:  # back again: take the component out and try further on
             share[h] = share[h][:-1]
-            room[h] += size
             lo = h + 1
-        elif t and classes[t - 1] == cid:
-            lo = where[t - 1]
         else:
-            lo = 0
-            last: dict[tuple[int, tuple[int, ...]], int] = {}
-            twins[cid] = []
-            for j, key in enumerate(zip(hclasses, share)):
-                twins[cid].append(last.get(key, j))
-                last[key] = j
-        tw = twins[cid]
+            lo = where[t - 1] if t and classes[t - 1] == cid else 0
         for h in range(lo, len(pools)):
-            if room[h] < size:
-                continue
-            if tw[h] != h and share[h].count(cid) >= share[tw[h]].count(cid):
-                continue
+            if (hclasses[h], share[h]) in zip(hclasses[:h], share):
+                continue  # an earlier host component of its class holds the same share
             if fit(share[h] + (cid,), hclasses[h]):
                 break
         else:
@@ -344,7 +329,6 @@ def _pack(
         tally[0] += 1
         where[t] = h
         share[h] += (cid,)
-        room[h] -= size
         t += 1
     if t < 0:
         return None

@@ -351,6 +351,8 @@ def test_structural_facts_match_networkx():
         stats = graph_stats(g)
         assert (stats.girth or float("inf")) == nx.girth(h)
         assert stats.bipartite == nx.is_bipartite(h)
+        common = (len(list(nx.common_neighbors(h, u, v))) for u, v in itertools.combinations(h, 2))
+        assert stats.c4_free == all(c < 2 for c in common)
         assert stats.connected == (g.n == 0 or nx.is_connected(h))
         components = sorted(map(sorted, nx.connected_components(h)))
         assert sorted(map(sorted, connected_components(g))) == components

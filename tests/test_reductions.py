@@ -122,6 +122,24 @@ def test_cross_compose_sizes():
     assert len(out.certificates["vertex_cover_z"]) == 8
 
 
+def test_cross_compose_vertex_numbering_is_pinned():
+    # the numbering is the on-disk form: manifest roles and edge-list ids
+    out = cross_compose([CliqueInstance(path_graph(3), 3), CliqueInstance(complete_graph(3), 3)])
+    assert out.g1.labels == ("p", "q", "r", "a", "e_1", "e_2", "e_3", "v_1", "v_2", "v_3")
+    assert sorted(out.g1.edges) == [
+        (0, 1), (0, 2), (1, 2), (2, 3), (3, 4), (3, 5), (3, 6),
+        (4, 7), (4, 8), (5, 7), (5, 9), (6, 8), (6, 9),
+    ]
+    assert out.g2.labels == (
+        "p", "q", "r", "a_1", "a_2", "e_1_2", "e_1_3", "e_2_3", "v_1", "v_2", "v_3",
+    )
+    assert sorted(out.g2.edges) == [
+        (0, 1), (0, 2), (1, 2), (2, 3), (2, 4), (3, 5), (3, 7), (4, 5),
+        (4, 6), (4, 7), (5, 8), (5, 9), (6, 8), (6, 10), (7, 9), (7, 10),
+    ]
+    assert out.certificates["vertex_cover_z"] == [0, 2, 5, 6, 7]
+
+
 def test_cross_compose_rejects_heterogeneous_batches():
     with pytest.raises(EquivalenceClassError):
         cross_compose(
