@@ -4,7 +4,8 @@ twin classes and cover tripartitions.
 One budgeted exact search (degree-1 reduction plus branching) gives both the
 vertex cover number and the lexicographically smallest minimum cover, the
 tie-break that keeps repeated runs reproducible: with budget n it returns the
-cover number, and with the budget left it tells whether a vertex still fits.
+cover number (summed per component), and with the budget left it tells
+whether a vertex still fits.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import itertools
 from dataclasses import dataclass
 from typing import AbstractSet, Mapping
 
-from .graphs import Graph, induces_forest
+from .graphs import Graph, connected_components, induces_forest
 
 
 @dataclass(frozen=True)
@@ -96,8 +97,9 @@ def _remove(adj: dict[int, set[int]], v: int) -> None:
 
 
 def vertex_cover_number(g: Graph) -> int:
-    """Size of a minimum vertex cover."""
-    return _cover_size(dict(enumerate(g.adj)), g.n)
+    """Size of a minimum vertex cover: the sum over the connected components,
+    which are covered independently."""
+    return sum(_cover_size({v: g.adj[v] for v in comp}, len(comp)) for comp in connected_components(g))
 
 
 def min_vertex_cover(g: Graph) -> CoverSplit:

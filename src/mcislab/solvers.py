@@ -25,10 +25,10 @@ each other:
   pairable member total, and at most the sum of ``min`` per degree
   signature of the classes' traces, which the bijections keep; it yields
   nothing if a to-independent vertex's signature is no opposite trace's.
-  These tests skip pairs before their first bijection, by bitmask lookup
-  in an index built once per bucket.  The cover bijections of a live pair
-  are placements of the vertex layer, the one search for induced
-  embeddings, over the adjacency inside the two matched parts.  The pair
+  These tests skip a pair where the pair loop visits it, before its
+  first bijection.  The cover bijections of a live pair are placements of
+  the vertex layer, the one search for induced embeddings, over the
+  adjacency inside the two matched parts.  The pair
   search reads cover positions and bitmasks only, and translates them to
   vertex ids only when it assembles a candidate.  Once a cover bijection is
   fixed, the twin classes pair only within label classes (their cover
@@ -681,10 +681,10 @@ def _iter_search(
     vertex's degree signature is offered by no opposite trace, is skipped
     before its first cover bijection, and a first-side tripartition whose
     own members cannot is skipped with all its pairs.  The opposite side of
-    a bucket is grouped by matched degree multiset once; per first-side
-    tripartition the static tests pick the live pairs of its group by
-    bitmask lookup, in visit order, and only those are tested one by one.
-    Each pair that passes them all draws its own cover bijections.
+    a bucket is grouped by matched degree multiset once; each pair of a
+    first-side tripartition with its group meets these tests where it is
+    visited, against the current ``best``, and each pair that passes them
+    all draws its own cover bijections.
     """
     c1, c2 = _Cover(g1, connected), _Cover(g2, connected)
     k1, k2 = len(c1.order), len(c2.order)
@@ -707,34 +707,27 @@ def _iter_search(
         by_degms: dict[tuple[int, ...], list[_Side]] = {}
         for s2 in c2.buckets[ms, i2s]:
             by_degms.setdefault(s2.part.degms, []).append(s2)
-        # per group and first-side key: the group positions passing the static tests
-        passing = _Table(lambda key: sum(
-            1 << p for p, s2 in enumerate(by_degms[key[0]])
-            if key[1] <= s2.part.offers and s2.needs <= key[2] and s2.total > key[3]
-        ))
         base = ms + i1s + i2s
         for s1 in trips1:
             if ub <= best[0]:
                 break
-            group = by_degms.get(s1.part.degms)
-            if group is None:
-                continue
+            group = by_degms.get(s1.part.degms, [])
             stats.pairs_tried += len(group)
-            # a pair can pair at most sum(min(L_sig, R_sig)) <= min(P1, P2)
-            # twin-class members: the label-class bound of any bijection sums
-            # min(L_key, R_key) over keys that each lie within one signature;
-            # and a to-independent vertex whose signature no opposite trace
-            # has fails _class_choices under every bijection
-            room = best[0] - base
-            live = passing[s1.part.degms, s1.needs, s1.part.offers, room] if s1.total > room else 0
-            opposite = [group[p] for p in _bits(live)]
-            stats.pairs_pruned += len(group) - len(opposite)
-            if not opposite:
+            if not group or base + s1.total <= best[0]:
+                stats.pairs_pruned += len(group)
                 continue
             by_sig1 = c1.by_sig[s1.mm, s1.im].items()
-            for s2 in opposite:
-                by_sig2 = c2.by_sig[s2.mm, s2.im]
-                if base + sum([min(n, by_sig2.get(sig, 0)) for sig, n in by_sig1]) <= best[0]:
+            for s2 in group:
+                # at most sum(min(L_sig, R_sig)) <= min(P1, P2) members pair: the
+                # label-class bound of any bijection sums min(L_key, R_key) over
+                # keys within one signature; and a to-independent vertex whose
+                # signature no opposite trace has fails every bijection's choices
+                if (
+                    base + s2.total <= best[0]
+                    or not s1.needs <= s2.part.offers
+                    or not s2.needs <= s1.part.offers
+                    or base + sum([min(n, c2.by_sig[s2.mm, s2.im].get(sig, 0)) for sig, n in by_sig1]) <= best[0]
+                ):
                     stats.pairs_pruned += 1
                     continue
                 yield from _search_pair(c1, c2, s1, s2, stats, best, ub)
@@ -807,10 +800,10 @@ def _search_pair(
         if ub <= best[0]:
             return
         stats.bijections_tried += 1
-        cands1 = _class_choices(c1, s1, sigma, c2.parts[s2.mm].traces)
+        cands1 = _class_choices(c1, s1, sigma, s2.part.traces)
         if cands1 is None:
             continue
-        cands2 = _class_choices(c2, s2, {v: u for u, v in sigma.items()}, c1.parts[s1.mm].traces)
+        cands2 = _class_choices(c2, s2, {v: u for u, v in sigma.items()}, s1.part.traces)
         if cands2 is None:
             continue
         plan = _class_plan(c1, c2, s1, s2, sigma)

@@ -396,6 +396,7 @@ def test_fpt_work_counters_stay_under_recorded_ceilings():
         "candidates_validated": 174,
         "choice_nodes": 1_527,
         "bijections_tried": 669,
+        "bijections_pruned": 31,
         "pairs_tried": 6_078,
         "pairs_pruned": 5_498,
     }

@@ -2,11 +2,14 @@
 
 import ast
 import dataclasses
+import re
 import sys
 from pathlib import Path
 
 import mcislab
 from mcislab.solvers import SolveStats
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def _nodes():
@@ -97,6 +100,15 @@ def test_only_the_one_breadth_first_search_builds_a_deque():
 
 def test_every_solve_counter_is_named_in_the_readme():
     # `solve --json` prints every SolveStats field; the README says what each counts
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    readme = (ROOT / "README.md").read_text()
     missing = [f.name for f in dataclasses.fields(SolveStats) if f"`{f.name}`" not in readme]
     assert missing == []
+
+
+def test_every_module_parses_at_the_python_floor():
+    # the interpreter running the tests may be newer than requires-python;
+    # parsing at the floor rejects syntax the floor lacks (except*, type aliases)
+    floor = re.search(r'requires-python = ">=(\d+)\.(\d+)"', (ROOT / "pyproject.toml").read_text())
+    version = (int(floor[1]), int(floor[2]))
+    for path in sorted(Path(mcislab.__file__).parent.rglob("*.py")):
+        ast.parse(path.read_text(), str(path), feature_version=version)
