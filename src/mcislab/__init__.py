@@ -23,7 +23,6 @@ from .graphs import (
 from .params import (
     CoverSplit,
     FvsResult,
-    Tripartition,
     TwinClass,
     TwinPartition,
     min_feedback_vertex_set,
@@ -49,6 +48,7 @@ from .solvers import (
     SolveQuery,
     SolveResult,
     SolveStats,
+    Tripartition,
     enumerate_configurations,
     isi_backtracking,
     mcis_bruteforce,

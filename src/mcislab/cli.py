@@ -127,14 +127,13 @@ def cmd_solve(args: argparse.Namespace) -> int:
     query = SolveQuery(g1, g2, connected=args.problem == "mccis")
     algo = args.algo
     if algo == "auto":
-        vc_max = max(vertex_cover_number(g1), vertex_cover_number(g2))
-        if vc_max <= VC_CUTOFF:
+        if max(vertex_cover_number(g1, VC_CUTOFF), vertex_cover_number(g2, VC_CUTOFF)) <= VC_CUTOFF:
             algo = "vc-fpt"
         elif max(g1.n, g2.n) <= ORACLE_BOUND:
             algo = "brute"
         else:
             raise CliError(
-                f"refusing: max cover size {vc_max} exceeds cutoff {VC_CUTOFF} "
+                f"refusing: a minimum vertex cover exceeds cutoff {VC_CUTOFF} "
                 f"and inputs exceed the oracle bound {ORACLE_BOUND}",
                 EXIT_REFUSED,
             )

@@ -1,11 +1,11 @@
-"""Structural parameters: minimum vertex cover, minimum feedback vertex set,
-twin classes and cover tripartitions.
+"""Structural parameters: minimum vertex cover, minimum feedback vertex set
+and twin classes.
 
 One budgeted exact search (degree-1 reduction plus branching) gives both the
 vertex cover number and the lexicographically smallest minimum cover, the
 tie-break that keeps repeated runs reproducible: with budget n it returns the
-cover number (summed per component), and with the budget left it tells
-whether a vertex still fits.
+cover number (summed per component), with a smaller budget whether the
+cover fits it, and with the budget left whether a vertex still fits.
 """
 
 from __future__ import annotations
@@ -23,16 +23,6 @@ class CoverSplit:
 
     cover: frozenset[int]
     independent: frozenset[int]
-
-
-@dataclass(frozen=True)
-class Tripartition:
-    """One assignment of cover vertices to the roles matched / unused /
-    matched-into-the-opposite-independent-set."""
-
-    matched: frozenset[int]
-    unused: frozenset[int]
-    to_independent: frozenset[int]
 
 
 @dataclass(frozen=True)
@@ -96,10 +86,16 @@ def _remove(adj: dict[int, set[int]], v: int) -> None:
             del adj[w]
 
 
-def vertex_cover_number(g: Graph) -> int:
+def vertex_cover_number(g: Graph, budget: int | None = None) -> int:
     """Size of a minimum vertex cover: the sum over the connected components,
-    which are covered independently."""
-    return sum(_cover_size({v: g.adj[v] for v in comp}, len(comp)) for comp in connected_components(g))
+    which are covered independently.  With a ``budget``, budget + 1 as soon
+    as the sum exceeds it."""
+    cap, total = g.n if budget is None else budget, 0
+    for comp in connected_components(g):
+        total += _cover_size({v: g.adj[v] for v in comp}, cap - total)
+        if total > cap:
+            break  # by exactly one: the search stopped at the budget left
+    return total
 
 
 def min_vertex_cover(g: Graph) -> CoverSplit:
@@ -141,7 +137,7 @@ def min_feedback_vertex_set(g: Graph) -> FvsResult:
 
 
 # ---------------------------------------------------------------------------
-# twins and tripartitions
+# twins
 
 
 def twin_partition(g: Graph, split: CoverSplit) -> TwinPartition:

@@ -19,8 +19,9 @@ each other:
   cover-to-twin-class assignments.  Each side holds its cover adjacency and
   twin classes as bitmasks (:class:`_Cover`) and generates its
   tripartitions per size bucket when the search first reaches it, buckets
-  in decreasing order of their ceiling; to-independent parts must be
-  independent, and for MCCIS the cover part linked.  A tripartition pair
+  in decreasing order of their ceiling, by one depth-first walk over the
+  roles; to-independent parts must be independent, and for MCCIS the
+  cover part linked.  A tripartition pair
   can pair at most ``min(P1, P2)`` twin-class members, P being a side's
   pairable member total, and at most the sum of ``min`` per degree
   signature of the classes' traces, which the bijections keep; it yields
@@ -65,7 +66,7 @@ from .graphs import (
     induces_connected,
     is_induced_isomorphism,
 )
-from .params import Tripartition, min_vertex_cover, twin_partition
+from .params import min_vertex_cover, twin_partition
 
 # the most vertices a graph may have for the brute-force oracle to take it
 ORACLE_BOUND = 10
@@ -121,6 +122,15 @@ class SolveResult:
     witness: VertexMapping
     method: str
     stats: SolveStats
+
+
+@dataclass(frozen=True)
+class Tripartition:
+    """A cover's vertices by role: matched, unused, or matched into the opposite independent set."""
+
+    matched: frozenset[int]
+    unused: frozenset[int]
+    to_independent: frozenset[int]
 
 
 @dataclass(frozen=True)
@@ -500,7 +510,7 @@ class _Cover:
 
     def __init__(self, g: Graph, connected: bool):
         split = min_vertex_cover(g)
-        self.g, self.cover, self.connected = g, split.cover, connected
+        self.g, self.connected = g, connected
         self.twins = twin_partition(g, split)
         self.order = sorted(split.cover)
         pos = {v: j for j, v in enumerate(self.order)}
@@ -523,7 +533,6 @@ class _Cover:
             s: n for s, mk in self.parts[key[0]].sig_members.items()
             if (n := (mk & self.free[key[1]]).bit_count())
         })
-        self.choices = _Table(self._choices)
         self.linked = _Table(lambda used: _spans(used, self.adjmask, self.nbhdmask))
         # per to-independent part: the members of the classes with no neighbor in it
         self.free = _Table(
@@ -539,7 +548,7 @@ class _Cover:
 
     def trip(self, s: _Side) -> Tripartition:
         matched, to_indep = frozenset(self.vertices(s.mm)), frozenset(self.vertices(s.im))
-        return Tripartition(matched, self.cover - matched - to_indep, to_indep)
+        return Tripartition(matched, frozenset(self.order) - matched - to_indep, to_indep)
 
     def _part(self, mm: int) -> _Part:
         """Signatures and twin classes by trace in the matched part ``mm``."""
@@ -562,47 +571,41 @@ class _Cover:
         return {trace: keep for trace, idxs in self.parts[mm].traces.items()
                 if (keep := [idx for idx in idxs if not self.nbhdmask[idx] & im])}
 
-    def _choices(self, key: tuple[int, bool]) -> list[tuple[int, int]]:
-        """The cover's ``size``-subsets, or its independent ones, each grown
-        from a smaller one, as (mask, weight): the weight is the subset's
-        value in base 3 with position 0 the most significant digit."""
-        size, independent = key
-        k = len(self.order)
-        return [(0, 0)] if size == 0 else [
-            (mask | 1 << j, w + 3 ** (k - 1 - j)) for mask, w in self.choices[size - 1, independent]
-            for j in range(mask.bit_length(), k) if not (independent and self.adjmask[j] & mask)
-        ]
-
     def _bucket(self, sizes: tuple[int, int]) -> list[_Side]:
         """The tripartition generator: the cover's tripartitions with
-        ``sizes`` (matched, to-independent), in ``itertools.product`` order
+        ``sizes`` (matched, to-independent) in ``itertools.product`` order
         over the roles (matched, unused, to-independent), smallest vertex
-        most significant, which ranks a choice by W(I) − W(M).
-
-        The matched part M runs over all subsets, the to-independent part I
-        over the independent ones that miss M: I maps into an independent
-        set.  In connected mode M ∪ I must be non-empty and connected through
-        cover edges and shared twin-class neighborhoods: those are a
-        candidate's cover vertices on this side, and its other vertices are
-        pairwise non-adjacent.  Only the kept choices are built.  A twin
-        class adjacent to I cannot pair, so ``total`` counts the members of
-        the others (the empty trace only outside connected mode, as in the
-        class plan); ``needs`` holds the signature in M of each vertex of I,
-        which an opposite part must offer.
+        most significant, from one depth-first walk that tries the roles in
+        that order at each position.  A branch ends once the positions left
+        cannot hold the roles left; once no role is left, the rest are
+        unused.  The to-independent part I is independent: it maps into an
+        independent set.  In connected mode M ∪ I must be non-empty and
+        connected through cover edges and shared twin-class neighborhoods,
+        as a candidate's cover vertices on this side are (its other vertices
+        are pairwise non-adjacent).  A twin class adjacent to I cannot pair,
+        so ``total`` counts the members of the others (the empty trace only
+        outside connected mode, as in the class plan); ``needs`` holds the
+        signature in M of each vertex of I, which an opposite part must
+        offer.
         """
-        m, i = sizes
-        kept = []
-        for mm, wm in self.choices[m, False]:
-            for im, wi in self.choices[i, True]:
-                if not im & mm and (not self.connected or self.linked[mm | im]):
-                    kept.append((wi - wm, mm, im))
-        kept.sort()
-        bucket = []
-        for _, mm, im in kept:
-            part = self.parts[mm]
-            needs = frozenset([part.sig_at[j] for j in self.positions[im]])
-            total = (sum(part.sig_members.values()) & self.free[im]).bit_count()
-            bucket.append(_Side(part, mm, im, total, needs))
+        k, bucket = len(self.order), []
+
+        def walk(j: int, mm: int, im: int, m: int, i: int) -> None:
+            if m + i > k - j:
+                return
+            if m or i:
+                if m:
+                    walk(j + 1, mm | 1 << j, im, m - 1, i)
+                walk(j + 1, mm, im, m, i)
+                if i and not self.adjmask[j] & im:
+                    walk(j + 1, mm, im | 1 << j, m, i - 1)
+            elif not self.connected or self.linked[mm | im]:
+                part = self.parts[mm]
+                needs = frozenset([part.sig_at[p] for p in self.positions[im]])
+                total = (sum(part.sig_members.values()) & self.free[im]).bit_count()
+                bucket.append(_Side(part, mm, im, total, needs))
+
+        walk(0, 0, 0, *sizes)
         return bucket
 
 

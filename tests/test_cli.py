@@ -20,7 +20,7 @@ from mcislab.cli import (
     EXIT_USAGE,
     main,
 )
-from mcislab.corpus import random_graph_pair
+from mcislab.corpus import random_graph, random_graph_pair
 from mcislab.graphs import (
     Graph,
     complete_graph,
@@ -163,7 +163,22 @@ def test_solve_auto_past_the_cover_cutoff_uses_the_oracle_or_refuses(problem, gr
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == (
-        "error: refusing: max cover size 10 exceeds cutoff 8 "
+        "error: refusing: a minimum vertex cover exceeds cutoff 8 "
+        "and inputs exceed the oracle bound 10\n"
+    )
+
+
+def test_solve_auto_refuses_dense_inputs_without_an_exact_cover(graph_files, capsys):
+    # routing asks only whether both covers fit the cutoff; the exact cover
+    # numbers of two G(30, 0.5) graphs took about half a minute before refusing
+    paths = [graph_files(f"g{seed}.el", random_graph(random.Random(seed), 30, 0.5)) for seed in (1, 2)]
+    started = time.perf_counter()
+    assert main(["solve", "--problem", "mcis", *paths]) == EXIT_REFUSED
+    assert time.perf_counter() - started < 3.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: refusing: a minimum vertex cover exceeds cutoff 8 "
         "and inputs exceed the oracle bound 10\n"
     )
 

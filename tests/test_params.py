@@ -17,13 +17,12 @@ from mcislab.graphs import (
 from mcislab.params import (
     CoverSplit,
     min_feedback_vertex_set,
-    Tripartition,
     min_vertex_cover,
     twin_partition,
     vertex_cover_number,
 )
 from mcislab.corpus import random_graph
-from mcislab.solvers import _Cover
+from mcislab.solvers import Tripartition, _Cover
 
 
 def brute_min_cover_size(g: Graph) -> int:
@@ -312,12 +311,16 @@ def test_tripartition_order_is_product_order():
 
 def test_tripartition_size_buckets_filter_the_full_stream():
     rng = random.Random(46)
-    graphs = [edgeless_graph(2)] + [random_graph(rng, rng.randint(2, 10), rng.choice((0.2, 0.5))) for _ in range(60)]
+    draws = [edgeless_graph(2)] + [random_graph(rng, rng.randint(2, 10), rng.choice((0.2, 0.5))) for _ in range(60)]
+    graphs = [g for g in draws if vertex_cover_number(g) <= 6]
+    # and the first seeded draws with covers 7 and 8, the largest covers that
+    # `solve --algo auto` sends to the FPT: 3^8 role vectors per mode
+    rng = random.Random(7)
+    wide = (random_graph(rng, rng.randint(10, 13), 0.3) for _ in itertools.count())
+    graphs += [next(g for g in wide if vertex_cover_number(g) == k) for k in (7, 8)]
     covers = set()
     for g in graphs:
         k = vertex_cover_number(g)
-        if k > 6:
-            continue
         covers.add(k)
         for conn in (False, True):
             full = reference(g, conn)
@@ -326,9 +329,22 @@ def test_tripartition_size_buckets_filter_the_full_stream():
                 assert bucket == expected, (g.edges, conn, m, i)
                 if m + i > k:
                     assert expected == []
-    assert covers == set(range(7))
+    assert covers == set(range(9))
 
 
 def test_vertex_cover_number_helper():
     assert vertex_cover_number(cycle_graph(6)) == 3
     assert vertex_cover_number(edgeless_graph(4)) == 0
+
+
+def test_vertex_cover_number_stops_past_its_budget():
+    # with a budget the search answers only whether the cover fits it
+    rng = random.Random(19)
+    # two odd cycles, covers 3 and 4: the budget left runs on across components
+    cycles = Graph.from_edges(12, [(j, (j + 1) % 5) for j in range(5)] + [(5 + j, 5 + (j + 1) % 7) for j in range(7)])
+    graphs = [edgeless_graph(3), cycle_graph(7), cycles]
+    graphs += [random_graph(rng, rng.randint(2, 14), rng.choice((0.1, 0.3, 0.6))) for _ in range(40)]
+    for g in graphs:
+        k = vertex_cover_number(g)
+        for budget in range(k + 2):
+            assert vertex_cover_number(g, budget) == min(k, budget + 1), (g.edges, budget)

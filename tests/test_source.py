@@ -86,6 +86,20 @@ def test_no_private_helper_is_left_unread():
     assert found == []
 
 
+def test_no_private_class_sets_an_attribute_left_unread():
+    # an attribute that a private class sets on self and no code of the
+    # package reads is dead state, such as a memo table a refactor left behind
+    stored, read = {}, set()
+    for path, top, node in _nodes():
+        if not isinstance(node, ast.Attribute):
+            continue
+        if isinstance(node.ctx, ast.Load):
+            read.add(node.attr)
+        elif isinstance(top, ast.ClassDef) and top.name.startswith("_") and getattr(node.value, "id", None) == "self":
+            stored.setdefault(node.attr, f"{path.name}:{node.lineno} {top.name}.{node.attr}")
+    assert [where for name, where in stored.items() if name not in read] == []
+
+
 def test_only_the_one_breadth_first_search_builds_a_deque():
     # graphs._levels is the package's one graph traversal; a deque built
     # anywhere else is a second breadth-first search creeping back in
