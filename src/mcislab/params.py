@@ -4,8 +4,9 @@ and twin classes.
 One budgeted exact search (degree-1 reduction plus branching) gives both the
 vertex cover number and the lexicographically smallest minimum cover, the
 tie-break that keeps repeated runs reproducible: with budget n it returns the
-cover number (summed per component), with a smaller budget whether the
-cover fits it, and with the budget left whether a vertex still fits.
+cover number, with a smaller budget whether the cover fits it, and with the
+budget left whether a vertex still fits.  Both run it once per connected
+component, since components are covered independently.
 """
 
 from __future__ import annotations
@@ -101,25 +102,27 @@ def vertex_cover_number(g: Graph, budget: int | None = None) -> int:
 def min_vertex_cover(g: Graph) -> CoverSplit:
     """Lexicographically smallest minimum vertex cover and its complement.
 
-    Forces each vertex in increasing order while the residual graph still has
-    a cover within the budget left; a vertex that does not fit is banned,
+    Per connected component, with that component's cover size as its budget:
+    forces each vertex in increasing order while the residual component still
+    has a cover within the budget left; a vertex that does not fit is banned,
     which forces its remaining neighbors.
     """
-    residual = {v: set(nbrs) for v, nbrs in enumerate(g.adj) if nbrs}
-    k = _cover_size(residual, g.n)
     chosen: set[int] = set()
-    for v in range(g.n):
-        if v not in residual:
-            # already chosen, or isolated: forcing it would waste budget
-            continue
-        budget = k - len(chosen) - 1
-        if _cover_size({w: ns - {v} for w, ns in residual.items() if w != v}, budget) <= budget:
-            _remove(residual, v)
-            chosen.add(v)
-        else:
-            chosen |= residual[v]
-            for w in list(residual[v]):
-                _remove(residual, w)
+    for comp in connected_components(g):
+        residual = {v: set(g.adj[v]) for v in comp if g.adj[v]}
+        k = len(chosen) + _cover_size(residual, len(comp))
+        for v in sorted(comp):
+            if v not in residual:
+                # already chosen, or isolated: forcing it would waste budget
+                continue
+            budget = k - len(chosen) - 1
+            if _cover_size({w: ns - {v} for w, ns in residual.items() if w != v}, budget) <= budget:
+                _remove(residual, v)
+                chosen.add(v)
+            else:
+                chosen |= residual[v]
+                for w in list(residual[v]):
+                    _remove(residual, w)
     return CoverSplit(frozenset(chosen), frozenset(range(g.n)) - frozenset(chosen))
 
 

@@ -40,10 +40,11 @@ each other:
   step for both sides, gives each to-independent cover vertex a twin class
   and tests each choice as it is made: members left in the class,
   adjacency agreeing with the opposite side's choices, and the size still
-  reachable, which only falls.  So every assembled mapping is induced by
-  construction, and for MCCIS, after a link test on masks, connected; the
-  arbiter and the connectivity check still test each one, as guards that
-  raise :class:`WitnessError`.
+  reachable, which only falls; for MCCIS the class must also meet the
+  opposite side's used cover vertices.  So every assembled mapping is
+  induced by construction; the arbiter still tests each one, as a guard
+  that raises :class:`WitnessError`.  For MCCIS, ``induces_connected``
+  alone decides which cover parts are linked and which candidates stay.
 
 :func:`enumerate_configurations` exposes the same enumeration as a stream.
 The threshold question "is there a common induced subgraph on ``k``
@@ -95,6 +96,9 @@ class SolveStats:
     FPT choice search reaches, and ``choice_nodes`` the class choices it places
     (within capacity and agreeing on cross adjacency with the choices before
     it; a choice that cannot beat the best size ends its branch).
+    ``candidates_validated`` counts the candidates the arbiter checks; in
+    MCCIS, ``configurations - candidates_validated`` counts the candidates
+    the connectivity test rejects.
     ``bijections_tried`` counts the cover bijections the FPT examines and
     ``bijections_pruned`` those the label-class bound skips whole.
     ``pairs_tried`` counts the tripartition pairs with equal matched degree
@@ -452,21 +456,6 @@ def _bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def _spans(used: int, adj: list[int], cliques: list[int]) -> bool:
-    """Whether the positions of ``used`` are non-empty and connected through
-    the edges ``adj`` (neighbor masks) and the cliques (masks) inside it."""
-    reach, grown = 0, used & -used
-    while grown != reach:
-        reach = grown
-        for j in _bits(reach):
-            grown |= adj[j]
-        for c in cliques:
-            if c & reach:
-                grown |= c
-        grown &= used
-    return reach == used != 0
-
-
 class _Table(dict):
     """A dict that fills a missing key from ``fill(key)`` on first lookup."""
 
@@ -533,7 +522,7 @@ class _Cover:
             s: n for s, mk in self.parts[key[0]].sig_members.items()
             if (n := (mk & self.free[key[1]]).bit_count())
         })
-        self.linked = _Table(lambda used: _spans(used, self.adjmask, self.nbhdmask))
+        self.linked = _Table(self._linked)
         # per to-independent part: the members of the classes with no neighbor in it
         self.free = _Table(
             lambda im: sum(b for b, nb in zip(self.members, self.nbhdmask) if not nb & im)
@@ -571,6 +560,14 @@ class _Cover:
         return {trace: keep for trace, idxs in self.parts[mm].traces.items()
                 if (keep := [idx for idx in idxs if not self.nbhdmask[idx] & im])}
 
+    def _linked(self, used: int) -> bool:
+        """Whether the cover part ``used`` is non-empty and connected with
+        one member of each twin class that meets it: members are pairwise
+        non-adjacent and meet only their class neighborhood, so one stands
+        for all, as in any candidate with this cover part."""
+        reps = [c.members[0] for c, nb in zip(self.twins.classes, self.nbhdmask) if nb & used]
+        return used != 0 and induces_connected(self.g, [*self.vertices(used), *reps])
+
     def _bucket(self, sizes: tuple[int, int]) -> list[_Side]:
         """The tripartition generator: the cover's tripartitions with
         ``sizes`` (matched, to-independent) in ``itertools.product`` order
@@ -579,10 +576,8 @@ class _Cover:
         that order at each position.  A branch ends once the positions left
         cannot hold the roles left; once no role is left, the rest are
         unused.  The to-independent part I is independent: it maps into an
-        independent set.  In connected mode M ∪ I must be non-empty and
-        connected through cover edges and shared twin-class neighborhoods,
-        as a candidate's cover vertices on this side are (its other vertices
-        are pairwise non-adjacent).  A twin class adjacent to I cannot pair,
+        independent set.  In connected mode M ∪ I must be linked
+        (:meth:`_linked`).  A twin class adjacent to I cannot pair,
         so ``total`` counts the members of the others (the empty trace only
         outside connected mode, as in the class plan); ``needs`` holds the
         signature in M of each vertex of I, which an opposite part must
@@ -655,12 +650,17 @@ def _assemble(
 
 
 def _class_choices(
-    c: _Cover, s: _Side, image: dict[int, int], traces: dict[int, list[int]]
+    c: _Cover, s: _Side, image: dict[int, int], other: _Cover, o: _Side
 ) -> list[list[int]] | None:
-    """For each to-independent position of ``s``, the opposite twin classes
-    whose trace is the image under ``image`` of its neighbors in the matched
-    part; None if one has none."""
-    cands = [traces.get(c.image(c.adjmask[u] & s.mm, image)) for u in c.positions[s.im]]
+    """For each to-independent position of ``s``, the twin classes of
+    ``other`` whose trace in ``o``'s matched part is the image under
+    ``image`` of its neighbors in ``s``'s; None if one has none.  In
+    connected mode a class must also meet ``o``'s used cover positions: its
+    members meet no other vertex of a candidate, so they would be isolated."""
+    cands = [o.part.traces.get(c.image(c.adjmask[u] & s.mm, image), []) for u in c.positions[s.im]]
+    if c.connected:
+        used = o.mm | o.im
+        cands = [[x for x in cs if other.nbhdmask[x] & used] for cs in cands]
     return cands if all(cands) else None
 
 
@@ -756,17 +756,14 @@ def _search_pair(
     Below it a depth-first search (``place``) chooses the classes, first
     side first, and cuts a branch as soon as a choice exceeds its class's
     members, disagrees on cross adjacency with a choice made, or drops the
-    size to ``best``.  In connected mode a complete assignment must also
-    pass a test on masks: its first-side cover vertices connected through
-    cover edges and the neighborhoods of the twin classes that give it a
-    member, each with a neighbor among them.  For a candidate of two or
-    more vertices that test is exact, since class members are pairwise
-    non-adjacent and meet the cover only in their class neighborhood.
+    size to ``best``.  In connected mode the choices hold only classes
+    that meet the opposite used cover positions (:func:`_class_choices`),
+    and an assembled candidate is kept only if it induces a connected
+    subgraph of the first graph.
     """
     g1, g2, nbhd1, nbhd2 = c1.g, c2.g, c1.nbhdmask, c2.nbhdmask
     indep1, indep2 = c1.positions[s1.im], c2.positions[s2.im]
     base = s1.mm.bit_count() + len(indep1) + len(indep2)
-    used1, connected = s1.mm | s1.im, c1.connected
     chosen: list[int] = []  # the classes chosen so far, the first side's first
 
     # depth first over the steps of the bijection below, in product order, one
@@ -803,10 +800,10 @@ def _search_pair(
         if ub <= best[0]:
             return
         stats.bijections_tried += 1
-        cands1 = _class_choices(c1, s1, sigma, s2.part.traces)
+        cands1 = _class_choices(c1, s1, sigma, c2, s2)
         if cands1 is None:
             continue
-        cands2 = _class_choices(c2, s2, {v: u for u, v in sigma.items()}, s1.part.traces)
+        cands2 = _class_choices(c2, s2, {v: u for u, v in sigma.items()}, c1, s1)
         if cands2 is None:
             continue
         plan = _class_plan(c1, c2, s1, s2, sigma)
@@ -822,21 +819,15 @@ def _search_pair(
         steps = [(u, cs, 1) for u, cs in zip(indep1, cands1)] + [(y, cs, 0) for y, cs in zip(indep2, cands2)]
         for size in place(0, bound):
             stats.configurations += 1
-            if connected:
-                # a key's classes share their neighborhood among used1
-                gives = [nbhd1[r] for r in chosen[len(indep1) :]]
-                gives += [nbhd1[lefts[0]] for (lefts, _), n1, n2 in zip(plan, *free) if min(n1, n2)]
-                if not all(c & used1 for c in gives) or not _spans(used1, c1.adjmask, gives):
-                    continue
             mapping = _assemble(c1, c2, s1, s2, sigma, chosen, plan)
             if len(mapping) != size:
                 raise WitnessError(f"assembled {len(mapping)} pairs where the class plan predicts {size}")
+            # the arbiter makes both sides isomorphic, so one side's connectivity decides
+            if c1.connected and not induces_connected(g1, [u for u, _ in mapping.pairs]):
+                continue
             stats.candidates_validated += 1
             if not is_induced_isomorphism(g1, g2, mapping):
                 raise WitnessError(f"mcis_vc_fpt built a non-induced mapping {mapping.pairs}")
-            # both sides are isomorphic, so one side's connectivity decides
-            if connected and not induces_connected(g1, [u for u, _ in mapping.pairs]):
-                raise WitnessError(f"mcis_vc_fpt built a disconnected candidate {mapping.pairs}")
             bijection = tuple((c1.order[u], c2.order[v]) for u, v in sorted(sigma.items()))
             config = CoverConfiguration(c1.trip(s1), c2.trip(s2), bijection)
             yield config, mapping

@@ -30,7 +30,7 @@ from mcislab.graphs import (
     path_graph,
     serialize_graph,
 )
-from mcislab.params import vertex_cover_number
+from mcislab.params import min_vertex_cover, vertex_cover_number
 from mcislab.reductions import CheckOutcome, ReductionReport, read_reduction
 from mcislab.solvers import SolveQuery, mcis_bruteforce, mcis_vc_fpt
 
@@ -522,11 +522,15 @@ def test_analyze_json(graph_files, capsys):
 
 def test_analyze_covers_many_disjoint_triangles_component_by_component(graph_files, capsys):
     # one cover search over the whole union branched once per triangle and
-    # ended in a RecursionError after about 6 s; per component it is linear
+    # ended in a RecursionError after about 6 s; per component it is linear.
+    # The smallest cover's forcing loop did the same after about 5 s
     edges = [(3 * t + a, 3 * t + b) for t in range(1_200) for a, b in ((0, 1), (1, 2), (0, 2))]
     triangles = Graph.from_edges(3_600, edges)
     started = time.perf_counter()
     assert vertex_cover_number(triangles) == 2_400
+    assert time.perf_counter() - started < 1.0
+    started = time.perf_counter()
+    assert min_vertex_cover(triangles).cover == {v for t in range(1_200) for v in (3 * t, 3 * t + 1)}
     assert time.perf_counter() - started < 1.0
     assert main(["analyze", "--json", graph_files("triangles.el", triangles)]) == EXIT_OK
     assert json.loads(capsys.readouterr().out)["result"]["vertex_cover_size"] == 2_400

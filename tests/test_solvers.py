@@ -202,13 +202,14 @@ def test_witness_guards_raise_without_assert(monkeypatch):
     monkeypatch.setattr(solvers, "is_induced_isomorphism", lambda *args: False)
     with pytest.raises(WitnessError):
         mcis_vc_fpt(SolveQuery(path_graph(3), path_graph(3)))
-    # and so is the final connectivity check: with a mask test that passes
-    # every part, the two edges of 2K2 reach it as one disconnected candidate
+    # connectivity decides rather than guards: the two edges of 2K2 are one
+    # disconnected common subgraph, which MCCIS passes over for one edge
     monkeypatch.undo()
-    monkeypatch.setattr(solvers, "_spans", lambda *args: True)
     two_edges = Graph.from_edges(4, [(0, 1), (2, 3)])
-    with pytest.raises(WitnessError, match="disconnected"):
-        mcis_vc_fpt(SolveQuery(two_edges, two_edges, connected=True))
+    query = SolveQuery(two_edges, two_edges, connected=True)
+    result = mcis_vc_fpt(query)
+    assert result.size == 2
+    assert_valid_witness(query, result)
 
 
 # --- the FPT solver --------------------------------------------------------
@@ -373,7 +374,7 @@ def test_fpt_matches_bruteforce_on_pairs_with_several_components():
 
 
 def test_cover_links_connect_a_part_iff_it_and_its_independent_neighbors_do():
-    # links: cover edges and shared twin-class neighborhoods, held as masks
+    # one member of each twin class that meets the part stands for all of them
     rng = random.Random(45)
     for _ in range(40):
         g, _ = random_graph_pair(rng, 9)
@@ -389,14 +390,16 @@ def test_cover_links_connect_a_part_iff_it_and_its_independent_neighbors_do():
 
 def test_fpt_work_counters_stay_under_recorded_ceilings():
     # summed over check seeds 1-20 (the first 120 check-oracle solves); the
-    # ceilings are the exact sums once the choice layer became one search, so
-    # a change that adds work fails here even when timing noise hides it
+    # ceilings are the exact sums once MCCIS dropped the twin classes whose
+    # members would be isolated from its choices (303 configurations, 1,527
+    # choice nodes and 31 bijections pruned before), so a change that adds
+    # work fails here even when timing noise hides it
     ceilings = {
-        "configurations": 303,
+        "configurations": 174,
         "candidates_validated": 174,
-        "choice_nodes": 1_527,
+        "choice_nodes": 1_242,
         "bijections_tried": 669,
-        "bijections_pruned": 31,
+        "bijections_pruned": 30,
         "pairs_tried": 6_078,
         "pairs_pruned": 5_498,
     }
@@ -412,8 +415,8 @@ def test_fpt_work_counters_stay_under_recorded_ceilings():
                     totals[name] += getattr(stats, name)
                 connected_candidates += stats.candidates_validated if conn else 0
     assert all(totals[name] <= ceilings[name] for name in ceilings), totals
-    # the connectivity pre-test: 202 connected candidates were validated
-    # before it, most of them then failing the final connectivity check
+    # only connected candidates are validated: 202 were before the cover-part
+    # filter, most of them then failing the final connectivity check
     assert connected_candidates <= 101
 
 
@@ -441,6 +444,25 @@ def test_fpt_choice_layer_tests_each_class_choice_as_it_is_made():
     assert result.size == 12
     assert_valid_witness(query, result)
     assert result.stats.configurations <= 100 and result.stats.choice_nodes > 0
+
+
+def test_fpt_mccis_chooses_no_twin_class_that_would_be_isolated():
+    # the 10th pair of the mid draw (n=18, p=0.1): tested for connectivity
+    # only at complete assignments, it reached 191,627 choice nodes and 52,516
+    # configurations, of which 2 were connected
+    rng = random.Random(3)
+    pairs = [
+        (random_graph(rng, n, p), random_graph(rng, n, p))
+        for n in (12, 14, 16, 18, 20) for p in (0.1, 0.2, 0.3)
+    ]
+    query = SolveQuery(*pairs[9], connected=True)
+    result = mcis_vc_fpt(query)
+    assert result.size == 8
+    assert_valid_witness(query, result)
+    assert result.stats.choice_nodes <= 12_000
+    assert result.stats.configurations <= 36
+    # the connectivity test rejects the other assignments without raising
+    assert result.stats.candidates_validated < result.stats.configurations
 
 
 def test_fpt_matches_networkx_ismags_past_the_bruteforce_bound():
