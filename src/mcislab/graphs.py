@@ -16,7 +16,7 @@ import re
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from typing import AbstractSet, Iterable, Iterator
+from typing import Container, Iterable, Iterator
 
 
 class GraphParseError(ValueError):
@@ -255,7 +255,7 @@ def add_universal_vertex(g: Graph) -> Graph:
 
 
 def _levels(
-    g: Graph, start: int, inside: AbstractSet[int] | None = None, depth: int | None = None
+    g: Graph, start: int, inside: Container[int] | None = None, depth: int | None = None
 ) -> dict[int, int]:
     """Breadth-first distances from ``start``, through ``inside`` only when it
     is given and at most ``depth`` deep when that is given."""
@@ -311,23 +311,25 @@ def graph_stats(g: Graph) -> GraphStats:
     One breadth-first search per root.  An edge inside level d closes a cycle
     of at most 2d + 1 vertices, a vertex at level d with two neighbours at
     level d - 1 one of at most 2d, and a root on a shortest cycle sees its
-    length; so once a cycle of length c is known, later roots are searched
-    only to depth c // 2.  The first root of each component is searched in
-    full: the graph is bipartite iff no edge lies inside a level there, and
-    a component with one edge fewer than vertices is a tree, whose other
-    roots are skipped.  There is a 4-cycle iff some root u reaches some
-    x > u along two paths of length 2 (opposite corners); the test stops at
-    the first root that does.
+    length.  The first root of each component is searched in full: the graph
+    is bipartite iff no edge lies inside a level there, and a component with
+    one edge fewer than vertices is a tree, whose other roots are skipped.
+    Every cycle lies among the vertices no smaller than its smallest vertex,
+    which has two larger neighbours on it; so a later root is searched only
+    among larger vertices, only if two of its neighbours are larger, and
+    once a cycle of length c is known only to depth c // 2.  There is a
+    4-cycle iff some root u reaches some x > u along two paths of length 2
+    (opposite corners); the test stops at the first root that does.
     """
     girth = g.n + 1  # longer than any cycle
     bipartite = c4_free = True
     tree: dict[int, bool] = {}  # per vertex reached so far: is its component a tree
     components = 0
     for root in range(g.n):
-        if tree.get(root):
-            continue
         first = root not in tree
-        levels = _levels(g, root, depth=None if first else girth // 2)
+        if tree.get(root) or not first and sum(w > root for w in g.adj[root]) < 2:
+            continue
+        levels = _levels(g, root) if first else _levels(g, root, range(root, g.n), girth // 2)
         if first:
             components += 1
             acyclic = sum(len(g.adj[v]) for v in levels) == 2 * (len(levels) - 1)  # m = n - 1

@@ -1,12 +1,12 @@
 """Structural parameters: minimum vertex cover, minimum feedback vertex set
 and twin classes.
 
-One budgeted exact search (degree-1 reduction plus branching) gives both the
-vertex cover number and the lexicographically smallest minimum cover, the
-tie-break that keeps repeated runs reproducible: with budget n it returns the
-cover number, with a smaller budget whether the cover fits it, and with the
-budget left whether a vertex still fits.  Both run it once per connected
-component, since components are covered independently.
+One budgeted exact search (leaf and triangle reductions, then branching)
+gives both the vertex cover number and the lexicographically smallest minimum
+cover, the tie-break that keeps repeated runs reproducible: with budget n it
+returns the cover number, with a smaller budget whether the cover fits it,
+and with the budget left whether a vertex still fits.  Both run it once per
+connected component, since components are covered independently.
 """
 
 from __future__ import annotations
@@ -54,21 +54,23 @@ class FvsResult:
 def _cover_size(adj: Mapping[int, AbstractSet[int]], budget: int) -> int:
     """Minimum cover size of ``adj`` if it is at most ``budget``, else budget + 1.
 
-    Branches on a vertex of maximum degree against its smallest neighbor and
-    stops a branch once it cannot fit the budget.  ``adj`` is not modified.
+    Takes the neighbors of a leaf, else of a triangle's degree-2 corner,
+    while there is one (some minimum cover holds them all), then branches on a
+    vertex of maximum degree against its smallest neighbor and stops a
+    branch once it cannot fit the budget.  ``adj`` is not modified.
     """
     adj = {v: set(nbrs) for v, nbrs in adj.items() if nbrs}
     taken = 0
     while taken <= budget:
-        leaf = next((v for v, nbrs in adj.items() if len(nbrs) == 1), None)
-        if leaf is None:
+        ns = next((s for s in adj.values() if len(s) == 1), None) or next(
+            (s for s in adj.values() if len(s) == 2 and max(s) in adj[min(s)]), None)
+        if ns is None:
             break
-        # degree-1 reduction: some minimum cover contains the leaf's neighbor
-        (u,) = adj[leaf]
-        _remove(adj, u)
-        taken += 1
+        taken += len(ns)
+        for u in list(ns):
+            _remove(adj, u)
     if not adj:
-        return taken  # at most budget + 1
+        return min(taken, budget + 1)
     if taken >= budget:
         return budget + 1
     u = max(adj, key=lambda v: (len(adj[v]), -v))

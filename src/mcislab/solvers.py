@@ -21,11 +21,13 @@ each other:
   tripartitions per size bucket when the search first reaches it, buckets
   in decreasing order of their ceiling, by one depth-first walk over the
   roles; to-independent parts must be independent, and for MCCIS the
-  cover part linked.  A tripartition pair
-  can pair at most ``min(P1, P2)`` twin-class members, P being a side's
-  pairable member total, and at most the sum of ``min`` per degree
-  signature of the classes' traces, which the bijections keep; it yields
-  nothing if a to-independent vertex's signature is no opposite trace's.
+  cover part linked.  A kept tripartition's ``pairs`` mask, which every
+  pair bound and class plan reads, holds the members of the twin classes
+  that can pair.  A tripartition pair can pair at most ``min(P1, P2)``
+  members, P being a side's mask size, and at most the sum of ``min`` per
+  degree signature of the classes' traces, which the bijections keep; it
+  yields nothing if a to-independent vertex's signature is no opposite
+  trace's.
   These tests skip a pair where the pair loop visits it, before its
   first bijection.  The cover bijections of a live pair are placements of
   the vertex layer, the one search for induced embeddings, over the
@@ -476,8 +478,9 @@ class _Part(NamedTuple):
     degms: tuple[int, ...]  # the part's own signature
     offers: frozenset[tuple[int, ...]]  # the signatures of all twin-class traces
     sig_at: list[tuple[int, ...]]  # per cover position: its neighbors' signature
-    sig_members: dict[tuple[int, ...], int]  # per trace signature: members that count
+    sig_members: dict[tuple[int, ...], int]  # per trace signature: the members of its classes
     traces: dict[int, list[int]]  # twin classes by trace
+    counted: int  # the members of the classes that may pair in this part
 
 
 class _Side(NamedTuple):
@@ -486,7 +489,7 @@ class _Side(NamedTuple):
     part: _Part  # the matched part's signatures
     mm: int  # the matched positions
     im: int  # the to-independent positions
-    total: int  # member total of the pairable classes that can pair
+    pairs: int  # the members of the twin classes that can pair
     needs: frozenset[tuple[int, ...]]  # the to-independent vertices' signatures
 
 
@@ -515,12 +518,10 @@ class _Cover:
         self.inner = _Table(lambda mm: {
             j: frozenset(self.positions[self.adjmask[j] & mm]) for j in self.positions[mm]
         })
-        self.pairable = _Table(self._pairable)
-        # per (matched, to-independent) part: the members of the pairable
-        # classes that can pair, counted per degree signature of their trace
-        self.by_sig = _Table(lambda key: {
-            s: n for s, mk in self.parts[key[0]].sig_members.items()
-            if (n := (mk & self.free[key[1]]).bit_count())
+        # per (matched part, members that can pair): the classes that can pair, by trace
+        self.pairable = _Table(lambda key: {
+            trace: keep for trace, idxs in self.parts[key[0]].traces.items()
+            if (keep := [idx for idx in idxs if self.members[idx] & key[1]])
         })
         self.linked = _Table(self._linked)
         # per to-independent part: the members of the classes with no neighbor in it
@@ -540,25 +541,20 @@ class _Cover:
         return Tripartition(matched, frozenset(self.order) - matched - to_indep, to_indep)
 
     def _part(self, mm: int) -> _Part:
-        """Signatures and twin classes by trace in the matched part ``mm``."""
+        """Signatures and twin classes by trace in the matched part ``mm``.
+        In connected mode a class with an empty trace may not pair: its
+        paired members would be isolated in the candidate."""
         degree = [(a & mm).bit_count() for a in self.adjmask]
         sig = _Table(lambda t: tuple(sorted([degree[j] for j in self.positions[t]])))
         sig_members: dict[tuple[int, ...], int] = {}
         traces: dict[int, list[int]] = {}
         for idx, (nb, mk) in enumerate(zip(self.nbhdmask, self.members)):
             traces.setdefault(nb & mm, []).append(idx)
-            if nb & mm or not self.connected:  # as in the class plan
-                s = sig[nb & mm]
-                sig_members[s] = sig_members.get(s, 0) | mk
+            s = sig[nb & mm]
+            sig_members[s] = sig_members.get(s, 0) | mk
+        counted = sum([mk for nb, mk in zip(self.nbhdmask, self.members) if nb & mm or not self.connected])
         offers = frozenset([sig[t] for t in traces])
-        return _Part(sig[mm], offers, [sig[a & mm] for a in self.adjmask], sig_members, traces)
-
-    def _pairable(self, key: tuple[int, int]) -> dict[int, list[int]]:
-        """The twin classes with no neighbor in the to-independent part, by
-        trace in the matched part."""
-        mm, im = key
-        return {trace: keep for trace, idxs in self.parts[mm].traces.items()
-                if (keep := [idx for idx in idxs if not self.nbhdmask[idx] & im])}
+        return _Part(sig[mm], offers, [sig[a & mm] for a in self.adjmask], sig_members, traces, counted)
 
     def _linked(self, used: int) -> bool:
         """Whether the cover part ``used`` is non-empty and connected with
@@ -577,9 +573,9 @@ class _Cover:
         cannot hold the roles left; once no role is left, the rest are
         unused.  The to-independent part I is independent: it maps into an
         independent set.  In connected mode M ∪ I must be linked
-        (:meth:`_linked`).  A twin class adjacent to I cannot pair,
-        so ``total`` counts the members of the others (the empty trace only
-        outside connected mode, as in the class plan); ``needs`` holds the
+        (:meth:`_linked`).  A twin class adjacent to I cannot pair
+        (``free``), nor one that M does not count (:meth:`_part`), so
+        ``pairs`` holds the members of the others; ``needs`` holds the
         signature in M of each vertex of I, which an opposite part must
         offer.
         """
@@ -597,8 +593,7 @@ class _Cover:
             elif not self.connected or self.linked[mm | im]:
                 part = self.parts[mm]
                 needs = frozenset([part.sig_at[p] for p in self.positions[im]])
-                total = (sum(part.sig_members.values()) & self.free[im]).bit_count()
-                bucket.append(_Side(part, mm, im, total, needs))
+                bucket.append(_Side(part, mm, im, part.counted & self.free[im], needs))
 
         walk(0, 0, 0, *sizes)
         return bucket
@@ -609,15 +604,14 @@ def _class_plan(
 ) -> list[tuple[list[int], list[int]]]:
     """Pairable twin classes under ``sigma``, one ``(left, right)`` entry per key.
 
-    A key is the image in the second graph's matched cover part of a class's
+    The classes are those with members in the side's ``pairs`` mask.  A key
+    is the image in the second graph's matched cover part of a class's
     trace; classes pair only within a key present on both sides (sigma is a
-    bijection, so distinct traces keep distinct images).  In connected mode
-    the empty key is dropped (its vertices would be isolated in the
-    candidate).
+    bijection, so distinct traces keep distinct images).
     """
-    pairable2, connected = c2.pairable[s2.mm, s2.im], c1.connected
-    keyed = [(lefts, c1.image(trace, sigma)) for trace, lefts in c1.pairable[s1.mm, s1.im].items()]
-    return [(lefts, pairable2[key]) for lefts, key in keyed if key in pairable2 and (key or not connected)]
+    pairable2 = c2.pairable[s2.mm, s2.pairs]
+    keyed = [(lefts, c1.image(trace, sigma)) for trace, lefts in c1.pairable[s1.mm, s1.pairs].items()]
+    return [(lefts, pairable2[key]) for lefts, key in keyed if key in pairable2]
 
 
 def _assemble(
@@ -679,15 +673,15 @@ def _iter_search(
     Buckets (matched size and the two to-independent sizes) are visited in
     decreasing order of their ceiling; each side's tripartitions of one
     bucket come from its :class:`_Cover` when the search first reaches it.
-    A tripartition pair whose pairable twin-class members cannot lift the
-    bucket's cover part above ``best``, or in which a to-independent
-    vertex's degree signature is offered by no opposite trace, is skipped
-    before its first cover bijection, and a first-side tripartition whose
-    own members cannot is skipped with all its pairs.  The opposite side of
-    a bucket is grouped by matched degree multiset once; each pair of a
-    first-side tripartition with its group meets these tests where it is
-    visited, against the current ``best``, and each pair that passes them
-    all draws its own cover bijections.
+    A tripartition pair whose ``pairs`` masks cannot lift the bucket's
+    cover part above ``best``, as a whole or per trace signature, or in
+    which a to-independent vertex's degree signature is offered by no
+    opposite trace, is skipped before its first cover bijection, and a
+    first-side tripartition whose own mask cannot is skipped with all its
+    pairs.  The opposite side of a bucket is grouped by matched degree
+    multiset once; each pair of a first-side tripartition with its group
+    meets these tests where it is visited, against the current ``best``,
+    and each pair that passes them all draws its own cover bijections.
     """
     c1, c2 = _Cover(g1, connected), _Cover(g2, connected)
     k1, k2 = len(c1.order), len(c2.order)
@@ -716,20 +710,22 @@ def _iter_search(
                 break
             group = by_degms.get(s1.part.degms, [])
             stats.pairs_tried += len(group)
-            if not group or base + s1.total <= best[0]:
+            if not group or base + s1.pairs.bit_count() <= best[0]:
                 stats.pairs_pruned += len(group)
                 continue
-            by_sig1 = c1.by_sig[s1.mm, s1.im].items()
+            by_sig1 = [(sig, n) for sig, mk in s1.part.sig_members.items() if (n := (mk & s1.pairs).bit_count())]
             for s2 in group:
                 # at most sum(min(L_sig, R_sig)) <= min(P1, P2) members pair: the
                 # label-class bound of any bijection sums min(L_key, R_key) over
                 # keys within one signature; and a to-independent vertex whose
                 # signature no opposite trace has fails every bijection's choices
                 if (
-                    base + s2.total <= best[0]
+                    base + s2.pairs.bit_count() <= best[0]
                     or not s1.needs <= s2.part.offers
                     or not s2.needs <= s1.part.offers
-                    or base + sum([min(n, c2.by_sig[s2.mm, s2.im].get(sig, 0)) for sig, n in by_sig1]) <= best[0]
+                    or base + sum([
+                        min(n, (s2.part.sig_members.get(sig, 0) & s2.pairs).bit_count()) for sig, n in by_sig1
+                    ]) <= best[0]
                 ):
                     stats.pairs_pruned += 1
                     continue

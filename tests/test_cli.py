@@ -536,6 +536,30 @@ def test_analyze_covers_many_disjoint_triangles_component_by_component(graph_fil
     assert json.loads(capsys.readouterr().out)["result"]["vertex_cover_size"] == 2_400
 
 
+def test_every_command_takes_adversarial_shapes_within_two_seconds(graph_files, capsys):
+    # the cover search ended the triangle chain in a RecursionError, and
+    # analyze took 18 s on the cycle, searching every root to depth 2,500.
+    # A relabelled path holds the cover search's scan for each next leaf to time
+    triangles = [(3 * t + a, 3 * t + b) for t in range(1_200) for a, b in ((0, 1), (1, 2), (0, 2))]
+    label = random.Random(1).sample(range(6_000), 6_000)
+    shapes = {
+        "chain": Graph.from_edges(3_600, triangles + [(3 * t + 2, 3 * t + 3) for t in range(1_199)]),
+        "cycle": cycle_graph(5_000),
+        "path": path_graph(6_000),
+        "relabelled-path": Graph.from_edges(6_000, [(label[v], label[v + 1]) for v in range(5_999)]),
+        "star": Graph.from_edges(5_001, [(0, v) for v in range(1, 5_001)]),
+    }
+    p3 = graph_files("p3.el", path_graph(3))
+    for name, g in shapes.items():
+        path = graph_files(f"{name}.el", g)
+        solves = [["solve", "--problem", problem, p3, path] for problem in ("isi", "mcis", "mccis")]
+        for argv in [["analyze", path], *solves]:
+            started = time.perf_counter()
+            assert main(argv) in (EXIT_OK, EXIT_USAGE, EXIT_REFUSED), (name, argv[:3])
+            assert time.perf_counter() - started < 2.0, (name, argv[:3])
+            capsys.readouterr()
+
+
 # --- round trip: reduce then solve ------------------------------------------
 
 

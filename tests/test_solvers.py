@@ -465,27 +465,55 @@ def test_fpt_mccis_chooses_no_twin_class_that_would_be_isolated():
     assert result.stats.candidates_validated < result.stats.configurations
 
 
+def to_networkx(nx, g):
+    """``g`` as a networkx graph on the same vertex ids."""
+    h = nx.empty_graph(g.n)
+    h.add_edges_from(g.edges)
+    return h
+
+
 def test_fpt_matches_networkx_ismags_past_the_bruteforce_bound():
     # an MCIS oracle that shares no code with the package, on pairs whose
     # choice layer places many class choices
     nx = pytest.importorskip("networkx")
     from networkx.algorithms.isomorphism import ISMAGS
 
-    def to_nx(g):
-        h = nx.Graph()
-        h.add_nodes_from(range(g.n))
-        h.add_edges_from(g.edges)
-        return h
-
     rng = random.Random(6)
     placed = 0
     for n, p in [(11, 0.2), (11, 0.3), (12, 0.2), (12, 0.3)] * 2:
         g1, g2 = random_graph(rng, n, p), random_graph(rng, n, p)
-        best = next(iter(ISMAGS(to_nx(g1), to_nx(g2)).largest_common_subgraph()), {})
+        best = next(iter(ISMAGS(to_networkx(nx, g1), to_networkx(nx, g2)).largest_common_subgraph()), {})
         result = mcis_vc_fpt(SolveQuery(g1, g2))
         assert result.size == len(best), (g1.edges, g2.edges)
         placed += result.stats.choice_nodes
     assert placed > 1_000
+
+
+def test_fpt_mccis_matches_a_networkx_oracle_past_the_bruteforce_bound():
+    # an MCCIS oracle that shares no code with the package: the largest
+    # connected vertex subset of g1 that VF2 finds node-induced in g2
+    nx = pytest.importorskip("networkx")
+    from networkx.algorithms.isomorphism import GraphMatcher
+
+    def oracle(h1, h2):
+        for size in range(len(h1), 0, -1):
+            for subset in itertools.combinations(h1, size):
+                sub = h1.subgraph(subset)
+                if nx.is_connected(sub) and GraphMatcher(h2, sub).subgraph_is_isomorphic():
+                    return size
+        return 0
+
+    rng = random.Random(6)
+    for n, p in [(11, 0.2), (11, 0.3)] * 4:
+        g1, g2 = random_graph(rng, n, p), random_graph(rng, n, p)
+        h1, h2 = to_networkx(nx, g1), to_networkx(nx, g2)
+        result = mcis_vc_fpt(SolveQuery(g1, g2, connected=True))
+        assert result.size == oracle(h1, h2), (g1.edges, g2.edges)
+        left = h1.subgraph([u for u, _ in result.witness.pairs])
+        right = h2.subgraph([v for _, v in result.witness.pairs])
+        assert nx.is_connected(left) and nx.is_connected(right)
+        image = nx.relabel_nodes(left, dict(result.witness.pairs))
+        assert set(map(frozenset, image.edges)) == set(map(frozenset, right.edges))
 
 
 def test_cover_bijections_are_the_induced_permutations_each_once():
