@@ -7,6 +7,7 @@ from .graphs import (
     GraphParseError,
     GraphStats,
     MappingError,
+    SizeBoundError,
     VertexMapping,
     add_universal_vertex,
     complete_graph,

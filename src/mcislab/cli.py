@@ -17,7 +17,7 @@ import time
 from pathlib import Path
 
 from . import harness
-from .graphs import Graph, GraphParseError, connected_components, graph_stats, parse_graph
+from .graphs import Graph, GraphParseError, SizeBoundError, connected_components, graph_stats, parse_graph
 from .params import min_feedback_vertex_set, vertex_cover_number
 from .reductions import (
     CliqueInstance,
@@ -72,6 +72,8 @@ def _load_graph(path: str) -> tuple[Graph, str]:
         return parse_graph(text), text
     except GraphParseError as exc:
         raise CliError(f"{path}: {exc}") from exc
+    except SizeBoundError as exc:
+        raise CliError(f"{path}: {exc}", EXIT_REFUSED) from exc
 
 
 def _report(args: argparse.Namespace, digest: str, result: dict, started: float, stats=None) -> dict:
@@ -191,6 +193,8 @@ def cmd_reduce(args: argparse.Namespace) -> int:
             inst = ThreePartitionInstance(items, args.groups, args.target_sum)
             out = three_partition_to_forest_isi(inst)
             digest = _digest(args.which, args.items, str(args.groups), str(args.target_sum))
+    except SizeBoundError as exc:
+        raise CliError(str(exc), EXIT_REFUSED) from exc
     except ValueError as exc:
         raise CliError(str(exc)) from exc
 

@@ -27,6 +27,17 @@ class GraphParseError(ValueError):
         self.line_no = line_no
 
 
+# the most vertices a parsed graph or a built gadget may have
+MAX_VERTICES = 100_000
+
+
+class SizeBoundError(RuntimeError):
+    """A graph, parsed or built, would have more than MAX_VERTICES vertices."""
+
+    def __init__(self, message: str):
+        super().__init__(f"{message}, above the size bound {MAX_VERTICES}")
+
+
 class MappingError(ValueError):
     """A vertex mapping violates its contract (not injective, out of range)."""
 
@@ -158,7 +169,8 @@ def parse_graph(text: str) -> Graph:
     comment lines, a ``p edge`` header prefix, an ``e`` edge prefix, 1-based
     endpoints.  In both, ``#`` starts a comment, and the header's ``m`` must
     equal the number of edge lines; duplicate edge lines count there but
-    collapse to one edge.
+    collapse to one edge.  A header above :data:`MAX_VERTICES` vertices
+    raises :class:`SizeBoundError` before anything is built.
     """
     dimacs: bool | None = None
     header: tuple[int, int, int] | None = None  # n, m and the header's line number
@@ -186,6 +198,8 @@ def parse_graph(text: str) -> Graph:
             if min(a, b) < 0:
                 what = "vertex" if a < 0 else "edge"
                 raise GraphParseError(line_no, f"{what} count must be non-negative")
+            if a > MAX_VERTICES:
+                raise SizeBoundError(f"line {line_no}: header declares {a} vertices")
             header = (a, b, line_no)
             continue
         if a == b:

@@ -1,12 +1,10 @@
 """Structural parameters: minimum vertex cover, minimum feedback vertex set
 and twin classes.
 
-One budgeted exact search (leaf and triangle reductions, then branching)
-gives both the vertex cover number and the lexicographically smallest minimum
-cover, the tie-break that keeps repeated runs reproducible: with budget n it
-returns the cover number, with a smaller budget whether the cover fits it,
-and with the budget left whether a vertex still fits.  Both run it once per
-connected component, since components are covered independently.
+One exact search returns a minimum cover within a budget, or None.  The cover
+number sums its covers over the connected components.  The lexicographically
+smallest minimum cover (a tie-break that keeps runs reproducible) holds one per
+component as a certificate and searches only for the vertices it leaves out.
 """
 
 from __future__ import annotations
@@ -51,80 +49,82 @@ class FvsResult:
 # vertex cover
 
 
-def _cover_size(adj: Mapping[int, AbstractSet[int]], budget: int) -> int:
-    """Minimum cover size of ``adj`` if it is at most ``budget``, else budget + 1.
+def _cover(adj: Mapping[int, AbstractSet[int]], budget: int) -> set[int] | None:
+    """A minimum cover of ``adj`` if one has at most ``budget`` vertices, else None.
 
-    Takes the neighbors of a leaf, else of a triangle's degree-2 corner,
-    while there is one (some minimum cover holds them all), then branches on a
-    vertex of maximum degree against its smallest neighbor and stops a
-    branch once it cannot fit the budget.  ``adj`` is not modified.
+    Depth-first on an explicit stack: takes the neighbors of a leaf, else of a
+    triangle's degree-2 corner, from a worklist of the vertices whose degree
+    fell (some minimum cover holds them all), then branches on a vertex of
+    maximum degree against its smallest neighbor.  ``adj`` is not modified.
     """
-    adj = {v: set(nbrs) for v, nbrs in adj.items() if nbrs}
-    taken = 0
-    while taken <= budget:
-        ns = next((s for s in adj.values() if len(s) == 1), None) or next(
-            (s for s in adj.values() if len(s) == 2 and max(s) in adj[min(s)]), None)
-        if ns is None:
-            break
-        taken += len(ns)
-        for u in list(ns):
-            _remove(adj, u)
-    if not adj:
-        return min(taken, budget + 1)
-    if taken >= budget:
-        return budget + 1
-    u = max(adj, key=lambda v: (len(adj[v]), -v))
-    v = min(adj[u])
-    rest = budget - taken - 1
-    best = _cover_size({w: ns - {u} for w, ns in adj.items() if w != u}, rest)
-    _remove(adj, v)
-    # the second branch only matters if it beats the first
-    return taken + 1 + min(best, _cover_size(adj, best - 1))
+    best, residual = None, {v: set(nbrs) for v, nbrs in adj.items() if nbrs}
+    stack = [(residual, set(), list(residual))]
+    while stack:
+        residual, taken, work = stack.pop()
+        while work and len(taken) <= budget:
+            ns = residual.get(work.pop(), ())
+            if len(ns) == 1 or len(ns) == 2 and max(ns) in residual[min(ns)]:
+                for u in list(ns):
+                    taken.add(u)
+                    work += _remove(residual, u)
+        if not residual and len(taken) <= budget:
+            best, budget = taken, len(taken) - 1
+        if len(taken) >= budget:
+            continue  # no branch below can beat the budget or the best cover
+        u = max(residual, key=lambda w: (len(residual[w]), -w))
+        v = min(residual[u])
+        other = {w: set(ns) for w, ns in residual.items()}
+        stack.append((other, taken | {v}, list(_remove(other, v))))
+        taken.add(u)
+        stack.append((residual, taken, list(_remove(residual, u))))  # runs first
+    return best
 
 
-def _remove(adj: dict[int, set[int]], v: int) -> None:
-    for w in adj.pop(v, ()):
+def _remove(adj: dict[int, set[int]], v: int) -> set[int]:
+    nbrs = adj.pop(v, set())
+    for w in nbrs:
         adj[w].discard(v)
         if not adj[w]:
             del adj[w]
+    return nbrs
 
 
 def vertex_cover_number(g: Graph, budget: int | None = None) -> int:
     """Size of a minimum vertex cover: the sum over the connected components,
-    which are covered independently.  With a ``budget``, budget + 1 as soon
-    as the sum exceeds it."""
+    which are covered independently.  With a ``budget``, budget + 1 once the
+    sum exceeds it."""
     cap, total = g.n if budget is None else budget, 0
     for comp in connected_components(g):
-        total += _cover_size({v: g.adj[v] for v in comp}, cap - total)
-        if total > cap:
-            break  # by exactly one: the search stopped at the budget left
+        cover = _cover({v: g.adj[v] for v in comp}, cap - total)
+        if cover is None:
+            return cap + 1
+        total += len(cover)
     return total
 
 
 def min_vertex_cover(g: Graph) -> CoverSplit:
     """Lexicographically smallest minimum vertex cover and its complement.
 
-    Per connected component, with that component's cover size as its budget:
-    forces each vertex in increasing order while the residual component still
-    has a cover within the budget left; a vertex that does not fit is banned,
-    which forces its remaining neighbors.
+    Per connected component, decides each vertex in increasing order against
+    a minimum cover of the residual graph held as a certificate: forced if a
+    minimum cover holds it, which a cover one smaller without it shows, else
+    banned, since then every minimum cover holds its neighbors, now forced.
     """
     chosen: set[int] = set()
     for comp in connected_components(g):
         residual = {v: set(g.adj[v]) for v in comp if g.adj[v]}
-        k = len(chosen) + _cover_size(residual, len(comp))
+        cert = _cover(residual, len(comp))
         for v in sorted(comp):
             if v not in residual:
-                # already chosen, or isolated: forcing it would waste budget
+                # already chosen, or isolated, so in no minimum cover
                 continue
-            budget = k - len(chosen) - 1
-            if _cover_size({w: ns - {v} for w, ns in residual.items() if w != v}, budget) <= budget:
-                _remove(residual, v)
-                chosen.add(v)
-            else:
-                chosen |= residual[v]
-                for w in list(residual[v]):
-                    _remove(residual, w)
+            if v not in cert:
+                trial = _cover({w: ns - {v} for w, ns in residual.items() if w != v}, len(cert) - 1)
+                cert = cert if trial is None else trial | {v}
+            for w in [v] if v in cert else list(residual[v]):
+                chosen.add(w)
+                cert.discard(w)
+                _remove(residual, w)
     return CoverSplit(frozenset(chosen), frozenset(range(g.n)) - frozenset(chosen))
 
 

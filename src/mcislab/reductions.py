@@ -17,7 +17,9 @@ from pathlib import Path
 from typing import Iterable
 
 from .graphs import (
+    MAX_VERTICES,
     Graph,
+    SizeBoundError,
     add_universal_vertex,
     complete_graph,
     graph_stats,
@@ -173,6 +175,9 @@ def clique_to_incidence_isi(g: Graph, k: int) -> ReductionOutput:
     """
     if k < 3:
         raise ValueError("k must be at least 3 (k <= 2 is trivial and excluded)")
+    size = max(k + k * (k - 1) // 2, g.n + g.m)
+    if size > MAX_VERTICES:
+        raise SizeBoundError(f"the gadget would have {size} vertices")
     g1 = incidence_graph(complete_graph(k))
     g2 = incidence_graph(g)
     target = k + k * (k - 1) // 2
@@ -207,6 +212,9 @@ def cross_compose(instances: list[CliqueInstance]) -> ReductionOutput:
             "all instances must share the same vertex count and clique size"
         )
     t = len(instances)
+    size = max(3 + t + n * (n - 1) // 2 + n, 4 + l * (l - 1) // 2 + l)
+    if size > MAX_VERTICES:
+        raise SizeBoundError(f"the gadget would have {size} vertices")
 
     # host: p q r | a_1..a_t | e_u_v for all pairs | v_1..v_n
     vnames = [f"v_{i + 1}" for i in range(n)]
@@ -289,6 +297,8 @@ def three_partition_to_forest_isi(inst: ThreePartitionInstance) -> ReductionOutp
             "items must satisfy B/4 < a_i < B/2; the packing argument needs it"
         )
     host_len = inst.B + 2
+    if inst.m * host_len > MAX_VERTICES:  # the pattern has m * B vertices
+        raise SizeBoundError(f"the gadget would have {inst.m * host_len} vertices")
     g1 = _labelled_paths((a, f"piece_{i + 1}") for i, a in enumerate(inst.items))
     g2 = _labelled_paths((host_len, f"host_{i + 1}") for i in range(inst.m))
     certificates = {

@@ -293,6 +293,27 @@ def test_reduce_clique_incidence_refuses_a_clique_larger_than_the_graph(graph_fi
     assert main(argv) == EXIT_OK
 
 
+def test_commands_refuse_inputs_and_gadgets_above_the_size_bound(graph_files, tmp_path, capsys):
+    # a size bound refuses with exit 2 and one line, before anything is built
+    header = tmp_path / "header.el"
+    header.write_text("100001 0\n")
+    for argv in (["analyze", str(header)], ["solve", "--problem", "isi", str(header), str(header)]):
+        assert main(argv) == EXIT_REFUSED
+        assert capsys.readouterr().err == (
+            f"error: {header}: line 1: header declares 100001 vertices, above the size bound 100000\n"
+        )
+    e500 = graph_files("e500.el", edgeless_graph(500))
+    outdir = tmp_path / "out"
+    reduces = [
+        ["--which", "clique-incidence", e500, "--clique-size", "500"],
+        ["--which", "3partition", "--items", "100000,100000,100000", "--groups", "1", "--target-sum", "300000"],
+    ]
+    for argv, size in zip(reduces, (125_250, 300_002)):
+        assert main(["reduce", *argv, "--outdir", str(outdir)]) == EXIT_REFUSED
+        assert not outdir.exists()
+        assert capsys.readouterr().err == f"error: the gadget would have {size} vertices, above the size bound 100000\n"
+
+
 def test_reduce_3partition(tmp_path, capsys):
     outdir = tmp_path / "tp"
     code = main(
@@ -536,10 +557,11 @@ def test_analyze_covers_many_disjoint_triangles_component_by_component(graph_fil
     assert json.loads(capsys.readouterr().out)["result"]["vertex_cover_size"] == 2_400
 
 
-def test_every_command_takes_adversarial_shapes_within_two_seconds(graph_files, capsys):
+def test_every_command_takes_adversarial_shapes_within_two_seconds(graph_files, tmp_path, capsys):
     # the cover search ended the triangle chain in a RecursionError, and
     # analyze took 18 s on the cycle, searching every root to depth 2,500.
-    # A relabelled path holds the cover search's scan for each next leaf to time
+    # A relabelled path holds the cover search's scan for each next leaf to
+    # time, and a 10-byte header once cost analyze 40 s and 1.6 GB
     triangles = [(3 * t + a, 3 * t + b) for t in range(1_200) for a, b in ((0, 1), (1, 2), (0, 2))]
     label = random.Random(1).sample(range(6_000), 6_000)
     shapes = {
@@ -549,9 +571,11 @@ def test_every_command_takes_adversarial_shapes_within_two_seconds(graph_files, 
         "relabelled-path": Graph.from_edges(6_000, [(label[v], label[v + 1]) for v in range(5_999)]),
         "star": Graph.from_edges(5_001, [(0, v) for v in range(1, 5_001)]),
     }
+    paths = {name: graph_files(f"{name}.el", g) for name, g in shapes.items()}
+    paths["header"] = str(tmp_path / "header.el")
+    Path(paths["header"]).write_text("3000000 0\n")
     p3 = graph_files("p3.el", path_graph(3))
-    for name, g in shapes.items():
-        path = graph_files(f"{name}.el", g)
+    for name, path in paths.items():
         solves = [["solve", "--problem", problem, p3, path] for problem in ("isi", "mcis", "mccis")]
         for argv in [["analyze", path], *solves]:
             started = time.perf_counter()

@@ -7,9 +7,11 @@ import random
 import pytest
 
 from mcislab.graphs import (
+    MAX_VERTICES,
     Graph,
     GraphParseError,
     MappingError,
+    SizeBoundError,
     VertexMapping,
     add_universal_vertex,
     complete_graph,
@@ -108,6 +110,14 @@ def test_parse_errors_name_their_line(text, line_no, message):
         parse_graph(text)
     assert exc.value.line_no == line_no
     assert str(exc.value) == f"line {line_no}: {message}"
+
+
+def test_parse_refuses_a_header_above_the_size_bound():
+    # a 10-byte file once asked for 3,000,000 vertices; the header alone decides
+    assert parse_graph(f"{MAX_VERTICES} 0\n").n == MAX_VERTICES
+    for text in (f"{MAX_VERTICES + 1} 0\n", "p edge 3000000 0\ne 1 2\n"):
+        with pytest.raises(SizeBoundError, match="^line 1: header declares"):
+            parse_graph(text)
 
 
 def test_roundtrip_serialize_parse():

@@ -7,7 +7,9 @@ import pytest
 
 from mcislab.corpus import random_clique_instance, random_three_partition
 from mcislab.graphs import (
+    MAX_VERTICES,
     Graph,
+    SizeBoundError,
     VertexMapping,
     complete_graph,
     cycle_graph,
@@ -256,6 +258,18 @@ def test_three_partition_outputs_are_forests():
         assert graph_stats(out.g1).girth is None
         assert graph_stats(out.g2).girth is None
         assert out.g2.n == inst.m * (inst.B + 2)
+
+
+def test_builders_refuse_gadgets_above_the_size_bound():
+    # each output is sized from the inputs before anything is built: the
+    # pattern of k = 800 once had 320,400 vertices, and the composed host
+    # grows as n^2 whatever the instances hold
+    with pytest.raises(SizeBoundError, match="^the gadget would have 320400 vertices"):
+        clique_to_incidence_isi(path_graph(3), 800)
+    with pytest.raises(SizeBoundError, match="^the gadget would have 125255 vertices"):
+        cross_compose([CliqueInstance(edgeless_graph(500), 3)] * 2)
+    with pytest.raises(SizeBoundError, match=f"^the gadget would have 300002 vertices, above the size bound {MAX_VERTICES}"):
+        three_partition_to_forest_isi(ThreePartitionInstance((100_000,) * 3, 1, 300_000))
 
 
 # --- the verifier -----------------------------------------------------------

@@ -112,6 +112,21 @@ def test_only_the_one_breadth_first_search_builds_a_deque():
     assert [where for where in found if not where.startswith("graphs._levels:")] == []
 
 
+def test_nothing_in_params_recurses():
+    # the cover search keeps its own stack, so no input's depth can raise
+    # RecursionError there; nested functions count too
+    found = [
+        f"{path.name}:{node.lineno} {node.name}"
+        for path, _, node in _nodes()
+        if path.name == "params.py" and isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and any(
+            isinstance(call, ast.Call) and node.name in {getattr(call.func, "id", None), getattr(call.func, "attr", None)}
+            for call in ast.walk(node)
+        )
+    ]
+    assert found == []
+
+
 def test_every_solve_counter_is_named_in_the_readme():
     # `solve --json` prints every SolveStats field; the README says what each counts
     readme = (ROOT / "README.md").read_text()
