@@ -1,14 +1,18 @@
 """Command-line surface: solve, reduce, check, analyze.
 
-Output is line-oriented human text by default; ``--json`` emits the full run
-report instead.  Exit codes: 0 ok, 1 usage or input error (or a stdout
-closed by its reader), 2 refused (size bounds), 3 cross-validation failure.
+Each ``cmd_*`` returns an :data:`Outcome` and :func:`main` alone times the
+command and prints its text lines or, with ``--json``, the run report: keys
+``command``, ``flags``, ``inputs_digest``, ``result``, ``timings_ms`` and,
+for ``solve``, ``stats``.  The argument grammar is built once per process.
+Exit codes: 0 ok, 1 usage or input error (or a stdout closed by its reader),
+2 refused (size bounds), 3 cross-validation failure.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import hashlib
 import json
 import os
@@ -76,33 +80,12 @@ def _load_graph(path: str) -> tuple[Graph, str]:
         raise CliError(f"{path}: {exc}", EXIT_REFUSED) from exc
 
 
-def _report(args: argparse.Namespace, digest: str, result: dict, started: float, stats=None) -> dict:
-    report = {
-        "command": vars(args)["command"],
-        "flags": {k: v for k, v in vars(args).items() if k not in ("command", "func", "json")},
-        "inputs_digest": digest,
-        "result": result,
-        "timings_ms": {"total": round((time.perf_counter() - started) * 1000, 3)},
-    }
-    if stats is not None:
-        report["stats"] = dataclasses.asdict(stats)
-    return report
-
-
-def _emit(report: dict, as_json: bool, lines: list[str]) -> None:
-    if as_json:
-        print(json.dumps(report, indent=2, default=str))
-    else:
-        for line in lines:
-            print(line)
-
-
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands, each returning what main reports
+Outcome = tuple[int, str, dict, list[str], SolveStats | None]
 
 
-def cmd_solve(args: argparse.Namespace) -> int:
-    started = time.perf_counter()
+def cmd_solve(args: argparse.Namespace) -> Outcome:
     if args.k is not None and args.k < 0:
         raise CliError(f"-k must be non-negative, got {args.k}")
     g1, text1 = _load_graph(args.g1)
@@ -123,8 +106,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
         lines = ["yes" if witness is not None else "no"]
         if witness is not None:
             lines.append("witness: " + " ".join(f"{u}->{v}" for u, v in witness.pairs))
-        _emit(_report(args, digest, result, started, stats), args.json, lines)
-        return EXIT_OK
+        return EXIT_OK, digest, result, lines, stats
 
     query = SolveQuery(g1, g2, connected=args.problem == "mccis")
     algo = args.algo
@@ -143,23 +125,17 @@ def cmd_solve(args: argparse.Namespace) -> int:
         solved = mcis_vc_fpt(query) if algo == "vc-fpt" else mcis_bruteforce(query)
     except OracleBoundError as exc:
         raise CliError(str(exc), EXIT_REFUSED) from exc
-    result = {
-        "size": solved.size,
-        "witness": list(solved.witness.pairs),
-        "method": solved.method,
-    }
+    result = {"size": solved.size, "witness": list(solved.witness.pairs), "method": solved.method}
     lines = []
     if args.k is not None:
         result["answer"] = solved.size >= args.k
         lines.append("yes" if result["answer"] else "no")
     lines.append(f"size {solved.size}")
     lines.append("witness: " + " ".join(f"{u}->{v}" for u, v in solved.witness.pairs))
-    _emit(_report(args, digest, result, started, solved.stats), args.json, lines)
-    return EXIT_OK
+    return EXIT_OK, digest, result, lines, solved.stats
 
 
-def cmd_reduce(args: argparse.Namespace) -> int:
-    started = time.perf_counter()
+def cmd_reduce(args: argparse.Namespace) -> Outcome:
     try:
         if args.which == "clique-incidence":
             if len(args.inputs) != 1 or args.clique_size is None:
@@ -209,12 +185,10 @@ def cmd_reduce(args: argparse.Namespace) -> int:
         "certificates: " + json.dumps(out.certificates, default=str),
         f"written to {args.outdir}",
     ]
-    _emit(_report(args, digest, result, started), args.json, lines)
-    return EXIT_OK
+    return EXIT_OK, digest, result, lines, None
 
 
-def cmd_check(args: argparse.Namespace) -> int:
-    started = time.perf_counter()
+def cmd_check(args: argparse.Namespace) -> Outcome:
     reports = []
     if args.count < 1:
         raise CliError(f"--count must be at least 1, got {args.count}")
@@ -236,12 +210,10 @@ def cmd_check(args: argparse.Namespace) -> int:
         lines.append(f"{label}: {'PASS' if r['ok'] else 'FAIL'} ({total} checks)")
         for failure in r["failures"]:
             lines.append(f"  failure: {json.dumps(failure)}")
-    _emit(_report(args, digest, result, started), args.json, lines)
-    return EXIT_OK if ok else EXIT_CHECK_FAILED
+    return (EXIT_OK if ok else EXIT_CHECK_FAILED), digest, result, lines, None
 
 
-def cmd_analyze(args: argparse.Namespace) -> int:
-    started = time.perf_counter()
+def cmd_analyze(args: argparse.Namespace) -> Outcome:
     g, text = _load_graph(args.file)
     stats = graph_stats(g)
     fvs_size = min_feedback_vertex_set(g).size if g.n <= ORACLE_BOUND else None
@@ -259,14 +231,14 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     lines = [f"{key} {value}" for key, value in result.items()]
     if fvs_size is None:
         lines[-1] = "fvs_size skipped (above oracle bound)"
-    _emit(_report(args, _digest(text), result, started), args.json, lines)
-    return EXIT_OK
+    return EXIT_OK, _digest(text), result, lines, None
 
 
 # ---------------------------------------------------------------------------
 # argument parsing
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mcislab",
@@ -315,13 +287,25 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_OK
+    started = time.perf_counter()
     try:
-        code = args.func(args)
+        code, digest, result, lines, stats = args.func(args)
+        if args.json:
+            report = {
+                "command": args.command,
+                "flags": {k: v for k, v in vars(args).items() if k not in ("command", "func", "json")},
+                "inputs_digest": digest,
+                "result": result,
+                "timings_ms": {"total": round((time.perf_counter() - started) * 1000, 3)},
+            }
+            if stats is not None:
+                report["stats"] = dataclasses.asdict(stats)
+            lines = [json.dumps(report, indent=2, default=str)]
+        print(*lines, sep="\n")
         sys.stdout.flush()  # a closed reader surfaces here, not at interpreter exit
         return code
     except CliError as exc:

@@ -569,8 +569,10 @@ class _Cover:
         ``sizes`` (matched, to-independent) in ``itertools.product`` order
         over the roles (matched, unused, to-independent), smallest vertex
         most significant, from one depth-first walk that tries the roles in
-        that order at each position.  A branch ends once the positions left
-        cannot hold the roles left; once no role is left, the rest are
+        that order at each position.  The walk keeps its own stack, so no
+        cover size can exhaust Python's: each branch pushes its children in
+        reverse, and matched pops first.  A branch ends once the positions
+        left cannot hold the roles left; once no role is left, the rest are
         unused.  The to-independent part I is independent: it maps into an
         independent set.  In connected mode M ∪ I must be linked
         (:meth:`_linked`).  A twin class adjacent to I cannot pair
@@ -580,22 +582,21 @@ class _Cover:
         offer.
         """
         k, bucket = len(self.order), []
-
-        def walk(j: int, mm: int, im: int, m: int, i: int) -> None:
+        stack = [(0, 0, 0, *sizes)]
+        while stack:
+            j, mm, im, m, i = stack.pop()
             if m + i > k - j:
-                return
+                continue
             if m or i:
-                if m:
-                    walk(j + 1, mm | 1 << j, im, m - 1, i)
-                walk(j + 1, mm, im, m, i)
                 if i and not self.adjmask[j] & im:
-                    walk(j + 1, mm, im | 1 << j, m, i - 1)
+                    stack.append((j + 1, mm, im | 1 << j, m, i - 1))
+                stack.append((j + 1, mm, im, m, i))
+                if m:
+                    stack.append((j + 1, mm | 1 << j, im, m - 1, i))
             elif not self.connected or self.linked[mm | im]:
                 part = self.parts[mm]
                 needs = frozenset([part.sig_at[p] for p in self.positions[im]])
                 bucket.append(_Side(part, mm, im, part.counted & self.free[im], needs))
-
-        walk(0, 0, 0, *sizes)
         return bucket
 
 

@@ -18,6 +18,7 @@ from mcislab.cli import (
     EXIT_OK,
     EXIT_REFUSED,
     EXIT_USAGE,
+    build_parser,
     main,
 )
 from mcislab.corpus import random_graph, random_graph_pair
@@ -181,6 +182,19 @@ def test_solve_auto_refuses_dense_inputs_without_an_exact_cover(graph_files, cap
         "error: refusing: a minimum vertex cover exceeds cutoff 8 "
         "and inputs exceed the oracle bound 10\n"
     )
+
+
+@pytest.mark.parametrize("problem", ["mcis", "mccis"])
+def test_solve_vc_fpt_takes_a_cover_deeper_than_the_recursion_limit(problem, graph_files, capsys):
+    # the tripartition walk recursed once per cover vertex and ended a
+    # cover of 1,100 in a RecursionError
+    matching = Graph.from_edges(2_200, [(2 * i, 2 * i + 1) for i in range(1_100)])
+    paths = [graph_files("matching.el", matching), graph_files("p2.el", path_graph(2))]
+    argv = ["solve", "--problem", problem, "--algo", "vc-fpt", *paths]
+    assert main(argv) == EXIT_OK
+    assert capsys.readouterr().out.splitlines()[0] == "size 2"
+    assert main([*argv, "--json"]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["result"]["size"] == 2
 
 
 def test_solve_usage_errors(graph_files, capsys):
@@ -582,6 +596,60 @@ def test_every_command_takes_adversarial_shapes_within_two_seconds(graph_files, 
             assert main(argv) in (EXIT_OK, EXIT_USAGE, EXIT_REFUSED), (name, argv[:3])
             assert time.perf_counter() - started < 2.0, (name, argv[:3])
             capsys.readouterr()
+
+
+# --- the one report path ----------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "argv, text",
+    [
+        (
+            ["solve", "--problem", "mcis", "{p3}", "{k3}"],
+            lambda r: [f"size {r['size']}", "witness: " + " ".join(f"{u}->{v}" for u, v in r["witness"])],
+        ),
+        (["solve", "--problem", "isi", "{p3}", "{k3}"], lambda r: ["no"]),
+        (
+            ["reduce", "--which", "universal", "{p3}", "{p3}", "--outdir", "{out}"],
+            lambda r: [
+                f"kind {r['kind']}",
+                f"target {r['target']}",
+                "certificates: " + json.dumps(r["certificates"]),
+                f"written to {r['outdir']}",
+            ],
+        ),
+        (["check", "--suite", "reductions", "--count", "1"], lambda r: ["reductions: PASS (24 checks)"]),
+        (["analyze", "{k3}"], lambda r: [f"{key} {value}" for key, value in r.items()]),
+    ],
+    ids=["solve", "solve-isi", "reduce", "check", "analyze"],
+)
+def test_every_command_builds_one_report_shape(argv, text, graph_files, tmp_path, capsys):
+    # main alone builds the report, so every command has the same keys in the
+    # same order, and only solve, isi included, carries solver stats; without
+    # --json the same call prints its result as lines
+    names = {"p3": graph_files("p3.el", path_graph(3)), "k3": graph_files("k3.el", complete_graph(3))}
+    argv = [arg.format(**names, out=tmp_path / "out") for arg in argv]
+    assert main([*argv, "--json"]) == EXIT_OK
+    report = json.loads(capsys.readouterr().out)
+    keys = ["command", "flags", "inputs_digest", "result", "timings_ms"]
+    assert list(report) == keys + ["stats"] * (argv[0] == "solve")
+    assert report["command"] == argv[0] and list(report["timings_ms"]) == ["total"]
+    assert not {"command", "func", "json"} & set(report["flags"])
+    assert main(argv) == EXIT_OK
+    assert capsys.readouterr().out.splitlines() == text(report["result"])
+
+
+def test_a_usage_error_does_not_spoil_the_next_call_in_one_process(graph_files, capsys):
+    p3 = graph_files("p3.el", path_graph(3))
+    assert main(["solve", "--problem", "mcis", p3]) == EXIT_USAGE
+    assert main(["analyze", p3]) == EXIT_OK
+    captured = capsys.readouterr()
+    assert "the following arguments are required: g2" in captured.err
+    assert captured.out.splitlines()[:2] == ["n 3", "m 2"]
+
+
+def test_the_argument_grammar_is_built_once_per_process():
+    assert build_parser() is build_parser()
 
 
 # --- round trip: reduce then solve ------------------------------------------
