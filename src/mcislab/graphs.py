@@ -29,6 +29,8 @@ class GraphParseError(ValueError):
 
 # the most vertices a parsed graph or a built gadget may have
 MAX_VERTICES = 100_000
+# a header count or an endpoint, in ASCII digits
+_INTEGER = re.compile("-?[0-9]+")
 
 
 class SizeBoundError(RuntimeError):
@@ -190,7 +192,7 @@ def parse_graph(text: str) -> Graph:
                 raise GraphParseError(line_no, f"expected edge line '{prefix}u v'")
             kind = "DIMACS header" if dimacs else "header"
             raise GraphParseError(line_no, f"expected {kind} '{prefix}n m'")
-        if not all(re.fullmatch("-?[0-9]+", token) for token in tokens[-2:]):
+        if not all(_INTEGER.fullmatch(token) for token in tokens[-2:]):
             what = "header counts" if header is None else "endpoints"
             raise GraphParseError(line_no, f"{what} must be integers")
         a, b = int(tokens[-2]), int(tokens[-1])

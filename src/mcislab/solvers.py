@@ -8,7 +8,8 @@ each other:
   pattern components into host components, deciding once per call whether
   a multiset of pattern component classes fits a host component class.
   The vertex layer places pattern vertices depth first with an explicit
-  stack, pruned by degree, non-degree and adjacency to the placed images.
+  depth, along one table per call indexed by order position, pruned by
+  degree, non-degree and adjacency to the images of earlier neighbors.
 * :func:`mcis_bruteforce` — the oracle: enumerate vertex subsets of the
   smaller graph in decreasing size and try to embed each into the other
   graph.  Refuses inputs above :data:`ORACLE_BOUND` vertices; it exists
@@ -201,10 +202,15 @@ def _embeddings(
 ) -> Iterator[dict[int, int]]:
     """The vertex layer: every placement of the vertices of ``comps``, in order.
 
-    Depth first with an explicit stack of candidate lists, one per placed
-    position.  A pattern vertex with no placed neighbor draws from ``pool``
-    (sorted host vertices).  A candidate ``c`` for ``u`` is adjacent to the
-    images of ``u``'s placed neighbors and to no other used vertex, i.e.
+    ``comps`` must be closed under ``padj``, as whole components are.  One
+    table per call, indexed by order position, holds each position's earlier
+    neighbors (as positions), its degree window and, at a component's first
+    position, the previous component's positions if the two are of one
+    class.  Depth first, with an explicit depth, one candidate list per
+    position and the images in a list by position.  A pattern vertex with no
+    earlier neighbor draws from ``pool`` (sorted host vertices).  A
+    candidate ``c`` for ``u`` is adjacent to the images of ``u``'s earlier
+    neighbors and to no other used vertex, i.e.
     ``|N(c) & used|`` equals their number; it has at least ``u``'s degree,
     and at least as many non-neighbors in ``pool`` as ``u`` has among the
     vertices of ``comps``.
@@ -216,51 +222,53 @@ def _embeddings(
     if not order:
         yield {}
         return
-    # at each component's first position: the previous component if isomorphic
-    starts: dict[int, list[int] | None] = {}
-    pos = 0
-    for ci, comp in enumerate(comps):
-        starts[pos] = comps[ci - 1] if ci and classes[ci] == classes[ci - 1] else None
-        pos += len(comp)
-    assignment: dict[int, int] = {}
-    used: set[int] = set()
-    floors = [-1] * len(order)
+    n = len(order)
     # u's non-neighbors must land on c's: len(pool) - deg(c) >= len(order) - deg(u)
-    slack = len(pool) - len(order)
+    slack = len(pool) - n
+    if slack < 0:  # more vertices than the pool: no candidate anywhere
+        return
+    at = {v: i for i, v in enumerate(order)}
+    # by position: earlier neighbors, degree window, and at a component's first
+    # position the previous component's positions (empty unless isomorphic)
+    table: list[tuple[list[int], int, int, range | None]] = []
+    for ci, comp in enumerate(comps):
+        i = len(table)
+        prev = range(i - len(comps[ci - 1]), i) if ci and classes[ci] == classes[ci - 1] else range(0)
+        for u in comp:
+            i, du = len(table), len(padj[u])
+            table.append(([at[x] for x in padj[u] if at.get(x, n) < i], du, du + slack, prev))
+            prev = None
+    images, floors, used = [-1] * n, [-1] * n, set()
 
     def candidates(i: int) -> Iterator[int]:
-        u = order[i]
-        if i in starts:
-            prev = starts[i]
-            floors[i] = min(assignment[x] for x in prev) if prev else -1
-        else:
-            floors[i] = floors[i - 1]
-        floor, du = floors[i], len(padj[u])
-        placed = [assignment[x] for x in padj[u] if x in assignment]
-        base = sorted(hadj[placed[0]].intersection(*(hadj[w] for w in placed[1:]))) if placed else pool
-        k, top = len(placed), du + slack
-        return iter([
-            c for c in base
-            if c > floor and c not in used and du <= len(hadj[c]) <= top and len(hadj[c] & used) == k
-        ])
+        earlier, du, top, prev = table[i]
+        floors[i] = floor = floors[i - 1] if prev is None else min([images[p] for p in prev], default=-1)
+        if not earlier:
+            return iter([c for c in pool if c > floor and c not in used
+                         and du <= len(hadj[c]) <= top and used.isdisjoint(hadj[c])])
+        k, base = len(earlier), hadj[images[earlier[0]]]
+        base = sorted(base.intersection(*[hadj[images[p]] for p in earlier[1:]]) if k > 1 else base)
+        return iter([c for c in base if c > floor and c not in used
+                     and du <= len(hadj[c]) <= top and len(hadj[c] & used) == k])
 
-    stack = [candidates(0)]
-    while stack:
-        i = len(stack) - 1
+    stack = [candidates(0)] * n
+    i = 0
+    while True:
         c = next(stack[i], None)
         if c is None:
-            stack.pop()
-            if stack:
-                used.discard(assignment.pop(order[i - 1]))
+            if not i:
+                return
+            i -= 1
+            used.discard(images[i])
             continue
         tally[0] += 1
-        assignment[order[i]] = c
-        used.add(c)
-        if i + 1 < len(order):
-            stack.append(candidates(i + 1))
+        images[i] = c
+        if i + 1 < n:
+            used.add(c)
+            i += 1
+            stack[i] = candidates(i)
             continue
-        yield dict(assignment)
-        used.discard(assignment.pop(order[i]))
+        yield dict(zip(order, images))
 
 
 def _component_classes(adj: _Adj, comps: list[list[int]], tally: list[int]) -> list[int]:

@@ -22,6 +22,7 @@ from mcislab.params import min_vertex_cover
 from mcislab.reductions import (
     ThreePartitionInstance,
     incidence_graph,
+    three_partition_exists,
     three_partition_to_forest_isi,
 )
 from mcislab import solvers
@@ -103,6 +104,48 @@ def test_isi_three_partition_m2_no_instance_stays_within_a_node_budget():
         stats = SolveStats()
         assert isi_backtracking(*three_partition_isi(items, m), stats) is None
         assert 0 < stats.search_nodes <= 5_000
+
+
+def test_isi_three_partition_m2_orders_stay_within_their_node_ceilings():
+    # every order of six items in 4..6 summing to 2B, B = 13: 15 yes orders
+    # of 812 nodes each and 6 no orders of 894 each
+    nodes = {True: [], False: []}
+    for items in itertools.product(range(4, 7), repeat=6):
+        if sum(items) != 26:
+            continue
+        stats = SolveStats()
+        found = isi_backtracking(*three_partition_isi(items, 2), stats)
+        answer = three_partition_exists(ThreePartitionInstance(items, 2, 13))
+        assert (found is not None) == answer
+        nodes[answer].append(stats.search_nodes)
+    assert len(nodes[True]) == 15 and len(nodes[False]) == 6
+    assert sum(nodes[True]) <= 12_180
+    assert sum(nodes[False]) <= 5_364
+
+
+def test_vertex_layer_yields_the_induced_embeddings_in_lexicographic_order():
+    # the placements of the pattern, its components ordered as
+    # isi_backtracking orders them, are the induced embeddings whose images
+    # keep the floor rule, in the order itertools.permutations lists them
+    rng = random.Random(24)
+    for _ in range(100):
+        pattern = random_graph(rng, rng.randint(1, 5), rng.choice((0.2, 0.5, 0.8)))
+        host = random_graph(rng, rng.randint(pattern.n, 7), rng.choice((0.2, 0.5, 0.8)))
+        comps = solvers._component_orders(pattern)
+        classes = solvers._component_classes(pattern.adj, comps, [0])
+        ranked = sorted(range(len(comps)), key=lambda i: (-len(comps[i]), classes[i]))
+        comps, classes = [comps[i] for i in ranked], [classes[i] for i in ranked]
+        order = [v for comp in comps for v in comp]
+        ends = list(itertools.accumulate(len(comp) for comp in comps))
+        expected = []
+        for images in itertools.permutations(range(host.n), len(order)):
+            if not is_induced_isomorphism(pattern, host, VertexMapping(tuple(sorted(zip(order, images))))):
+                continue
+            lows = [min(images[end - len(comp):end]) for comp, end in zip(comps, ends)]
+            if all(lows[c] > lows[c - 1] for c in range(1, len(comps)) if classes[c] == classes[c - 1]):
+                expected.append(images)
+        placements = solvers._embeddings(pattern.adj, host.adj, comps, classes, range(host.n), [0])
+        assert [tuple(found[v] for v in order) for found in placements] == expected
 
 
 def test_isi_refutes_disjoint_triangles_in_a_connected_host_within_a_node_budget():
