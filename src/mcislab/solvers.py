@@ -32,16 +32,17 @@ each other:
   These tests skip a pair where the pair loop visits it, before its
   first bijection.  The cover bijections of a live pair are placements of
   the vertex layer, the one search for induced embeddings, over the
-  adjacency inside the two matched parts.  The pair
-  search reads cover positions and bitmasks only, and translates them to
-  vertex ids only when it assembles a candidate.  Once a cover bijection is
+  adjacency inside the two matched parts.  The pair search reads cover
+  positions and bitmasks only, twin-class members included (member bit b
+  is the vertex ``_Cover.flat[b]``), and translates them to vertex ids
+  only when it assembles a candidate.  Once a cover bijection is
   fixed, the twin classes pair only within label classes (their cover
   neighborhood under the bijection), so the bijection can reach at most the
   matched and to-independent cover vertices plus ``sum(min(L_key, R_key))``
   over the keys (McSplit's bound); a bijection whose bound cannot beat the
   best size so far is skipped whole.  Below it, one depth-first search, one
   step for both sides, gives each to-independent cover vertex a twin class
-  and tests each choice as it is made: members left in the class,
+  and tests each choice as it is made: a member bit left in the class,
   adjacency agreeing with the opposite side's choices, and the size still
   reachable, which only falls; for MCCIS the class must also meet the
   opposite side's used cover vertices.  So every assembled mapping is
@@ -479,15 +480,16 @@ class _Table(dict):
 
 class _Part(NamedTuple):
     """A matched cover part as the pair loop and the pair search read it,
-    once per part.  A twin class's trace is its neighborhood mask inside
-    the part.  A vertex set's degree signature is the sorted degrees inside
-    the part of its vertices there; every cover bijection keeps it."""
+    once per part.  A twin class's trace is its neighborhood mask in the
+    part, and ``masks`` holds each trace's members.  A vertex set's degree
+    signature is its sorted degrees in the part; cover bijections keep it."""
 
     degms: tuple[int, ...]  # the part's own signature
-    offers: frozenset[tuple[int, ...]]  # the signatures of all twin-class traces
+    offers: frozenset[tuple[int, ...]]  # sig_members' keys, frozen: needs test 5x faster against them
     sig_at: list[tuple[int, ...]]  # per cover position: its neighbors' signature
     sig_members: dict[tuple[int, ...], int]  # per trace signature: the members of its classes
     traces: dict[int, list[int]]  # twin classes by trace
+    masks: dict[int, int]  # per trace: the members of its classes
     counted: int  # the members of the classes that may pair in this part
 
 
@@ -504,9 +506,9 @@ class _Side(NamedTuple):
 class _Cover:
     """One side of the FPT search, its cover vertices numbered 0..k-1 in
     increasing order so that cover adjacency, twin-class neighborhoods and
-    twin-class members are bitmasks.  Every table keyed by a matched or
-    to-independent part is filled when the search first asks for that part,
-    never for all 2^k parts up front."""
+    twin-class members are bitmasks; member bit b is the vertex ``flat[b]``.
+    Every table keyed by a matched or to-independent part is filled when the
+    search first asks for that part, never for all 2^k parts up front."""
 
     def __init__(self, g: Graph, connected: bool):
         split = min_vertex_cover(g)
@@ -514,10 +516,10 @@ class _Cover:
         self.twins = twin_partition(g, split)
         self.order = sorted(split.cover)
         pos = {v: j for j, v in enumerate(self.order)}
-        self.size = [len(c.members) for c in self.twins.classes]
         self.adjmask = [sum(1 << pos[w] for w in g.adj[v] if w in pos) for v in self.order]
         self.nbhdmask = [sum(1 << pos[w] for w in c.neighborhood) for c in self.twins.classes]
-        ends = itertools.accumulate(self.size, initial=0)
+        self.flat = [v for c in self.twins.classes for v in c.members]  # class by class
+        ends = itertools.accumulate([len(c.members) for c in self.twins.classes], initial=0)
         self.members = [(1 << b) - (1 << a) for a, b in itertools.pairwise(ends)]
         self.positions = _Table(lambda mask: tuple(_bits(mask)))
         self.buckets = _Table(self._bucket)
@@ -525,11 +527,6 @@ class _Cover:
         # per matched part: the position adjacency inside it
         self.inner = _Table(lambda mm: {
             j: frozenset(self.positions[self.adjmask[j] & mm]) for j in self.positions[mm]
-        })
-        # per (matched part, members that can pair): the classes that can pair, by trace
-        self.pairable = _Table(lambda key: {
-            trace: keep for trace, idxs in self.parts[key[0]].traces.items()
-            if (keep := [idx for idx in idxs if self.members[idx] & key[1]])
         })
         self.linked = _Table(self._linked)
         # per to-independent part: the members of the classes with no neighbor in it
@@ -556,13 +553,15 @@ class _Cover:
         sig = _Table(lambda t: tuple(sorted([degree[j] for j in self.positions[t]])))
         sig_members: dict[tuple[int, ...], int] = {}
         traces: dict[int, list[int]] = {}
+        masks: dict[int, int] = {}
         for idx, (nb, mk) in enumerate(zip(self.nbhdmask, self.members)):
             traces.setdefault(nb & mm, []).append(idx)
+            masks[nb & mm] = masks.get(nb & mm, 0) | mk
             s = sig[nb & mm]
             sig_members[s] = sig_members.get(s, 0) | mk
         counted = sum([mk for nb, mk in zip(self.nbhdmask, self.members) if nb & mm or not self.connected])
-        offers = frozenset([sig[t] for t in traces])
-        return _Part(sig[mm], offers, [sig[a & mm] for a in self.adjmask], sig_members, traces, counted)
+        sig_at = [sig[a & mm] for a in self.adjmask]
+        return _Part(sig[mm], frozenset(sig_members), sig_at, sig_members, traces, masks, counted)
 
     def _linked(self, used: int) -> bool:
         """Whether the cover part ``used`` is non-empty and connected with
@@ -608,47 +607,29 @@ class _Cover:
         return bucket
 
 
-def _class_plan(
-    c1: _Cover, c2: _Cover, s1: _Side, s2: _Side, sigma: dict[int, int]
-) -> list[tuple[list[int], list[int]]]:
-    """Pairable twin classes under ``sigma``, one ``(left, right)`` entry per key.
-
-    The classes are those with members in the side's ``pairs`` mask.  A key
-    is the image in the second graph's matched cover part of a class's
-    trace; classes pair only within a key present on both sides (sigma is a
-    bijection, so distinct traces keep distinct images).
-    """
-    pairable2 = c2.pairable[s2.mm, s2.pairs]
-    keyed = [(lefts, c1.image(trace, sigma)) for trace, lefts in c1.pairable[s1.mm, s1.pairs].items()]
-    return [(lefts, pairable2[key]) for lefts, key in keyed if key in pairable2]
-
-
 def _assemble(
     c1: _Cover,
     c2: _Cover,
     s1: _Side,
     s2: _Side,
     sigma: dict[int, int],
-    chosen: Sequence[int],
-    plan: list[tuple[list[int], list[int]]],
+    chosen: Sequence[tuple[int, int]],
+    taken: Sequence[int],
+    plan: list[tuple[int, int]],
 ) -> VertexMapping:
     """Build the full candidate mapping for one configuration, in vertex ids.
 
-    Each to-independent vertex takes a member of its class in ``chosen``,
-    the first side's first; within each key of ``plan`` the first graph's
-    members left are paired in order with the second graph's.
+    Each to-independent vertex takes the member bit its choice in
+    ``chosen`` took, the first side's first; within each key of ``plan``
+    the first graph's members that no choice took (``taken``, per graph)
+    are paired in bit order with the second graph's.
     """
-    # one cursor per twin class: the assignments take members first
-    rest1 = [iter(c.members) for c in c1.twins.classes]
-    rest2 = [iter(c.members) for c in c2.twins.classes]
-    pairs = [(c1.order[u], c2.order[v]) for u, v in sigma.items()]
     indep1 = c1.vertices(s1.im)
-    pairs += [(u, next(rest2[s])) for u, s in zip(indep1, chosen)]
-    pairs += [(next(rest1[r]), y) for y, r in zip(c2.vertices(s2.im), chosen[len(indep1) :])]
-    for lefts, rights in plan:
-        free1 = [u for i in lefts for u in rest1[i]]
-        free2 = [v for j in rights for v in rest2[j]]
-        pairs.extend(zip(free1, free2))
+    pairs = [(c1.order[u], c2.order[v]) for u, v in sigma.items()]
+    pairs += [(u, c2.flat[b.bit_length() - 1]) for u, (_, b) in zip(indep1, chosen)]
+    pairs += [(c1.flat[b.bit_length() - 1], y) for y, (_, b) in zip(c2.vertices(s2.im), chosen[len(indep1) :])]
+    for mk1, mk2 in plan:
+        pairs += zip([c1.flat[b] for b in _bits(mk1 & ~taken[0])], [c2.flat[b] for b in _bits(mk2 & ~taken[1])])
     return VertexMapping(tuple(sorted(pairs)))
 
 
@@ -700,7 +681,8 @@ def _iter_search(
     for ms in range(min(k1, k2) + 1):
         for i1s in range(min(k1 - ms, i2_total) + 1):
             for i2s in range(min(k2 - ms, i1_total) + 1):
-                ub = ms + i1s + i2s + max(min(i1_total - i2s, i2_total - i1s), 0)
+                # i1s <= |I2| and i2s <= |I1|, so neither side's pairs fall below 0
+                ub = ms + min(i1_total + i1s, i2_total + i2s)
                 buckets.append((ub, ms, i1s, i2s))
     buckets.sort(key=lambda b: (-b[0], b[1], b[2], b[3]))
 
@@ -752,24 +734,33 @@ def _search_pair(
 ) -> Iterator[tuple[CoverConfiguration, VertexMapping]]:
     """Every configuration of one tripartition pair, pruned against ``best``.
 
-    Cover bijections, traces and choices are positions and masks; a
-    candidate is translated to vertex ids only by :func:`_assemble`.  Its
-    size is known before it is built: the matched and to-independent cover
-    vertices plus, for each key of the class plan, ``min(L_key, R_key)``
-    net of the members the assignments consume.  With nothing consumed
-    this is McSplit's label-class bound, which prunes a whole bijection.
-    Below it a depth-first search (``place``) chooses the classes, first
-    side first, and cuts a branch as soon as a choice exceeds its class's
-    members, disagrees on cross adjacency with a choice made, or drops the
-    size to ``best``.  In connected mode the choices hold only classes
-    that meet the opposite used cover positions (:func:`_class_choices`),
-    and an assembled candidate is kept only if it induces a connected
-    subgraph of the first graph.
+    Positions and masks throughout, twin-class members included, until
+    :func:`_assemble` builds a candidate.  A bijection's class plan is one
+    ``(left, right)`` member-mask pair per key: a trace's members
+    (``_Part.masks``) and its image's (a bijection keeps traces distinct),
+    each ANDed with its side's ``pairs`` and kept when both are non-zero.
+    A candidate's size is the matched and to-independent cover vertices
+    plus ``min(L_key, R_key)`` per key over the members no choice took;
+    with none taken it is McSplit's label-class bound, which prunes a whole
+    bijection.  Below it ``place`` chooses classes depth first, first side
+    first: a choice takes the lowest member left in its class into its
+    graph's ``taken`` mask, and the size is recounted only when that member
+    is in the plan.  A branch ends on an empty class, on cross adjacency
+    that disagrees with a choice made, or on a size down to ``best``.  In
+    connected mode the choices hold only classes that meet the opposite
+    used cover positions (:func:`_class_choices`), and a candidate is kept
+    only if it induces a connected subgraph of the first graph.
     """
     g1, g2, nbhd1, nbhd2 = c1.g, c2.g, c1.nbhdmask, c2.nbhdmask
+    members = (c1.members, c2.members)
     indep1, indep2 = c1.positions[s1.im], c2.positions[s2.im]
     base = s1.mm.bit_count() + len(indep1) + len(indep2)
-    chosen: list[int] = []  # the classes chosen so far, the first side's first
+    chosen: list[tuple[int, int]] = []  # (class, member bit) per choice so far, the first side's first
+    taken = [0, 0]  # per graph: the members the choices took
+
+    def reach() -> int:  # the size still reachable: min per key over the members left
+        rest1, rest2 = ~taken[0], ~taken[1]
+        return base + sum([min((left & rest1).bit_count(), (right & rest2).bit_count()) for left, right in plan])
 
     # depth first over the steps of the bijection below, in product order, one
     # level per to-independent position (at most k1 + k2 deep), yielding each
@@ -782,24 +773,21 @@ def _search_pair(
         for c in options:
             # a member of class c is left; and if u went into class s while it
             # comes to v, the candidate is induced only if u~c and v~s agree
-            if not left[g][c] or not g and any(
-                (nbhd1[c] >> u ^ nbhd2[s] >> v) & 1 for u, s in zip(indep1, chosen)
+            rest = members[g][c] & ~taken[g]
+            if not rest or not g and any(
+                (nbhd1[c] >> u ^ nbhd2[s] >> v) & 1 for u, (s, _) in zip(indep1, chosen)
             ):
                 continue
             stats.choice_nodes += 1
-            k = slot[g].get(c)
-            left[g][c] -= 1
-            if k is not None:
-                free[g][k] -= 1
-            # the members left to pair only fall as choices consume them
-            size = base + sum(map(min, *free))
-            if size > best[0]:
-                chosen.append(c)
-                yield from place(t + 1, size)
+            low = rest & -rest  # a choice takes the lowest member left
+            taken[g] |= low
+            # only a member in the plan moves the size, which then only falls
+            now = reach() if low & inplan[g] else size
+            if now > best[0]:
+                chosen.append((c, low))
+                yield from place(t + 1, now)
                 chosen.pop()
-            left[g][c] += 1
-            if k is not None:
-                free[g][k] += 1
+            taken[g] ^= low
 
     for sigma in _cover_bijections(c1.inner[s1.mm], c2.inner[s2.mm]):
         if ub <= best[0]:
@@ -811,20 +799,17 @@ def _search_pair(
         cands2 = _class_choices(c2, s2, {v: u for u, v in sigma.items()}, c1, s1)
         if cands2 is None:
             continue
-        plan = _class_plan(c1, c2, s1, s2, sigma)
-        # per graph: members left per key of the plan
-        free = [[sum(c.size[i] for i in key[g]) for key in plan] for g, c in enumerate((c1, c2))]
-        # the label-class bound: no choice below can pair more than this
-        bound = base + sum(map(min, *free))
+        plan = [(left, right) for trace, mk in s1.part.masks.items() if (left := mk & s1.pairs)
+                and (right := s2.part.masks.get(c1.image(trace, sigma), 0) & s2.pairs)]
+        bound = reach()  # nothing is taken here: the label-class bound
         if bound <= best[0]:
             stats.bijections_pruned += 1
             continue
-        slot = [{i: k for k, key in enumerate(plan) for i in key[g]} for g in (0, 1)]
-        left = [c1.size[:], c2.size[:]]  # per graph: members left per class
+        inplan = [sum([key[g] for key in plan]) for g in (0, 1)]  # per graph: the plan's members
         steps = [(u, cs, 1) for u, cs in zip(indep1, cands1)] + [(y, cs, 0) for y, cs in zip(indep2, cands2)]
         for size in place(0, bound):
             stats.configurations += 1
-            mapping = _assemble(c1, c2, s1, s2, sigma, chosen, plan)
+            mapping = _assemble(c1, c2, s1, s2, sigma, chosen, taken, plan)
             if len(mapping) != size:
                 raise WitnessError(f"assembled {len(mapping)} pairs where the class plan predicts {size}")
             # the arbiter makes both sides isomorphic, so one side's connectivity decides

@@ -375,16 +375,20 @@ def test_fpt_n40_cover6_pair_prunes_whole_tripartition_pairs():
 
 
 def test_fpt_matches_bruteforce_on_larger_planted_covers():
-    # covers of 5-6 in 9-10 vertices: the pair bound prunes most here
-    rng = random.Random(43)
-    for _ in range(40):
-        n, k = rng.randint(9, 10), rng.randint(5, 6)
-        g1, g2 = planted_cover_graph(rng, n, k), planted_cover_graph(rng, n, k)
-        for conn in (False, True):
-            query = SolveQuery(g1, g2, connected=conn)
-            result = mcis_vc_fpt(query)
-            assert result.size == mcis_bruteforce(query).size, (g1.edges, g2.edges, conn)
-            assert_valid_witness(query, result)
+    # covers of 5-6 in 9-10 vertices: the pair bound prunes most here.  Covers
+    # of 2-3 leave twin classes of several members: of the 261 candidates
+    # their 40 pairs assemble, 81 have a class-plan key holding two or more
+    # classes and 54 pair members of a class that a choice also took from
+    for low, high in ((5, 6), (2, 3)):
+        rng = random.Random(43)
+        for _ in range(40):
+            n, k = rng.randint(9, 10), rng.randint(low, high)
+            g1, g2 = planted_cover_graph(rng, n, k), planted_cover_graph(rng, n, k)
+            for conn in (False, True):
+                query = SolveQuery(g1, g2, connected=conn)
+                result = mcis_vc_fpt(query)
+                assert result.size == mcis_bruteforce(query).size, (g1.edges, g2.edges, conn)
+                assert_valid_witness(query, result)
 
 
 def test_fpt_check_seed_64_pair_drops_what_cannot_yield():
