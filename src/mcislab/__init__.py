@@ -44,12 +44,10 @@ from .reductions import (
     write_reduction,
 )
 from .solvers import (
-    CoverConfiguration,
     OracleBoundError,
     SolveQuery,
     SolveResult,
     SolveStats,
-    Tripartition,
     enumerate_configurations,
     isi_backtracking,
     mcis_bruteforce,

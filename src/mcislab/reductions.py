@@ -14,7 +14,7 @@ import itertools
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .graphs import (
     MAX_VERTICES,
@@ -139,21 +139,24 @@ def has_clique(g: Graph, l: int) -> bool:
 
 
 def three_partition_exists(inst: ThreePartitionInstance) -> bool:
-    """Exhaustive grouping into triples (the 3-Partition oracle)."""
+    """Exhaustive grouping into triples (the 3-Partition oracle), depth first on a stack."""
 
-    def solve(remaining: tuple[int, ...]) -> bool:
-        if not remaining:
-            return True
-        first = remaining[0]
-        rest = remaining[1:]
+    def children(remaining: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+        first, rest = remaining[0], remaining[1:]
         for i, j in itertools.combinations(range(len(rest)), 2):
             if inst.items[first] + inst.items[rest[i]] + inst.items[rest[j]] == inst.B:
-                nxt = tuple(x for x in rest if x not in (rest[i], rest[j]))
-                if solve(nxt):
-                    return True
-        return False
+                yield tuple(x for x in rest if x not in (rest[i], rest[j]))
 
-    return solve(tuple(range(3 * inst.m)))
+    stack = [iter([tuple(range(3 * inst.m))])]  # the root, then one lazy child iterator per triple
+    while stack:
+        nxt = next(stack[-1], None)
+        if nxt is None:
+            stack.pop()
+        elif not nxt:
+            return True
+        else:
+            stack.append(children(nxt))
+    return False
 
 
 def _label_index(g: Graph, name: str) -> int:

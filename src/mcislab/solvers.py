@@ -18,11 +18,12 @@ each other:
   covers on both sides, twin classes of the independent sets, then an
   enumeration of cover tripartitions, cover bijections and
   cover-to-twin-class assignments.  Each side holds its cover adjacency and
-  twin classes as bitmasks (:class:`_Cover`) and generates its
-  tripartitions per size bucket when the search first reaches it, buckets
-  in decreasing order of their ceiling, by one depth-first walk over the
-  roles; to-independent parts must be independent, and for MCCIS the
-  cover part linked.  A kept tripartition's ``pairs`` mask, which every
+  twin classes as bitmasks (:class:`_Cover`, built by the search's caller)
+  and generates its tripartitions per size bucket when the search first
+  reaches it, by one depth-first walk over the roles (the buckets come one
+  at a time, in decreasing order of their ceiling, from a closed form);
+  to-independent parts must be independent, and for MCCIS the cover part
+  linked.  A kept tripartition's ``pairs`` mask, which every
   pair bound and class plan reads, holds the members of the twin classes
   that can pair.  A tripartition pair can pair at most ``min(P1, P2)``
   members, P being a side's mask size, and at most the sum of ``min`` per
@@ -40,17 +41,18 @@ each other:
   neighborhood under the bijection), so the bijection can reach at most the
   matched and to-independent cover vertices plus ``sum(min(L_key, R_key))``
   over the keys (McSplit's bound); a bijection whose bound cannot beat the
-  best size so far is skipped whole.  Below it, one depth-first search, one
-  step for both sides, gives each to-independent cover vertex a twin class
-  and tests each choice as it is made: a member bit left in the class,
-  adjacency agreeing with the opposite side's choices, and the size still
-  reachable, which only falls; for MCCIS the class must also meet the
-  opposite side's used cover vertices.  So every assembled mapping is
-  induced by construction; the arbiter still tests each one, as a guard
+  best size so far is skipped whole.  Below it, one depth-first search with
+  an explicit depth, one step for both sides, gives each to-independent
+  cover vertex a twin class and tests each choice as it is made: a member
+  bit left in the class, adjacency agreeing with the opposite side's
+  choices, and the size still reachable, which only falls; for MCCIS the
+  class must also meet the opposite side's used cover vertices.  So every
+  assembled mapping is induced by construction; the arbiter still tests each one, as a guard
   that raises :class:`WitnessError`.  For MCCIS, ``induces_connected``
   alone decides which cover parts are linked and which candidates stay.
 
-:func:`enumerate_configurations` exposes the same enumeration as a stream.
+:func:`enumerate_configurations` exposes the same enumeration as a stream
+of mappings, each with its cover bijection.  No search here recurses.
 The threshold question "is there a common induced subgraph on ``k``
 vertices?" is answered from the exact optimum (``solve -k``).
 """
@@ -130,28 +132,6 @@ class SolveResult:
     witness: VertexMapping
     method: str
     stats: SolveStats
-
-
-@dataclass(frozen=True)
-class Tripartition:
-    """A cover's vertices by role: matched, unused, or matched into the opposite independent set."""
-
-    matched: frozenset[int]
-    unused: frozenset[int]
-    to_independent: frozenset[int]
-
-
-@dataclass(frozen=True)
-class CoverConfiguration:
-    """The cover part of one configuration in the tripartition enumeration.
-
-    The cover-to-twin-class assignments and the class pairing that complete
-    the configuration are read off the mapping yielded with it.
-    """
-
-    trip1: Tripartition
-    trip2: Tripartition
-    cover_bijection: tuple[tuple[int, int], ...]
 
 
 def configuration_bound(k1: int, k2: int) -> int:
@@ -541,10 +521,6 @@ class _Cover:
         """The mask of the images under ``sigma`` of the positions of ``mask``."""
         return sum([1 << sigma[j] for j in self.positions[mask]])
 
-    def trip(self, s: _Side) -> Tripartition:
-        matched, to_indep = frozenset(self.vertices(s.mm)), frozenset(self.vertices(s.im))
-        return Tripartition(matched, frozenset(self.order) - matched - to_indep, to_indep)
-
     def _part(self, mm: int) -> _Part:
         """Signatures and twin classes by trace in the matched part ``mm``.
         In connected mode a class with an empty trace may not pair: its
@@ -648,21 +624,34 @@ def _class_choices(
     return cands if all(cands) else None
 
 
-def _iter_search(
-    g1: Graph,
-    g2: Graph,
-    *,
-    connected: bool,
-    stats: SolveStats,
-    best: list[int],
-) -> Iterator[tuple[CoverConfiguration, VertexMapping]]:
-    """Core enumeration shared by the FPT solver and the configuration stream.
+def _buckets(k1: int, k2: int, a: int, b: int) -> Iterator[tuple[int, int, int, int]]:
+    """The size buckets ``(ub, ms, i1s, i2s)`` of covers of ``k1`` and ``k2``
+    beside independent sets of ``a`` and ``b``, one at a time in increasing
+    ``(-ub, ms, i1s, i2s)`` order: ``i1s <= min(k1 - ms, b)``, ``i2s <=
+    min(k2 - ms, a)`` and ``ub = ms + min(a + i1s, b + i2s)``.  With ``r =
+    ub - ms``, ``a + i1s = r`` comes first (the smaller ``i1s``), then
+    ``b + i2s = r < a + i1s``."""
+    for ub in range(min(k1 + a, k2 + b), -1, -1):
+        for ms in range(min(k1, k2, ub) + 1):
+            r = ub - ms
+            if 0 <= r - a <= min(k1 - ms, b):
+                for i2s in range(max(r - b, 0), min(k2 - ms, a) + 1):
+                    yield ub, ms, r - a, i2s
+            if 0 <= r - b <= min(k2 - ms, a):
+                for i1s in range(max(r - a + 1, 0), min(k1 - ms, b) + 1):
+                    yield ub, ms, i1s, r - b
+
+
+def _iter_search(c1: _Cover, c2: _Cover, stats: SolveStats, best: list[int]) -> Iterator[VertexMapping]:
+    """Core enumeration shared by the FPT solver and the configuration stream:
+    each kept candidate's mapping, over the caller's covers, in ``c1``'s mode.
 
     ``best`` is a one-element list holding the best size so far, updated by
     the consumer; subtrees whose size ceiling cannot beat it are skipped.
-    Buckets (matched size and the two to-independent sizes) are visited in
-    decreasing order of their ceiling; each side's tripartitions of one
-    bucket come from its :class:`_Cover` when the search first reaches it.
+    Buckets (matched size and the two to-independent sizes) come from
+    :func:`_buckets` in decreasing order of their ceiling; each side's
+    tripartitions of one bucket come from its :class:`_Cover` when the
+    search first reaches it.
     A tripartition pair whose ``pairs`` masks cannot lift the bucket's
     cover part above ``best``, as a whole or per trace signature, or in
     which a to-independent vertex's degree signature is offered by no
@@ -673,20 +662,8 @@ def _iter_search(
     meets these tests where it is visited, against the current ``best``,
     and each pair that passes them all draws its own cover bijections.
     """
-    c1, c2 = _Cover(g1, connected), _Cover(g2, connected)
     k1, k2 = len(c1.order), len(c2.order)
-    i1_total, i2_total = g1.n - k1, g2.n - k2
-
-    buckets = []
-    for ms in range(min(k1, k2) + 1):
-        for i1s in range(min(k1 - ms, i2_total) + 1):
-            for i2s in range(min(k2 - ms, i1_total) + 1):
-                # i1s <= |I2| and i2s <= |I1|, so neither side's pairs fall below 0
-                ub = ms + min(i1_total + i1s, i2_total + i2s)
-                buckets.append((ub, ms, i1s, i2s))
-    buckets.sort(key=lambda b: (-b[0], b[1], b[2], b[3]))
-
-    for ub, ms, i1s, i2s in buckets:
+    for ub, ms, i1s, i2s in _buckets(k1, k2, c1.g.n - k1, c2.g.n - k2):
         if ub <= best[0]:
             break
         trips1 = c1.buckets[ms, i1s]
@@ -731,8 +708,8 @@ def _search_pair(
     stats: SolveStats,
     best: list[int],
     ub: int,
-) -> Iterator[tuple[CoverConfiguration, VertexMapping]]:
-    """Every configuration of one tripartition pair, pruned against ``best``.
+) -> Iterator[VertexMapping]:
+    """Every configuration's mapping of one tripartition pair, pruned against ``best``.
 
     Positions and masks throughout, twin-class members included, until
     :func:`_assemble` builds a candidate.  A bijection's class plan is one
@@ -742,11 +719,12 @@ def _search_pair(
     A candidate's size is the matched and to-independent cover vertices
     plus ``min(L_key, R_key)`` per key over the members no choice took;
     with none taken it is McSplit's label-class bound, which prunes a whole
-    bijection.  Below it ``place`` chooses classes depth first, first side
-    first: a choice takes the lowest member left in its class into its
-    graph's ``taken`` mask, and the size is recounted only when that member
-    is in the plan.  A branch ends on an empty class, on cross adjacency
-    that disagrees with a choice made, or on a size down to ``best``.  In
+    bijection.  Below it ``place`` chooses classes depth first on a stack of
+    ``choose`` iterators, first side first: a choice takes the lowest member
+    left in its class into its graph's ``taken`` mask, and the size is
+    recounted only when that member is in the plan.  A branch ends on an
+    empty class, on cross adjacency that disagrees with a choice made, or on
+    a size down to ``best``.  In
     connected mode the choices hold only classes that meet the opposite
     used cover positions (:func:`_class_choices`), and a candidate is kept
     only if it induces a connected subgraph of the first graph.
@@ -762,13 +740,9 @@ def _search_pair(
         rest1, rest2 = ~taken[0], ~taken[1]
         return base + sum([min((left & rest1).bit_count(), (right & rest2).bit_count()) for left, right in plan])
 
-    # depth first over the steps of the bijection below, in product order, one
-    # level per to-independent position (at most k1 + k2 deep), yielding each
-    # complete assignment's size; step t gives position v a class of graph g
-    def place(t: int, size: int) -> Iterator[int]:
-        if t == len(steps):
-            yield size
-            return
+    # step t of the bijection below gives position v a class of graph g: each
+    # choice stays applied while it is yielded, with the size reachable after it
+    def choose(t: int, size: int) -> Iterator[int]:
         v, options, g = steps[t]
         for c in options:
             # a member of class c is left; and if u went into class s while it
@@ -785,9 +759,23 @@ def _search_pair(
             now = reach() if low & inplan[g] else size
             if now > best[0]:
                 chosen.append((c, low))
-                yield from place(t + 1, now)
+                yield now
                 chosen.pop()
             taken[g] ^= low
+
+    # depth first over the steps in product order, one level per
+    # to-independent position (at most k1 + k2 deep) on a stack of choice
+    # iterators, yielding each complete assignment's size
+    def place() -> Iterator[int]:
+        stack = [iter([bound])]  # the root: no choice made yet
+        while stack:
+            now = next(stack[-1], None)
+            if now is None:
+                stack.pop()
+            elif len(stack) > len(steps):
+                yield now
+            else:
+                stack.append(choose(len(stack) - 1, now))
 
     for sigma in _cover_bijections(c1.inner[s1.mm], c2.inner[s2.mm]):
         if ub <= best[0]:
@@ -807,7 +795,7 @@ def _search_pair(
             continue
         inplan = [sum([key[g] for key in plan]) for g in (0, 1)]  # per graph: the plan's members
         steps = [(u, cs, 1) for u, cs in zip(indep1, cands1)] + [(y, cs, 0) for y, cs in zip(indep2, cands2)]
-        for size in place(0, bound):
+        for size in place():
             stats.configurations += 1
             mapping = _assemble(c1, c2, s1, s2, sigma, chosen, taken, plan)
             if len(mapping) != size:
@@ -818,21 +806,23 @@ def _search_pair(
             stats.candidates_validated += 1
             if not is_induced_isomorphism(g1, g2, mapping):
                 raise WitnessError(f"mcis_vc_fpt built a non-induced mapping {mapping.pairs}")
-            bijection = tuple((c1.order[u], c2.order[v]) for u, v in sorted(sigma.items()))
-            config = CoverConfiguration(c1.trip(s1), c2.trip(s2), bijection)
-            yield config, mapping
+            yield mapping
 
 
 def enumerate_configurations(
     g1: Graph, g2: Graph
-) -> Iterator[tuple[CoverConfiguration, VertexMapping]]:
-    """Stream every validated configuration with its maximal mapping.
+) -> Iterator[tuple[tuple[tuple[int, int], ...], VertexMapping]]:
+    """Stream every validated configuration's maximal mapping, each with its
+    cover bijection: the mapping's pairs of two cover vertices, in vertex ids.
 
     Up to twin exchanges and sub-selection, every common induced subgraph of
-    the pair is dominated by some yielded item.  The floor of -1 is never
+    the pair is dominated by some yielded mapping.  The floor of -1 is never
     raised, so nothing is pruned.
     """
-    yield from _iter_search(g1, g2, connected=False, stats=SolveStats(), best=[-1])
+    c1, c2 = _Cover(g1, False), _Cover(g2, False)
+    cover1, cover2 = set(c1.order), set(c2.order)
+    for mapping in _iter_search(c1, c2, SolveStats(), [-1]):
+        yield tuple((u, v) for u, v in mapping.pairs if u in cover1 and v in cover2), mapping
 
 
 def mcis_vc_fpt(q: SolveQuery) -> SolveResult:
@@ -844,9 +834,7 @@ def mcis_vc_fpt(q: SolveQuery) -> SolveResult:
     # A single vertex is always a (connected) common induced subgraph.
     best_witness = VertexMapping(((0, 0),))
     best = [1]
-    for _, mapping in _iter_search(
-        q.g1, q.g2, connected=q.connected, stats=stats, best=best
-    ):
+    for mapping in _iter_search(_Cover(q.g1, q.connected), _Cover(q.g2, q.connected), stats, best):
         if len(mapping) > best[0]:
             best[0] = len(mapping)
             best_witness = mapping

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from typing import NamedTuple
 
 import pytest
 
@@ -22,7 +23,7 @@ from mcislab.params import (
     vertex_cover_number,
 )
 from mcislab.corpus import random_graph
-from mcislab.solvers import Tripartition, _Cover
+from mcislab.solvers import _Cover
 
 
 def brute_min_cover_size(g: Graph) -> int:
@@ -242,11 +243,24 @@ def bipartite(left, right):
     return Graph.from_edges(max(left + right) + 1, [(u, v) for u in left for v in right])
 
 
+class Trip(NamedTuple):
+    """A cover's vertices by role: matched, unused, or matched into the opposite independent set."""
+
+    matched: frozenset
+    unused: frozenset
+    to_independent: frozenset
+
+
 def generated(g, connected=False):
-    """Each (m, i) bucket of the generator over g's minimum cover."""
+    """Each (m, i) bucket of the generator over g's minimum cover, as Trips."""
     cover = _Cover(g, connected)
     sizes = range(len(cover.order) + 2)
-    return {(m, i): [cover.trip(s) for s in cover.buckets[m, i]] for m in sizes for i in sizes}
+
+    def trip(s):
+        matched, to_indep = frozenset(cover.vertices(s.mm)), frozenset(cover.vertices(s.im))
+        return Trip(matched, frozenset(cover.order) - matched - to_indep, to_indep)
+
+    return {(m, i): [trip(s) for s in cover.buckets[m, i]] for m in sizes for i in sizes}
 
 
 def reference(g, connected=False):
@@ -266,7 +280,7 @@ def reference(g, connected=False):
         joined = used | {v for v in split.independent if g.adj[v] & used}
         if connected and not (used and induces_connected(g, joined)):
             continue
-        kept.append(Tripartition(*map(frozenset, parts)))
+        kept.append(Trip(*map(frozenset, parts)))
     return kept
 
 

@@ -56,6 +56,11 @@ def test_three_partition_oracle_examples():
     assert not three_partition_exists(no)
 
 
+def test_three_partition_oracle_takes_a_thousand_triples_without_recursion():
+    # one search level per triple: 1,000 levels, past the default recursion limit
+    assert three_partition_exists(ThreePartitionInstance((5,) * 3000, 1000, 15))
+
+
 def test_three_partition_instance_validation():
     with pytest.raises(ValueError):
         ThreePartitionInstance((1, 2), 1, 3)  # not 3m items

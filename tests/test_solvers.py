@@ -3,6 +3,7 @@ vertex-cover FPT algorithm and the configuration stream."""
 
 import itertools
 import random
+import time
 
 import pytest
 
@@ -609,6 +610,36 @@ def test_fpt_draws_tripartition_buckets_lazily(monkeypatch):
     assert 0 < len(generated) < (3**k + 3**k) // 2
 
 
+def sorted_buckets(k1, k2, a, b):
+    """Every (ub, ms, i1s, i2s) size bucket, built whole and sorted by
+    decreasing ceiling: the reference for the lazy bucket generator."""
+    buckets = []
+    for ms in range(min(k1, k2) + 1):
+        for i1s in range(min(k1 - ms, b) + 1):
+            for i2s in range(min(k2 - ms, a) + 1):
+                buckets.append((ms + min(a + i1s, b + i2s), ms, i1s, i2s))
+    buckets.sort(key=lambda bucket: (-bucket[0], *bucket[1:]))
+    return buckets
+
+
+def test_fpt_bucket_generator_yields_the_sorted_bucket_list():
+    ceiling_zero = 0
+    for k1, k2, a, b in itertools.product(range(6), range(6), range(7), range(7)):
+        expected = sorted_buckets(k1, k2, a, b)
+        assert list(solvers._buckets(k1, k2, a, b)) == expected
+        ceiling_zero += expected[-1][0] == 0
+    assert ceiling_zero  # some size sets end on a bucket of ceiling 0
+
+
+def test_fpt_solves_hundreds_of_disjoint_edges_within_two_seconds():
+    # a cover of 300 and 300 independent vertices: the bucket list alone
+    # would hold tens of millions of tuples, and 600 choice levels follow
+    g = Graph.from_edges(600, [(2 * i, 2 * i + 1) for i in range(300)])
+    start = time.perf_counter()
+    assert mcis_vc_fpt(SolveQuery(g, g)).size == 600
+    assert time.perf_counter() - start < 2.0
+
+
 def test_fpt_assembly_is_checked_against_its_predicted_size(monkeypatch):
     monkeypatch.setattr(solvers, "_assemble", lambda *args: VertexMapping(()))
     with pytest.raises(WitnessError):
@@ -658,14 +689,13 @@ def test_enumerate_every_item_is_validated():
     rng = random.Random(26)
     for _ in range(10):
         g1, g2 = random_graph_pair(rng, 5)
-        for config, mapping in enumerate_configurations(g1, g2):
+        cover1, cover2 = min_vertex_cover(g1).cover, min_vertex_cover(g2).cover
+        for bijection, mapping in enumerate_configurations(g1, g2):
             assert is_induced_isomorphism(g1, g2, mapping)
-            # the cover bijection, in vertex ids, is the mapping on the matched parts
-            bijection = config.cover_bijection
-            assert set(bijection) <= set(mapping.pairs)
-            assert {u for u, _ in bijection} == config.trip1.matched
-            assert {v for _, v in bijection} == config.trip2.matched
-            assert len(bijection) == len(config.trip1.matched)
+            # the cover bijection, in vertex ids, is the mapping on the matched
+            # parts: its pairs of two cover vertices, in order
+            assert bijection == tuple(p for p in mapping.pairs if p[0] in cover1 and p[1] in cover2)
+            assert is_induced_isomorphism(g1, g2, VertexMapping(bijection))
 
 
 def test_enumerate_dominates_every_bruteforce_optimum():
