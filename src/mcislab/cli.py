@@ -21,7 +21,7 @@ import time
 from pathlib import Path
 
 from . import harness
-from .graphs import Graph, GraphParseError, SizeBoundError, connected_components, graph_stats, parse_graph
+from .graphs import Graph, GraphParseError, SizeBoundError, graph_stats, parse_graph
 from .params import min_feedback_vertex_set, vertex_cover_number
 from .reductions import (
     CliqueInstance,
@@ -220,8 +220,8 @@ def cmd_analyze(args: argparse.Namespace) -> Outcome:
     result = {
         "n": g.n,
         "m": g.m,
-        "connected": stats.connected,
-        "components": len(connected_components(g)),
+        "connected": stats.components <= 1,
+        "components": stats.components,
         "girth": stats.girth if stats.girth is not None else "acyclic",
         "bipartite": stats.bipartite,
         "c4_free": stats.c4_free,

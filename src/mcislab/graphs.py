@@ -1,8 +1,10 @@
 """Simple undirected graphs and the structural predicates everything else uses.
 
-Vertices are dense integers ``0..n-1``.  Graphs are immutable after
-construction, so they can be shared freely between workers; every operation
-here is a pure function returning a fresh graph or a plain value.
+Vertices are dense integers ``0..n-1``, and a graph is its vertex count and
+its edges and nothing more: the roles of a gadget's vertices belong to
+:mod:`mcislab.reductions`.  Graphs are immutable after construction, so they
+can be shared freely between workers; every operation here is a pure
+function returning a fresh graph or a plain value.
 
 The induced-isomorphism checker in this module is the trusted arbiter of the
 whole package: solver output is only reported after it passes
@@ -49,14 +51,11 @@ class Graph:
     """Undirected simple graph on vertices ``0..n-1``.
 
     ``edges`` stores each edge exactly once as an ordered pair ``(u, v)``
-    with ``u < v``.  ``labels`` optionally attaches an opaque role string to
-    each vertex; the gadget builders use this to keep their constructions
-    inspectable ("p", "q", "r", "e_1_2", ...).
+    with ``u < v``; ``adj`` and ``m`` are derived from it.
     """
 
     n: int
     edges: frozenset[tuple[int, int]]
-    labels: tuple[str | None, ...] | None = None
 
     def __post_init__(self):
         for u, v in self.edges:
@@ -64,19 +63,11 @@ class Graph:
                 raise ValueError(f"self-loop at vertex {u}")
             if not 0 <= u < v < self.n:
                 raise ValueError(f"edge ({u}, {v}) out of range for n={self.n}")
-        if self.labels is not None and len(self.labels) != self.n:
-            raise ValueError("labels must have exactly one entry per vertex")
 
     @classmethod
-    def from_edges(
-        cls,
-        n: int,
-        edges: Iterable[tuple[int, int]],
-        labels: Iterable[str | None] | None = None,
-    ) -> "Graph":
+    def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
         """Build a graph, normalizing edge orientation and dropping duplicates."""
-        norm = frozenset((min(u, v), max(u, v)) for u, v in edges)
-        return cls(n, norm, tuple(labels) if labels is not None else None)
+        return cls(n, frozenset((min(u, v), max(u, v)) for u, v in edges))
 
     @cached_property
     def adj(self) -> tuple[frozenset[int], ...]:
@@ -89,15 +80,6 @@ class Graph:
     @property
     def m(self) -> int:
         return len(self.edges)
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return (min(u, v), max(u, v)) in self.edges
-
-    def degree(self, v: int) -> int:
-        return len(self.adj[v])
-
-    def label(self, v: int) -> str | None:
-        return self.labels[v] if self.labels is not None else None
 
 
 @dataclass(frozen=True)
@@ -113,26 +95,20 @@ class VertexMapping:
     def __len__(self) -> int:
         return len(self.pairs)
 
-    def inverse(self) -> "VertexMapping":
-        return VertexMapping(tuple(sorted((v, u) for u, v in self.pairs)))
-
-    @classmethod
-    def identity(cls, n: int) -> "VertexMapping":
-        return cls(tuple((v, v) for v in range(n)))
-
 
 @dataclass(frozen=True)
 class GraphStats:
     """Structural facts about one graph.
 
     ``girth`` is ``None`` for acyclic graphs; an explicit sentinel is used
-    instead of a large magic number.
+    instead of a large magic number.  ``components`` counts the connected
+    components (0 for the empty graph).
     """
 
     girth: int | None
     bipartite: bool
     c4_free: bool
-    connected: bool
+    components: int
 
 
 # ---------------------------------------------------------------------------
@@ -221,7 +197,7 @@ def parse_graph(text: str) -> Graph:
 
 
 def serialize_graph(g: Graph) -> str:
-    """Render a graph in edge-list format (labels are not serialized)."""
+    """Render a graph in edge-list format."""
     lines = [f"{g.n} {g.m}"]
     lines.extend(f"{u} {v}" for u, v in sorted(g.edges))
     return "\n".join(lines) + "\n"
@@ -232,15 +208,14 @@ def serialize_graph(g: Graph) -> str:
 
 
 def induced_subgraph(g: Graph, vertices: Iterable[int]) -> Graph:
-    """Subgraph induced by ``vertices``; original ids are kept as labels."""
+    """Subgraph induced by ``vertices``, renumbered in increasing id order."""
     order = sorted(set(vertices))
     for v in order:
         if not 0 <= v < g.n:
             raise ValueError(f"vertex {v} is not in the graph")
     index = {v: i for i, v in enumerate(order)}
     edges = [(index[u], index[v]) for u, v in g.edges if u in index and v in index]
-    labels = tuple(g.label(v) if g.label(v) is not None else str(v) for v in order)
-    return Graph.from_edges(len(order), edges, labels)
+    return Graph.from_edges(len(order), edges)
 
 
 def is_induced_isomorphism(g1: Graph, g2: Graph, mapping: VertexMapping) -> bool:
@@ -264,10 +239,8 @@ def is_induced_isomorphism(g1: Graph, g2: Graph, mapping: VertexMapping) -> bool
 
 
 def add_universal_vertex(g: Graph) -> Graph:
-    """Add one vertex adjacent to everything; it gets the label "universal"."""
-    edges = set(g.edges) | {(v, g.n) for v in range(g.n)}
-    base = g.labels if g.labels is not None else (None,) * g.n
-    return Graph.from_edges(g.n + 1, edges, base + ("universal",))
+    """Add one vertex, numbered ``g.n``, adjacent to every other."""
+    return Graph(g.n + 1, g.edges | {(v, g.n) for v in range(g.n)})
 
 
 def _levels(
@@ -322,7 +295,7 @@ def induces_forest(g: Graph, vertices: Iterable[int]) -> bool:
 
 
 def graph_stats(g: Graph) -> GraphStats:
-    """Girth, bipartiteness, C4-freeness and connectivity in one shot.
+    """Girth, bipartiteness, C4-freeness and the component count in one shot.
 
     One breadth-first search per root.  An edge inside level d closes a cycle
     of at most 2d + 1 vertices, a vertex at level d with two neighbours at
@@ -364,7 +337,7 @@ def graph_stats(g: Graph) -> GraphStats:
                     parents += 1
             if parents >= 2:
                 girth = min(girth, 2 * d)
-    return GraphStats(girth if girth <= g.n else None, bipartite, c4_free, components <= 1)
+    return GraphStats(girth if girth <= g.n else None, bipartite, c4_free, components)
 
 
 def triangles(g: Graph) -> Iterator[tuple[int, int, int]]:

@@ -1,11 +1,11 @@
 """Hardness-reduction gadget builders.
 
-Each builder returns a :class:`ReductionOutput`: the constructed instance
-plus machine-checkable certificates (vertex-cover set, size formulas,
-structural facts).  :func:`verify_reduction` re-derives every certificate
-from scratch and compares the reduced instance's answer against the source
-instance's answer using the brute-force solvers, so the constructions can be
-audited end to end at desk scale.
+Each builder returns a :class:`ReductionOutput`: the constructed instance,
+its vertices' roles and machine-checkable certificates (vertex-cover set,
+size formulas, structural facts).  :func:`verify_reduction` re-derives every
+certificate from scratch and compares the reduced instance's answer against
+the source instance's answer using the brute-force solvers, so the
+constructions can be audited end to end at desk scale.
 """
 
 from __future__ import annotations
@@ -79,13 +79,18 @@ class ThreePartitionInstance:
 
 @dataclass(frozen=True)
 class ReductionOutput:
-    """A produced instance plus everything needed to audit it."""
+    """A produced instance plus everything needed to audit it.
+
+    ``roles`` names each vertex's part in the gadget, one list per side, as
+    the manifest stores it: ``{"g1": ["p", "q", ...], "g2": [...]}``.
+    """
 
     kind: str
     g1: Graph
     g2: Graph
     target: int
     certificates: dict = field(default_factory=dict)
+    roles: dict = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -111,21 +116,22 @@ class ReductionReport:
 # shared pieces
 
 
-def _named(labels: list[str], edges: Iterable[tuple[str, str]]) -> Graph:
-    """Graph on ``labels``, numbered in label order, with edges as label pairs."""
-    index = {name: i for i, name in enumerate(labels)}
-    return Graph.from_edges(len(labels), ((index[a], index[b]) for a, b in edges), labels)
+def _named(roles: list[str], edges: Iterable[tuple[str, str]]) -> tuple[Graph, list[str]]:
+    """Graph on ``roles``, numbered in role order, with edges as role pairs; and its roles."""
+    index = {name: i for i, name in enumerate(roles)}
+    return Graph.from_edges(len(roles), ((index[a], index[b]) for a, b in edges)), roles
 
 
-def incidence_graph(g: Graph) -> Graph:
-    """Bipartite incidence graph: one node per vertex, one per edge.
-
-    Vertex nodes come first and keep 1-based labels ``v_i``; edge nodes are
-    labeled ``e_u_v`` and are adjacent to their two endpoints.
-    """
+def _incidence(g: Graph) -> tuple[Graph, list[str]]:
+    """The incidence graph of ``g`` and its roles, ``v_i`` then ``e_u_v`` (1-based)."""
     ends = {f"e_{u + 1}_{v + 1}": (u, v) for u, v in sorted(g.edges)}
     edges = [(f"v_{x + 1}", e) for e, pair in ends.items() for x in pair]
     return _named([f"v_{i + 1}" for i in range(g.n)] + list(ends), edges)
+
+
+def incidence_graph(g: Graph) -> Graph:
+    """Bipartite incidence graph: the vertex nodes, then one node per edge next to its ends."""
+    return _incidence(g)[0]
 
 
 def has_clique(g: Graph, l: int) -> bool:
@@ -133,7 +139,7 @@ def has_clique(g: Graph, l: int) -> bool:
     if l <= 1:
         return g.n >= l
     for combo in itertools.combinations(range(g.n), l):
-        if all(g.has_edge(u, v) for u, v in itertools.combinations(combo, 2)):
+        if all(v in g.adj[u] for u, v in itertools.combinations(combo, 2)):
             return True
     return False
 
@@ -159,10 +165,12 @@ def three_partition_exists(inst: ThreePartitionInstance) -> bool:
     return False
 
 
-def _label_index(g: Graph, name: str) -> int:
-    if g.labels is None:
-        raise ValueError(f"graph has no vertex labels to look up {name!r} in")
-    return g.labels.index(name)
+def _roles(out: ReductionOutput, side: str) -> list[str | None]:
+    """``out``'s roles on ``side``; a ValueError unless there is one per vertex."""
+    roles = out.roles.get(side)
+    if roles is None or len(roles) != getattr(out, side).n:
+        raise ValueError(f"{side} has no role per vertex")
+    return roles
 
 
 # ---------------------------------------------------------------------------
@@ -181,8 +189,8 @@ def clique_to_incidence_isi(g: Graph, k: int) -> ReductionOutput:
     size = max(k + k * (k - 1) // 2, g.n + g.m)
     if size > MAX_VERTICES:
         raise SizeBoundError(f"the gadget would have {size} vertices")
-    g1 = incidence_graph(complete_graph(k))
-    g2 = incidence_graph(g)
+    g1, roles1 = _incidence(complete_graph(k))
+    g2, roles2 = _incidence(g)
     target = k + k * (k - 1) // 2
     certificates = {
         "k": k,
@@ -192,7 +200,7 @@ def clique_to_incidence_isi(g: Graph, k: int) -> ReductionOutput:
         "edge_vertex_degree": 2,
         "host_size": g.n + g.m,
     }
-    return ReductionOutput("clique-incidence", g1, g2, target, certificates)
+    return ReductionOutput("clique-incidence", g1, g2, target, certificates, dict(g1=roles1, g2=roles2))
 
 
 def cross_compose(instances: list[CliqueInstance]) -> ReductionOutput:
@@ -227,17 +235,17 @@ def cross_compose(instances: list[CliqueInstance]) -> ReductionOutput:
     for a, inst in zip(anames, instances):
         edges += [(a, enames[pair]) for pair in inst.graph.edges]
     edges += [(e, vnames[x]) for pair, e in enames.items() for x in pair]
-    g2 = _named(["p", "q", "r", *anames, *enames.values(), *vnames], edges)
+    g2, roles2 = _named(["p", "q", "r", *anames, *enames.values(), *vnames], edges)
 
     # pattern: p q r a | e_1..e_{l(l-1)/2} | v_1..v_l
     ends = {f"e_{i + 1}": pair for i, pair in enumerate(itertools.combinations(range(l), 2))}
     pedges = [("p", "q"), ("p", "r"), ("q", "r"), ("r", "a")] + [("a", e) for e in ends]
     pedges += [(e, f"v_{x + 1}") for e, pair in ends.items() for x in pair]
-    g1 = _named(["p", "q", "r", "a", *ends, *(f"v_{i + 1}" for i in range(l))], pedges)
+    g1, roles1 = _named(["p", "q", "r", "a", *ends, *(f"v_{i + 1}" for i in range(l))], pedges)
 
     target = g1.n
     vc_g1 = vertex_cover_number(g1)
-    z = sorted(_label_index(g2, name) for name in ["p", "r", *enames.values()])
+    z = [v for v, name in enumerate(roles2) if name in ("p", "r") or name.startswith("e_")]
     certificates = {
         "n": n,
         "l": l,
@@ -251,7 +259,7 @@ def cross_compose(instances: list[CliqueInstance]) -> ReductionOutput:
         "parameter_z_plus_vc_g1": len(z) + vc_g1,
         "parameter_vc_sum": vc_g1 + vertex_cover_number(g2),
     }
-    return ReductionOutput("cross-compose", g1, g2, target, certificates)
+    return ReductionOutput("cross-compose", g1, g2, target, certificates, dict(g1=roles1, g2=roles2))
 
 
 def isi_to_mccis(g1: Graph, g2: Graph) -> ReductionOutput:
@@ -261,8 +269,13 @@ def isi_to_mccis(g1: Graph, g2: Graph) -> ReductionOutput:
     only ones with high enough degree to be matched together, so the lifted
     target is ``|V(g1)| + 1``.  Both inputs must be forests, so that each
     output's feedback vertex set is at most 1; an input with a cycle raises
-    :class:`SoundnessError`.
+    :class:`SoundnessError`, and one that already has :data:`MAX_VERTICES`
+    vertices raises :class:`SizeBoundError`.  The added vertex is the last
+    of each side and the only one with a role, "universal".
     """
+    size = max(g1.n, g2.n) + 1
+    if size > MAX_VERTICES:
+        raise SizeBoundError(f"the gadget would have {size} vertices")
     for name, g in (("g1", g1), ("g2", g2)):
         if not induces_forest(g, range(g.n)):
             raise SoundnessError(f"{name} has a cycle; the lift needs forest inputs")
@@ -273,17 +286,18 @@ def isi_to_mccis(g1: Graph, g2: Graph) -> ReductionOutput:
         "fvs_bound": 1,
         "universal_degrees": [g1.n, g2.n],
     }
-    return ReductionOutput("universal", out1, out2, g1.n + 1, certificates)
+    roles = {name: [None] * g.n + ["universal"] for name, g in (("g1", g1), ("g2", g2))}
+    return ReductionOutput("universal", out1, out2, g1.n + 1, certificates, roles)
 
 
-def _labelled_paths(paths: Iterable[tuple[int, str]]) -> Graph:
-    """Disjoint union of paths from (length, label) pairs, numbered in order."""
+def _paths(paths: Iterable[tuple[int, str]]) -> tuple[Graph, list[str]]:
+    """Disjoint union of paths from (length, role) pairs, numbered in order; and its roles."""
     edges: list[tuple[int, int]] = []
-    labels: list[str] = []
-    for length, label in paths:
-        edges += [(len(labels) + j, len(labels) + j + 1) for j in range(length - 1)]
-        labels += [label] * length
-    return Graph.from_edges(len(labels), edges, labels)
+    roles: list[str] = []
+    for length, role in paths:
+        edges += [(len(roles) + j, len(roles) + j + 1) for j in range(length - 1)]
+        roles += [role] * length
+    return Graph.from_edges(len(roles), edges), roles
 
 
 def three_partition_to_forest_isi(inst: ThreePartitionInstance) -> ReductionOutput:
@@ -302,8 +316,8 @@ def three_partition_to_forest_isi(inst: ThreePartitionInstance) -> ReductionOutp
     host_len = inst.B + 2
     if inst.m * host_len > MAX_VERTICES:  # the pattern has m * B vertices
         raise SizeBoundError(f"the gadget would have {inst.m * host_len} vertices")
-    g1 = _labelled_paths((a, f"piece_{i + 1}") for i, a in enumerate(inst.items))
-    g2 = _labelled_paths((host_len, f"host_{i + 1}") for i in range(inst.m))
+    g1, roles1 = _paths((a, f"piece_{i + 1}") for i, a in enumerate(inst.items))
+    g2, roles2 = _paths((host_len, f"host_{i + 1}") for i in range(inst.m))
     certificates = {
         "m": inst.m,
         "B": inst.B,
@@ -312,7 +326,7 @@ def three_partition_to_forest_isi(inst: ThreePartitionInstance) -> ReductionOutp
         "g2_size": inst.m * host_len,
         "forest": True,
     }
-    return ReductionOutput("3partition", g1, g2, g1.n, certificates)
+    return ReductionOutput("3partition", g1, g2, g1.n, certificates, dict(g1=roles1, g2=roles2))
 
 
 # ---------------------------------------------------------------------------
@@ -336,9 +350,10 @@ def verify_reduction(out: ReductionOutput, source_answer: bool) -> ReductionRepo
         expected = out.certificates["z_size_formula"]
         check("z_size_formula", len(z) == expected, f"|Z|={len(z)}, formula={expected}")
         tri = list(triangles(out.g2))
-        pqr = tuple(sorted(_label_index(out.g2, name) for name in ("p", "q", "r")))
+        roles = _roles(out, "g2")
+        pqr = tuple(sorted(roles.index(name) for name in ("p", "q", "r")))
         check("unique_triangle_pqr", tri == [pqr], f"triangles={tri}")
-        keep = [v for v in range(out.g2.n) if v != _label_index(out.g2, "p")]
+        keep = [v for v in range(out.g2.n) if v != roles.index("p")]
         check(
             "g2_minus_p_bipartite",
             graph_stats(induced_subgraph(out.g2, keep)).bipartite,
@@ -356,11 +371,11 @@ def verify_reduction(out: ReductionOutput, source_answer: bool) -> ReductionRepo
                 f"girth={stats.girth}",
             )
             edge_nodes = [
-                v for v in range(g.n) if (g.label(v) or "").startswith("e_")
+                v for v, role in enumerate(_roles(out, side)) if (role or "").startswith("e_")
             ]
             check(
                 f"{side}_edge_vertices_degree_2",
-                all(g.degree(v) == 2 for v in edge_nodes),
+                all(len(g.adj[v]) == 2 for v in edge_nodes),
             )
         k = out.certificates["k"]
         check("target_formula", out.target == k + k * (k - 1) // 2)
@@ -371,8 +386,8 @@ def verify_reduction(out: ReductionOutput, source_answer: bool) -> ReductionRepo
             check(
                 f"{side}_fvs_at_most_1", min_feedback_vertex_set(g).size <= 1
             )
-            universal = _label_index(g, "universal")
-            check(f"{side}_universal_degree", g.degree(universal) == g.n - 1)
+            universal = _roles(out, side).index("universal")
+            check(f"{side}_universal_degree", len(g.adj[universal]) == g.n - 1)
         result = mcis_bruteforce(SolveQuery(out.g1, out.g2, connected=True))
         check(
             "mccis_matches_source",
@@ -406,10 +421,7 @@ def write_reduction(out: ReductionOutput, outdir: str | Path) -> Path:
     manifest = {
         "kind": out.kind,
         "target": out.target,
-        "roles": {
-            "g1": list(out.g1.labels) if out.g1.labels else None,
-            "g2": list(out.g2.labels) if out.g2.labels else None,
-        },
+        "roles": {side: out.roles.get(side) for side in ("g1", "g2")},
         "certificates": out.certificates,
     }
     (outdir / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
@@ -421,15 +433,7 @@ def read_reduction(outdir: str | Path) -> ReductionOutput:
     outdir = Path(outdir)
     manifest = json.loads((outdir / "manifest.json").read_text())
 
-    def load(name: str) -> Graph:
-        g = parse_graph((outdir / f"{name}.edgelist").read_text())
-        roles = manifest["roles"][name]
-        return Graph(g.n, g.edges, tuple(roles) if roles else None)
-
+    g1, g2 = (parse_graph((outdir / f"{name}.edgelist").read_text()) for name in ("g1", "g2"))
     return ReductionOutput(
-        manifest["kind"],
-        load("g1"),
-        load("g2"),
-        manifest["target"],
-        manifest["certificates"],
+        manifest["kind"], g1, g2, manifest["target"], manifest["certificates"], manifest["roles"]
     )

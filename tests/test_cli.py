@@ -294,6 +294,15 @@ def test_reduce_universal_refuses_a_graph_with_a_cycle(graph_files, tmp_path, ca
     assert "has a cycle" in capsys.readouterr().err
 
 
+def test_reduce_universal_refuses_an_input_at_the_size_bound(graph_files, tmp_path, capsys):
+    # the lifted gadget would have 100,001 vertices: exit 2, and no file written
+    path = graph_files("path.el", path_graph(100_000))
+    outdir = tmp_path / "lift"
+    assert main(["reduce", "--which", "universal", path, path, "--outdir", str(outdir)]) == EXIT_REFUSED
+    assert not outdir.exists()
+    assert capsys.readouterr().err == "error: the gadget would have 100001 vertices, above the size bound 100000\n"
+
+
 def test_reduce_clique_incidence_refuses_a_clique_larger_than_the_graph(graph_files, tmp_path, capsys):
     # the pattern is the incidence graph of K_k, so k = 800 on a path of 3
     # once built 320,400 vertices; cross-compose refuses the same k

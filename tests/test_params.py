@@ -274,7 +274,7 @@ def reference(g, connected=False):
         parts = ([], [], [])
         for v, role in zip(sorted(split.cover), roles):
             parts[role].append(v)
-        if any(g.has_edge(u, v) for u, v in itertools.combinations(parts[2], 2)):
+        if any(v in g.adj[u] for u, v in itertools.combinations(parts[2], 2)):
             continue
         used = set(parts[0] + parts[2])
         joined = used | {v for v in split.independent if g.adj[v] & used}

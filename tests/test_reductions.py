@@ -132,14 +132,14 @@ def test_cross_compose_sizes():
 def test_cross_compose_vertex_numbering_is_pinned():
     # the numbering is the on-disk form: manifest roles and edge-list ids
     out = cross_compose([CliqueInstance(path_graph(3), 3), CliqueInstance(complete_graph(3), 3)])
-    assert out.g1.labels == ("p", "q", "r", "a", "e_1", "e_2", "e_3", "v_1", "v_2", "v_3")
+    assert out.roles["g1"] == ["p", "q", "r", "a", "e_1", "e_2", "e_3", "v_1", "v_2", "v_3"]
     assert sorted(out.g1.edges) == [
         (0, 1), (0, 2), (1, 2), (2, 3), (3, 4), (3, 5), (3, 6),
         (4, 7), (4, 8), (5, 7), (5, 9), (6, 8), (6, 9),
     ]
-    assert out.g2.labels == (
+    assert out.roles["g2"] == [
         "p", "q", "r", "a_1", "a_2", "e_1_2", "e_1_3", "e_2_3", "v_1", "v_2", "v_3",
-    )
+    ]
     assert sorted(out.g2.edges) == [
         (0, 1), (0, 2), (1, 2), (2, 3), (2, 4), (3, 5), (3, 7), (4, 5),
         (4, 6), (4, 7), (5, 8), (5, 9), (6, 8), (6, 10), (7, 9), (7, 10),
@@ -202,6 +202,21 @@ def test_universal_lift_on_single_vertex():
     out = isi_to_mccis(edgeless_graph(1), edgeless_graph(1))
     assert out.target == 2
     assert out.g1.edges == path_graph(2).edges
+
+
+def test_universal_lift_names_the_added_vertex_last():
+    out = isi_to_mccis(path_graph(2), edgeless_graph(3))
+    assert out.roles == {"g1": [None, None, "universal"], "g2": [None, None, None, "universal"]}
+    assert out.g2.adj[3] == {0, 1, 2}
+
+
+def test_universal_lift_refuses_an_input_at_the_size_bound():
+    # the lift adds a vertex, so an input of MAX_VERTICES would build one over it
+    at, below = path_graph(MAX_VERTICES), path_graph(MAX_VERTICES - 1)
+    for g1, g2 in ((at, below), (below, at)):
+        with pytest.raises(SizeBoundError, match=f"^the gadget would have {MAX_VERTICES + 1} vertices"):
+            isi_to_mccis(g1, g2)
+    assert isi_to_mccis(below, below).g2.n == MAX_VERTICES
 
 
 def test_universal_lift_rejects_inputs_with_a_cycle():
@@ -294,9 +309,10 @@ def test_verifier_catches_tampering():
     broken = ReductionOutput(
         out.kind,
         out.g1,
-        Graph(out.g2.n, frozenset(broken_edges), out.g2.labels),
+        Graph(out.g2.n, frozenset(broken_edges)),
         out.target,
         out.certificates,
+        out.roles,
     )
     report = verify_reduction(broken, source_answer=True)
     assert not report.ok
@@ -317,11 +333,10 @@ def test_verifier_rejects_unknown_kind():
 def test_verifier_rejects_unlabelled_graphs_without_assert():
     # the role lookup must hold under python -O, which strips assert statements
     out = isi_to_mccis(path_graph(2), path_graph(3))
-    unlabelled = ReductionOutput(
-        out.kind, Graph(out.g1.n, out.g1.edges), out.g2, out.target, out.certificates
-    )
-    with pytest.raises(ValueError, match="no vertex labels"):
-        verify_reduction(unlabelled, source_answer=True)
+    for roles in ({"g2": out.roles["g2"]}, {"g1": out.roles["g1"][1:], "g2": out.roles["g2"]}):
+        unlabelled = ReductionOutput(out.kind, out.g1, out.g2, out.target, out.certificates, roles)
+        with pytest.raises(ValueError, match="^g1 has no role per vertex"):
+            verify_reduction(unlabelled, source_answer=True)
 
 
 # --- on-disk form -----------------------------------------------------------
@@ -334,7 +349,7 @@ def test_write_read_round_trip(tmp_path):
     assert again.kind == out.kind
     assert again.target == out.target
     assert again.g1.edges == out.g1.edges and again.g2.edges == out.g2.edges
-    assert again.g1.labels == out.g1.labels
+    assert again.roles == out.roles
     assert again.certificates == out.certificates
 
 
@@ -362,5 +377,8 @@ def test_incidence_graph_of_triangle_is_c6():
 
 def test_incidence_graph_labels_and_degrees():
     inc = incidence_graph(path_graph(3))
-    assert inc.labels == ("v_1", "v_2", "v_3", "e_1_2", "e_2_3")
-    assert inc.degree(3) == inc.degree(4) == 2
+    assert sorted(inc.edges) == [(0, 3), (1, 3), (1, 4), (2, 4)]
+    assert len(inc.adj[3]) == len(inc.adj[4]) == 2
+    out = clique_to_incidence_isi(path_graph(3), 3)
+    assert out.g2.edges == inc.edges
+    assert out.roles["g2"] == ["v_1", "v_2", "v_3", "e_1_2", "e_2_3"]

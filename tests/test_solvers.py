@@ -392,6 +392,34 @@ def test_fpt_matches_bruteforce_on_larger_planted_covers():
                 assert_valid_witness(query, result)
 
 
+def test_fpt_optimum_obeys_metamorphic_relations_at_planted_sizes():
+    # no oracle reaches n = 30-60, so the optimum is checked against itself:
+    # swapping the graphs and relabelling both keeps it, in both modes, and
+    # an isolated vertex added to each graph raises the MCIS optimum by one.
+    # Two pairs are drawn per cell and the first is solved; its witness must
+    # be valid (a solver that keeps disconnected MCCIS candidates fails here).
+    rng, relabel = random.Random(5), random.Random(99)
+
+    def shuffled(g):
+        perm = list(range(g.n))
+        relabel.shuffle(perm)
+        return Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges])
+
+    for k in (4, 6, 8):
+        for n in (30, 40, 60):
+            g1, g2 = [planted_cover_graph(rng, n, k) for _ in range(4)][:2]
+            swapped = (shuffled(g2), shuffled(g1))
+            lifted = [Graph(g.n + 1, g.edges) for g in (g1, g2)]
+            for conn in (False, True):
+                query = SolveQuery(g1, g2, connected=conn)
+                result = mcis_vc_fpt(query)
+                assert_valid_witness(query, result)
+                optimum = result.size
+                assert mcis_vc_fpt(SolveQuery(*swapped, connected=conn)).size == optimum, (k, n, conn)
+                if not conn:
+                    assert mcis_vc_fpt(SolveQuery(*lifted)).size == optimum + 1, (k, n)
+
+
 def test_fpt_check_seed_64_pair_drops_what_cannot_yield():
     # the costliest check-oracle pair before the cover-part and signature
     # filters: 117,589 configurations connected, 117 bijections unconnected
