@@ -47,7 +47,7 @@ EXIT_USAGE = 1
 EXIT_REFUSED = 2
 EXIT_CHECK_FAILED = 3
 
-# `solve --algo auto` runs the FPT solver when the larger cover is at most this
+# past the oracle bound, `solve --algo auto` runs the FPT solver when the larger cover is at most this
 VC_CUTOFF = 8
 
 
@@ -109,20 +109,16 @@ def cmd_solve(args: argparse.Namespace) -> Outcome:
         return EXIT_OK, digest, result, lines, stats
 
     query = SolveQuery(g1, g2, connected=args.problem == "mccis")
-    algo = args.algo
-    if algo == "auto":
-        if max(vertex_cover_number(g1, VC_CUTOFF), vertex_cover_number(g2, VC_CUTOFF)) <= VC_CUTOFF:
-            algo = "vc-fpt"
-        elif max(g1.n, g2.n) <= ORACLE_BOUND:
-            algo = "brute"
-        else:
+    # auto runs the FPT and tests covers only past the oracle bound: within it, one past the cutoff is K10's 9
+    if args.algo == "auto" and max(g1.n, g2.n) > ORACLE_BOUND:
+        if max(vertex_cover_number(g, VC_CUTOFF) for g in (g1, g2)) > VC_CUTOFF:
             raise CliError(
                 f"refusing: a minimum vertex cover exceeds cutoff {VC_CUTOFF} "
                 f"and inputs exceed the oracle bound {ORACLE_BOUND}",
                 EXIT_REFUSED,
             )
     try:
-        solved = mcis_vc_fpt(query) if algo == "vc-fpt" else mcis_bruteforce(query)
+        solved = mcis_bruteforce(query) if args.algo == "brute" else mcis_vc_fpt(query)
     except OracleBoundError as exc:
         raise CliError(str(exc), EXIT_REFUSED) from exc
     result = {"size": solved.size, "witness": list(solved.witness.pairs), "method": solved.method}

@@ -223,19 +223,18 @@ def is_induced_isomorphism(g1: Graph, g2: Graph, mapping: VertexMapping) -> bool
 
     This is the trusted arbiter: every solver witness goes through here.
     Raises :class:`MappingError` when the mapping is not injective or maps
-    outside the two vertex sets.
+    outside the two vertex sets.  One pass over the edges at the mapped
+    vertices: each mapped vertex's mapped neighbours must go exactly onto
+    its image's neighbours among the images.
     """
-    us = [u for u, _ in mapping.pairs]
-    vs = [v for _, v in mapping.pairs]
-    if len(set(us)) != len(us) or len(set(vs)) != len(vs):
+    image = dict(mapping.pairs)
+    targets = set(image.values())
+    if len(image) != len(mapping.pairs) or len(targets) != len(image):
         raise MappingError("mapping is not injective")
-    if any(not 0 <= u < g1.n for u in us) or any(not 0 <= v < g2.n for v in vs):
+    if image and (min(image) < 0 or max(image) >= g1.n or min(targets) < 0 or max(targets) >= g2.n):
         raise MappingError("mapping endpoint outside the vertex sets")
     adj1, adj2 = g1.adj, g2.adj
-    for (u, v), (u2, v2) in itertools.combinations(mapping.pairs, 2):
-        if (u2 in adj1[u]) != (v2 in adj2[v]):
-            return False
-    return True
+    return all({image[w] for w in adj1[u] if w in image} == adj2[v] & targets for u, v in image.items())
 
 
 def add_universal_vertex(g: Graph) -> Graph:

@@ -29,7 +29,7 @@ from .graphs import (
     serialize_graph,
     triangles,
 )
-from .params import min_feedback_vertex_set, vertex_cover_number
+from .params import min_feedback_vertex_set
 from .solvers import SolveQuery, isi_backtracking, mcis_bruteforce
 
 
@@ -211,8 +211,11 @@ def cross_compose(instances: list[CliqueInstance]) -> ReductionOutput:
     host has one selector vertex per instance hanging off an anchor triangle,
     a layer of nodes for all possible edges, and a layer of nodes for the
     shared vertex set; the pattern encodes a clique of the sought size.  The
-    certificate set includes the explicit vertex cover whose size is
-    ``n(n-1)/2 + 2``.
+    certificates are the sizes ``n``, ``l``, ``t`` and ``l_prime`` (the
+    target), the explicit vertex cover Z of the host with its size
+    ``n(n-1)/2 + 2``, the unique triangle and the bipartite host minus p.
+    Z is the parameter bound the composition needs: polynomial in n, free of
+    t.  No cover is searched, so the build is linear in what it writes.
     """
     if not instances:
         raise EquivalenceClassError("need at least one instance")
@@ -244,7 +247,6 @@ def cross_compose(instances: list[CliqueInstance]) -> ReductionOutput:
     g1, roles1 = _named(["p", "q", "r", "a", *ends, *(f"v_{i + 1}" for i in range(l))], pedges)
 
     target = g1.n
-    vc_g1 = vertex_cover_number(g1)
     z = [v for v, name in enumerate(roles2) if name in ("p", "r") or name.startswith("e_")]
     certificates = {
         "n": n,
@@ -255,9 +257,6 @@ def cross_compose(instances: list[CliqueInstance]) -> ReductionOutput:
         "z_size_formula": n * (n - 1) // 2 + 2,
         "unique_triangle": ["p", "q", "r"],
         "g2_minus_p_bipartite": True,
-        # the composition's parameter is not pinned down; report both readings
-        "parameter_z_plus_vc_g1": len(z) + vc_g1,
-        "parameter_vc_sum": vc_g1 + vertex_cover_number(g2),
     }
     return ReductionOutput("cross-compose", g1, g2, target, certificates, dict(g1=roles1, g2=roles2))
 

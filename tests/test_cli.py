@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import mcislab
-from mcislab import harness
+from mcislab import cli, harness
 from mcislab.cli import (
     EXIT_CHECK_FAILED,
     EXIT_OK,
@@ -32,7 +32,7 @@ from mcislab.graphs import (
     serialize_graph,
 )
 from mcislab.params import min_vertex_cover, vertex_cover_number
-from mcislab.reductions import CheckOutcome, ReductionReport, read_reduction
+from mcislab.reductions import CheckOutcome, ReductionReport, has_clique, read_reduction
 from mcislab.solvers import SolveQuery, mcis_bruteforce, mcis_vc_fpt
 
 
@@ -153,12 +153,12 @@ def test_solve_refuses_oversized_brute(graph_files, capsys):
 
 
 @pytest.mark.parametrize("problem", ["mcis", "mccis"])
-def test_solve_auto_past_the_cover_cutoff_uses_the_oracle_or_refuses(problem, graph_files, capsys):
+def test_solve_auto_past_the_cover_cutoff_uses_the_fpt_or_refuses(problem, graph_files, capsys):
     # K10 has cover 9, above the cutoff 8, but 10 vertices are within the oracle bound
     k10 = graph_files("k10.el", complete_graph(10))
     assert main(["solve", "--problem", problem, "--json", k10, k10]) == EXIT_OK
     result = json.loads(capsys.readouterr().out)["result"]
-    assert result["method"] == "brute" and result["size"] == 10
+    assert result["method"] == "vc-fpt" and result["size"] == 10
     k11 = graph_files("k11.el", complete_graph(11))
     assert main(["solve", "--problem", problem, k11, k11]) == EXIT_REFUSED
     captured = capsys.readouterr()
@@ -167,6 +167,24 @@ def test_solve_auto_past_the_cover_cutoff_uses_the_oracle_or_refuses(problem, gr
         "error: refusing: a minimum vertex cover exceeds cutoff 8 "
         "and inputs exceed the oracle bound 10\n"
     )
+
+
+@pytest.mark.parametrize("problem", ["mcis", "mccis"])
+def test_solve_auto_answers_k10_pairs_without_brute_force(problem, graph_files, capsys, monkeypatch):
+    # within the oracle bound auto has one route, the FPT, even at K10's cover
+    # of 9; a common induced subgraph of K10 is a clique, so the optimum is ω(G)
+    def refuse(query):
+        raise AssertionError("auto reached the brute-force oracle")
+
+    monkeypatch.setattr(cli, "mcis_bruteforce", refuse)
+    k10 = graph_files("k10.el", complete_graph(10))
+    rng = random.Random(11)
+    for i in range(24):
+        g = random_graph(rng, rng.randint(2, 10), rng.choice((0.2, 0.5, 0.8, 0.9)))
+        omega = max(l for l in range(1, g.n + 1) if has_clique(g, l))
+        assert main(["solve", "--problem", problem, "--json", k10, graph_files(f"g{i}.el", g)]) == EXIT_OK
+        result = json.loads(capsys.readouterr().out)["result"]
+        assert (result["size"], result["method"]) == (omega, "vc-fpt"), sorted(g.edges)
 
 
 def test_solve_auto_refuses_dense_inputs_without_an_exact_cover(graph_files, capsys):

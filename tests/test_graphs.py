@@ -262,6 +262,41 @@ def test_arbiter_symmetric_under_inversion():
         assert is_induced_isomorphism(g1, g2, m) == is_induced_isomorphism(g2, g1, inverse)
 
 
+def test_arbiter_matches_the_pairwise_rule_on_random_mappings():
+    # the rule the arbiter replaced, one comparison per two pairs, is the oracle
+    def pairwise(g1, g2, pairs):
+        return all(
+            (u2 in g1.adj[u]) == (v2 in g2.adj[v]) for (u, v), (u2, v2) in itertools.combinations(pairs, 2)
+        )
+
+    rng = random.Random(12)
+    verdicts = []
+    for _ in range(60):
+        n1, n2 = rng.randint(30, 60), rng.randint(30, 60)
+        p = rng.choice((0.05, 0.2, 0.5))
+        g1 = Graph.from_edges(n1, [e for e in itertools.combinations(range(n1), 2) if rng.random() < p])
+        k = rng.randint(0, min(n1, n2))
+        sources = rng.sample(range(n1), k)
+        if rng.random() < 0.5:
+            # an induced copy of g1's part inside a host drawn around it, then
+            # perhaps one edge among the images toggled
+            targets = rng.sample(range(n2), k)
+            at, inside = dict(zip(sources, targets)), set(targets)
+            host = {(min(at[u], at[v]), max(at[u], at[v])) for u, v in g1.edges if u in at and v in at}
+            host |= {e for e in itertools.combinations(range(n2), 2) if rng.random() < p and not set(e) <= inside}
+            if k >= 2 and rng.random() < 0.5:
+                host ^= {tuple(sorted(rng.sample(targets, 2)))}
+            g2 = Graph(n2, frozenset(host))
+        else:
+            g2 = Graph.from_edges(n2, [e for e in itertools.combinations(range(n2), 2) if rng.random() < p])
+            targets = rng.sample(range(n2), k)
+        pairs = tuple(zip(sources, targets))
+        verdict = is_induced_isomorphism(g1, g2, VertexMapping(pairs))
+        assert verdict == pairwise(g1, g2, pairs), pairs
+        verdicts.append(verdict)
+    assert 10 <= sum(verdicts) <= 50
+
+
 # --- stats -----------------------------------------------------------------
 
 

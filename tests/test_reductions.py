@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import time
 
 import pytest
 
@@ -180,6 +181,19 @@ def test_cross_compose_structure_certificates_hold():
     insts = [CliqueInstance(cycle_graph(5), 3)]
     out = cross_compose(insts)
     report = verify_reduction(out, source_answer=False)
+    assert report.ok, report.failures()
+
+
+def test_cross_compose_builds_without_a_cover_search():
+    # the cover Z is the composition's parameter bound; exact cover searches
+    # for two unread certificates took 2.98 s of this build, and 187 s at K_150
+    started = time.perf_counter()
+    out = cross_compose([CliqueInstance(complete_graph(60), 60)])
+    assert time.perf_counter() - started < 1.0
+    assert set(out.certificates) == {
+        "n", "l", "t", "l_prime", "vertex_cover_z", "z_size_formula", "unique_triangle", "g2_minus_p_bipartite",
+    }
+    report = verify_reduction(out, source_answer=True)
     assert report.ok, report.failures()
 
 
