@@ -161,7 +161,10 @@ def cmd_reduce(args: argparse.Namespace) -> Outcome:
         else:  # 3partition
             if args.items is None or args.groups is None or args.target_sum is None:
                 raise CliError("3partition needs --items, --groups and --target-sum")
-            items = tuple(int(x) for x in args.items.split(","))
+            try:
+                items = tuple(int(x) for x in args.items.split(","))
+            except ValueError:
+                raise CliError("--items must be comma-separated integers") from None
             inst = ThreePartitionInstance(items, args.groups, args.target_sum)
             out = three_partition_to_forest_isi(inst)
             digest = _digest(args.which, args.items, str(args.groups), str(args.target_sum))

@@ -6,7 +6,8 @@ each other:
 * :func:`isi_backtracking` — induced subgraph isomorphism in two layers.
   When both graphs have two or more components, the component layer packs
   pattern components into host components, deciding once per call whether
-  a multiset of pattern component classes fits a host component class.
+  a multiset of pattern component classes fits a host component class; a
+  separator count refutes most misfits before the vertex layer runs.
   The vertex layer places pattern vertices depth first with an explicit
   depth, along one table per call indexed by order position, pruned by
   degree, non-degree and adjacency to the images of earlier neighbors.
@@ -289,17 +290,21 @@ def _pack(
     component's share is the tuple of pattern classes given to it, in the
     order given; adding a class must fit, which the vertex layer decides
     once per (share, host class) on the disjoint union of the share's
-    components (a share larger than the component fails before any
-    placement).  Components of one class take non-decreasing host indices,
+    components.  Before any placement, a share of c >= 2 components fails
+    if the vertices it leaves over, times the component's maximum degree D
+    less one, fall below c - 1: its images are pairwise non-adjacent, and
+    deleting a vertex of degree d from a graph adds at most d - 1
+    components.  Components of one class take non-decreasing host indices,
     and none goes to a host component while an earlier one of the same
     class holds the same share.  Images in different host components are
     never adjacent, so the witness is built per host component.
     """
     hclasses = _component_classes(hadj, host_comps, tally)
     pools = [sorted(c) for c in host_comps]
-    rep: dict[int, list[int]] = {}
+    rep: dict[int, tuple[list[int], int]] = {}  # per host class: a pool, and its D - 1
     for pool, hc in zip(pools, hclasses):
-        rep.setdefault(hc, pool)
+        if hc not in rep:
+            rep[hc] = pool, max(len(hadj[v]) for v in pool) - 1
     members: dict[int, list[list[int]]] = {}
     for comp, cid in zip(comps, classes):
         members.setdefault(cid, []).append(comp)
@@ -307,9 +312,11 @@ def _pack(
 
     def fit(share: tuple[int, ...], hc: int) -> bool:
         if (share, hc) not in fits:
+            pool, splits = rep[hc]
             part = [c for cid, run in itertools.groupby(share) for c in members[cid][: len(list(run))]]
-            placements = _embeddings(padj, hadj, part, list(share), rep[hc], tally)
-            fits[share, hc] = next(placements, None) is not None
+            spare = max(len(pool) - sum(map(len, part)), 0)
+            fits[share, hc] = (len(part) < 2 or spare * splits >= len(part) - 1) and next(
+                _embeddings(padj, hadj, part, list(share), pool, tally), None) is not None
         return fits[share, hc]
 
     share: list[tuple[int, ...]] = [()] * len(pools)

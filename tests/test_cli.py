@@ -413,6 +413,16 @@ def test_reduce_usage_errors(graph_files, tmp_path, capsys):
     )
 
 
+def test_reduce_3partition_refuses_items_that_are_not_integers(tmp_path, capsys):
+    for items in ("4,4,x", "4,,5", "4;4;5"):
+        outdir = tmp_path / "out"
+        argv = ["reduce", "--which", "3partition", "--items", items, "--groups", "1",
+                "--target-sum", "13", "--outdir", str(outdir)]
+        assert main(argv) == EXIT_USAGE == 1
+        assert capsys.readouterr().err == "error: --items must be comma-separated integers\n"
+        assert not outdir.exists()
+
+
 def test_reduce_to_an_outdir_it_cannot_write_is_a_usage_error(graph_files, tmp_path, capsys):
     k4 = graph_files("k4.el", complete_graph(4))
     taken = tmp_path / "taken"

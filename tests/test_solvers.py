@@ -100,7 +100,7 @@ def test_isi_three_partition_m3_yes_and_no_instances():
 
 def test_isi_three_partition_m2_no_instance_stays_within_a_node_budget():
     # m=2: the vertex-by-vertex search over the whole host placed about 245k nodes.
-    # m=6: about 2.3k; without the host twin rule of _pack, about 130k.
+    # m=6: about 0.7k; without the host twin rule of _pack, about 129k.
     for items, m in (((4, 4, 6, 4, 4, 4), 2), ((6,) + (4,) * 13 + (5,) * 4, 6)):
         stats = SolveStats()
         assert isi_backtracking(*three_partition_isi(items, m), stats) is None
@@ -109,7 +109,9 @@ def test_isi_three_partition_m2_no_instance_stays_within_a_node_budget():
 
 def test_isi_three_partition_m2_orders_stay_within_their_node_ceilings():
     # every order of six items in 4..6 summing to 2B, B = 13: 15 yes orders
-    # of 812 nodes each and 6 no orders of 894 each
+    # of 173 nodes each and 6 no orders of 95 each.  Without the separator
+    # count of _pack, 812 and 894: shares such as (5, 5, 4), 14 vertices in
+    # 3 paths that cannot fit in a 15-vertex path, are refuted by search.
     nodes = {True: [], False: []}
     for items in itertools.product(range(4, 7), repeat=6):
         if sum(items) != 26:
@@ -120,8 +122,25 @@ def test_isi_three_partition_m2_orders_stay_within_their_node_ceilings():
         assert (found is not None) == answer
         nodes[answer].append(stats.search_nodes)
     assert len(nodes[True]) == 15 and len(nodes[False]) == 6
-    assert sum(nodes[True]) <= 12_180
-    assert sum(nodes[False]) <= 5_364
+    assert sum(nodes[True]) <= 2_595
+    assert sum(nodes[False]) <= 570
+
+
+def test_isi_packs_a_share_the_separator_count_just_admits():
+    # a spider with three legs of 2 (maximum degree 3) beside a K1: 3 pairwise
+    # non-adjacent components of the spider leave at least 1 of its vertices
+    # unused, and 4 at least 2, since deleting a vertex of degree d adds at
+    # most d - 1 components.  networkx VF2 gives the same two answers.
+    host = Graph.from_edges(8, [(0, 1), (1, 2), (0, 3), (3, 4), (0, 5), (5, 6)])
+    three_k2_k1 = Graph.from_edges(7, [(0, 1), (2, 3), (4, 5)])
+    witness = isi_backtracking(three_k2_k1, host)
+    assert witness is not None and is_induced_isomorphism(three_k2_k1, host, witness)
+    assert {image for v, image in witness.pairs if v < 6} == {1, 2, 3, 4, 5, 6}
+    # two K2 and three K1: the spider would hold 4 components with 1 spare
+    # vertex.  47 nodes; without the separator count, 95.
+    stats = SolveStats()
+    assert isi_backtracking(Graph.from_edges(7, [(0, 1), (2, 3)]), host, stats) is None
+    assert 0 < stats.search_nodes <= 47
 
 
 def test_vertex_layer_yields_the_induced_embeddings_in_lexicographic_order():
