@@ -25,7 +25,6 @@ from .params import (
     CoverSplit,
     FvsResult,
     TwinClass,
-    TwinPartition,
     min_feedback_vertex_set,
     min_vertex_cover,
     twin_partition,

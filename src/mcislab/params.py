@@ -2,9 +2,8 @@
 and twin classes.
 
 One exact search returns a minimum cover within a budget, or None.  The cover
-number sums its covers over the connected components.  The lexicographically
-smallest minimum cover (a tie-break that keeps runs reproducible) holds one per
-component as a certificate and searches only for the vertices it leaves out.
+number sums its covers over the connected components, and the minimum cover is
+the union of those covers.
 """
 
 from __future__ import annotations
@@ -30,11 +29,6 @@ class TwinClass:
 
     neighborhood: frozenset[int]
     members: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class TwinPartition:
-    classes: tuple[TwinClass, ...]
 
 
 @dataclass(frozen=True)
@@ -103,29 +97,13 @@ def vertex_cover_number(g: Graph, budget: int | None = None) -> int:
 
 
 def min_vertex_cover(g: Graph) -> CoverSplit:
-    """Lexicographically smallest minimum vertex cover and its complement.
-
-    Per connected component, decides each vertex in increasing order against
-    a minimum cover of the residual graph held as a certificate: forced if a
-    minimum cover holds it, which a cover one smaller without it shows, else
-    banned, since then every minimum cover holds its neighbors, now forced.
-    """
+    """A minimum vertex cover and its complement: the union of the covers the
+    exact search finds, one per connected component.  Any minimum cover serves
+    the FPT, whose parameter is its size; the search is deterministic."""
     chosen: set[int] = set()
     for comp in connected_components(g):
-        residual = {v: set(g.adj[v]) for v in comp if g.adj[v]}
-        cert = _cover(residual, len(comp))
-        for v in sorted(comp):
-            if v not in residual:
-                # already chosen, or isolated, so in no minimum cover
-                continue
-            if v not in cert:
-                trial = _cover({w: ns - {v} for w, ns in residual.items() if w != v}, len(cert) - 1)
-                cert = cert if trial is None else trial | {v}
-            for w in [v] if v in cert else list(residual[v]):
-                chosen.add(w)
-                cert.discard(w)
-                _remove(residual, w)
-    return CoverSplit(frozenset(chosen), frozenset(range(g.n)) - frozenset(chosen))
+        chosen |= _cover({v: g.adj[v] for v in comp}, len(comp))
+    return CoverSplit(frozenset(chosen), frozenset(range(g.n)) - chosen)
 
 
 # ---------------------------------------------------------------------------
@@ -145,7 +123,7 @@ def min_feedback_vertex_set(g: Graph) -> FvsResult:
 # twins
 
 
-def twin_partition(g: Graph, split: CoverSplit) -> TwinPartition:
+def twin_partition(g: Graph, split: CoverSplit) -> tuple[TwinClass, ...]:
     """Group independent-set vertices by their exact neighborhood in the cover.
 
     Only inhabited classes are materialized.  Raises ``ValueError`` when
@@ -161,9 +139,8 @@ def twin_partition(g: Graph, split: CoverSplit) -> TwinPartition:
     groups: dict[frozenset[int], list[int]] = {}
     for v in sorted(split.independent):
         groups.setdefault(g.adj[v], []).append(v)
-    classes = tuple(
+    return tuple(
         TwinClass(nbhd, tuple(members))
         for nbhd, members in sorted(groups.items(), key=lambda kv: tuple(sorted(kv[0])))
     )
-    return TwinPartition(classes)
 

@@ -504,9 +504,9 @@ class _Cover:
         self.order = sorted(split.cover)
         pos = {v: j for j, v in enumerate(self.order)}
         self.adjmask = [sum(1 << pos[w] for w in g.adj[v] if w in pos) for v in self.order]
-        self.nbhdmask = [sum(1 << pos[w] for w in c.neighborhood) for c in self.twins.classes]
-        self.flat = [v for c in self.twins.classes for v in c.members]  # class by class
-        ends = itertools.accumulate([len(c.members) for c in self.twins.classes], initial=0)
+        self.nbhdmask = [sum(1 << pos[w] for w in c.neighborhood) for c in self.twins]
+        self.flat = [v for c in self.twins for v in c.members]  # class by class
+        ends = itertools.accumulate([len(c.members) for c in self.twins], initial=0)
         self.members = [(1 << b) - (1 << a) for a, b in itertools.pairwise(ends)]
         self.positions = _Table(lambda mask: tuple(_bits(mask)))
         self.buckets = _Table(self._bucket)
@@ -551,7 +551,7 @@ class _Cover:
         one member of each twin class that meets it: members are pairwise
         non-adjacent and meet only their class neighborhood, so one stands
         for all, as in any candidate with this cover part."""
-        reps = [c.members[0] for c, nb in zip(self.twins.classes, self.nbhdmask) if nb & used]
+        reps = [c.members[0] for c, nb in zip(self.twins, self.nbhdmask) if nb & used]
         return used != 0 and induces_connected(self.g, [*self.vertices(used), *reps])
 
     def _bucket(self, sizes: tuple[int, int]) -> list[_Side]:

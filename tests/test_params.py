@@ -6,6 +6,7 @@ from typing import NamedTuple
 
 import pytest
 
+from mcislab import params
 from mcislab.graphs import (
     Graph,
     add_universal_vertex,
@@ -105,13 +106,6 @@ def test_vc_matches_bruteforce_minimum():
         assert len(min_vertex_cover(g).cover) == brute_min_cover_size(g)
 
 
-def test_vc_lexicographically_smallest():
-    # C4 has minimum covers {0,2} and {1,3}; the tie must break to {0,2}
-    assert min_vertex_cover(cycle_graph(4)).cover == frozenset({0, 2})
-    # one edge: both endpoints are minimum covers; take vertex 0
-    assert min_vertex_cover(path_graph(2)).cover == frozenset({0})
-
-
 def all_labelled_graphs(max_n):
     for n in range(max_n + 1):
         slots = list(itertools.combinations(range(n), 2))
@@ -119,21 +113,39 @@ def all_labelled_graphs(max_n):
             yield Graph.from_edges(n, (e for i, e in enumerate(slots) if mask >> i & 1))
 
 
-def test_vc_lex_smallest_against_enumeration():
+def test_vc_is_minimum_and_independent_of_edge_order_against_enumeration():
+    # any minimum cover serves the FPT, whose parameter is the cover's size;
+    # the search is deterministic, and reordering or reorienting the edges a
+    # graph is built from leaves its cover unchanged
     rng = random.Random(4)
     seeded = [
         random_graph(rng, rng.randint(1, 10), rng.choice((0.2, 0.5, 0.8)))
         for _ in range(60)
     ]
+    shuffle = random.Random(7)
     for g in itertools.chain(all_labelled_graphs(5), seeded):
-        covers = (
-            combo
-            for size in range(g.n + 1)
-            for combo in itertools.combinations(range(g.n), size)
-            if all(u in combo or v in combo for u, v in g.edges)
-        )
-        # the first cover in (size, lex) order is the lex smallest minimum one
-        assert tuple(sorted(min_vertex_cover(g).cover)) == next(covers)
+        cover = min_vertex_cover(g).cover
+        assert all(u in cover or v in cover for u, v in g.edges)
+        assert len(cover) == brute_min_cover_size(g)
+        for _ in range(3):
+            edges = [(v, u) if shuffle.random() < 0.5 else (u, v) for u, v in g.edges]
+            shuffle.shuffle(edges)
+            assert min_vertex_cover(Graph.from_edges(g.n, edges)).cover == cover
+
+
+def test_vc_makes_one_cover_search_per_component(monkeypatch):
+    calls = []
+
+    def counted(adj, budget):
+        calls.append(budget)
+        return cover_search(adj, budget)
+
+    cover_search = params._cover
+    monkeypatch.setattr(params, "_cover", counted)
+    # a triangle, a path, a 4-cycle and two isolated vertices
+    g = Graph.from_edges(12, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (6, 7), (7, 8), (8, 9), (6, 9)])
+    assert len(min_vertex_cover(g).cover) == 2 + 1 + 2
+    assert sorted(calls) == [1, 1, 3, 3, 4]
 
 
 def test_vc_sparse_n60_is_a_minimum_cover():
@@ -183,16 +195,16 @@ def test_fvs_at_most_vc():
 def test_twins_star_leaves_form_one_class():
     star = Graph.from_edges(4, [(0, 1), (0, 2), (0, 3)])
     split = CoverSplit(frozenset({0}), frozenset({1, 2, 3}))
-    tp = twin_partition(star, split)
-    assert len(tp.classes) == 1
-    assert tp.classes[0].neighborhood == frozenset({0})
-    assert tp.classes[0].members == (1, 2, 3)
+    classes = twin_partition(star, split)
+    assert len(classes) == 1
+    assert classes[0].neighborhood == frozenset({0})
+    assert classes[0].members == (1, 2, 3)
 
 
 def test_twins_p4_two_classes():
     split = CoverSplit(frozenset({1, 2}), frozenset({0, 3}))
-    tp = twin_partition(path_graph(4), split)
-    assert {(c.neighborhood, c.members) for c in tp.classes} == {
+    classes = twin_partition(path_graph(4), split)
+    assert {(c.neighborhood, c.members) for c in classes} == {
         (frozenset({1}), (0,)),
         (frozenset({2}), (3,)),
     }
@@ -200,10 +212,10 @@ def test_twins_p4_two_classes():
 
 def test_twins_edgeless_single_empty_class():
     split = CoverSplit(frozenset(), frozenset(range(4)))
-    tp = twin_partition(edgeless_graph(4), split)
-    assert len(tp.classes) == 1
-    assert tp.classes[0].neighborhood == frozenset()
-    assert tp.classes[0].members == (0, 1, 2, 3)
+    classes = twin_partition(edgeless_graph(4), split)
+    assert len(classes) == 1
+    assert classes[0].neighborhood == frozenset()
+    assert classes[0].members == (0, 1, 2, 3)
 
 
 def test_twins_reject_invalid_split():
@@ -216,11 +228,11 @@ def test_twins_cover_the_independent_set_and_swaps_are_automorphisms():
     for _ in range(25):
         g = random_graph(rng, rng.randint(1, 8), rng.choice((0.2, 0.5, 0.8)))
         split = min_vertex_cover(g)
-        tp = twin_partition(g, split)
-        members = [v for c in tp.classes for v in c.members]
+        classes = twin_partition(g, split)
+        members = [v for c in classes for v in c.members]
         assert sorted(members) == sorted(split.independent)
-        assert len(tp.classes) <= 2 ** len(split.cover)
-        for cls in tp.classes:
+        assert len(classes) <= 2 ** len(split.cover)
+        for cls in classes:
             for a, b in itertools.combinations(cls.members, 2):
                 swap = {a: b, b: a}
                 swapped = frozenset(

@@ -494,18 +494,18 @@ def test_cover_links_connect_a_part_iff_it_and_its_independent_neighbors_do():
 
 def test_fpt_work_counters_stay_under_recorded_ceilings():
     # summed over check seeds 1-20 (the first 120 check-oracle solves); the
-    # ceilings are the exact sums once MCCIS dropped the twin classes whose
-    # members would be isolated from its choices (303 configurations, 1,527
-    # choice nodes and 31 bijections pruned before), so a change that adds
-    # work fails here even when timing noise hides it
+    # ceilings are the exact sums since the FPT takes the cover search's own
+    # minimum cover instead of the lexicographically smallest one (174
+    # configurations, 1,242 choice nodes and 669 bijections tried with it),
+    # so a change that adds work fails here even when timing noise hides it
     ceilings = {
-        "configurations": 174,
-        "candidates_validated": 174,
-        "choice_nodes": 1_242,
-        "bijections_tried": 669,
-        "bijections_pruned": 30,
-        "pairs_tried": 6_078,
-        "pairs_pruned": 5_498,
+        "configurations": 177,
+        "candidates_validated": 177,
+        "choice_nodes": 1_668,
+        "bijections_tried": 884,
+        "bijections_pruned": 31,
+        "pairs_tried": 6_294,
+        "pairs_pruned": 5_567,
     }
     totals = dict.fromkeys(ceilings, 0)
     connected_candidates = 0
