@@ -51,6 +51,7 @@ from .solvers import (
     isi_backtracking,
     mcis_bruteforce,
     mcis_vc_fpt,
+    solve,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

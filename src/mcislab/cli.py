@@ -3,7 +3,8 @@
 Each ``cmd_*`` returns an :data:`Outcome` and :func:`main` alone times the
 command and prints its text lines or, with ``--json``, the run report: keys
 ``command``, ``flags``, ``inputs_digest``, ``result``, ``timings_ms`` and,
-for ``solve``, ``stats``.  The argument grammar is built once per process.
+for ``solve``, ``stats``.  MCIS and MCCIS go through :func:`solvers.solve`,
+which owns the routes and size gates.  The grammar is built once per process.
 Exit codes: 0 ok, 1 usage or input error (or a stdout closed by its reader),
 2 refused (size bounds), 3 cross-validation failure.
 """
@@ -38,17 +39,13 @@ from .solvers import (
     SolveQuery,
     SolveStats,
     isi_backtracking,
-    mcis_bruteforce,
-    mcis_vc_fpt,
+    solve,
 )
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_REFUSED = 2
 EXIT_CHECK_FAILED = 3
-
-# past the oracle bound, `solve --algo auto` runs the FPT solver when the larger cover is at most this
-VC_CUTOFF = 8
 
 
 class CliError(Exception):
@@ -108,17 +105,8 @@ def cmd_solve(args: argparse.Namespace) -> Outcome:
             lines.append("witness: " + " ".join(f"{u}->{v}" for u, v in witness.pairs))
         return EXIT_OK, digest, result, lines, stats
 
-    query = SolveQuery(g1, g2, connected=args.problem == "mccis")
-    # auto runs the FPT and tests covers only past the oracle bound: within it, one past the cutoff is K10's 9
-    if args.algo == "auto" and max(g1.n, g2.n) > ORACLE_BOUND:
-        if max(vertex_cover_number(g, VC_CUTOFF) for g in (g1, g2)) > VC_CUTOFF:
-            raise CliError(
-                f"refusing: a minimum vertex cover exceeds cutoff {VC_CUTOFF} "
-                f"and inputs exceed the oracle bound {ORACLE_BOUND}",
-                EXIT_REFUSED,
-            )
     try:
-        solved = mcis_bruteforce(query) if args.algo == "brute" else mcis_vc_fpt(query)
+        solved = solve(SolveQuery(g1, g2, connected=args.problem == "mccis"), args.algo)
     except OracleBoundError as exc:
         raise CliError(str(exc), EXIT_REFUSED) from exc
     result = {"size": solved.size, "witness": list(solved.witness.pairs), "method": solved.method}

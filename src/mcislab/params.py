@@ -1,9 +1,9 @@
 """Structural parameters: minimum vertex cover, minimum feedback vertex set
 and twin classes.
 
-One exact search returns a minimum cover within a budget, or None.  The cover
-number sums its covers over the connected components, and the minimum cover is
-the union of those covers.
+One exact search returns a minimum cover within a budget, or None.  The
+minimum cover is the union of its covers, one search per connected component,
+within an optional budget over the whole graph; the cover number is its size.
 """
 
 from __future__ import annotations
@@ -83,26 +83,22 @@ def _remove(adj: dict[int, set[int]], v: int) -> set[int]:
     return nbrs
 
 
-def vertex_cover_number(g: Graph, budget: int | None = None) -> int:
-    """Size of a minimum vertex cover: the sum over the connected components,
-    which are covered independently.  With a ``budget``, budget + 1 once the
-    sum exceeds it."""
-    cap, total = g.n if budget is None else budget, 0
-    for comp in connected_components(g):
-        cover = _cover({v: g.adj[v] for v in comp}, cap - total)
-        if cover is None:
-            return cap + 1
-        total += len(cover)
-    return total
+def vertex_cover_number(g: Graph) -> int:
+    """Size of a minimum vertex cover."""
+    return len(min_vertex_cover(g).cover)
 
 
-def min_vertex_cover(g: Graph) -> CoverSplit:
-    """A minimum vertex cover and its complement: the union of the covers the
-    exact search finds, one per connected component.  Any minimum cover serves
+def min_vertex_cover(g: Graph, budget: int | None = None) -> CoverSplit | None:
+    """A minimum vertex cover and its complement, or None once a component's
+    cover does not fit the ``budget`` the components before it left: the union
+    of the exact search's covers, one per component.  Any minimum cover serves
     the FPT, whose parameter is its size; the search is deterministic."""
-    chosen: set[int] = set()
+    left, chosen = g.n if budget is None else budget, set()
     for comp in connected_components(g):
-        chosen |= _cover({v: g.adj[v] for v in comp}, len(comp))
+        cover = _cover({v: g.adj[v] for v in comp}, min(len(comp), left - len(chosen)))
+        if cover is None:
+            return None
+        chosen |= cover
     return CoverSplit(frozenset(chosen), frozenset(range(g.n)) - chosen)
 
 

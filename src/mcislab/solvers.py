@@ -52,6 +52,7 @@ each other:
   that raises :class:`WitnessError`.  For MCCIS, ``induces_connected``
   alone decides which cover parts are linked and which candidates stay.
 
+:func:`solve` routes MCIS/MCCIS by name and owns the size gates.
 :func:`enumerate_configurations` exposes the same enumeration as a stream
 of mappings, each with its cover bijection.  No search here recurses.
 The threshold question "is there a common induced subgraph on ``k``
@@ -78,10 +79,12 @@ from .params import min_vertex_cover, twin_partition
 
 # the most vertices a graph may have for the brute-force oracle to take it
 ORACLE_BOUND = 10
+# past the oracle bound, `solve` under `auto` runs the FPT when the larger cover is at most this
+VC_CUTOFF = 8
 
 
 class OracleBoundError(RuntimeError):
-    """The brute-force oracle refused an instance above its size bound."""
+    """A solver refused an instance above its size bound."""
 
 
 class WitnessError(RuntimeError):
@@ -847,3 +850,17 @@ def mcis_vc_fpt(q: SolveQuery) -> SolveResult:
             best_witness = mapping
     return SolveResult(best[0], best_witness, method, stats)
 
+
+def solve(q: SolveQuery, algo: str) -> SolveResult:
+    """MCIS/MCCIS by ``algo``: ``brute``, ``vc-fpt``, or ``auto``, the FPT once
+    both covers fit the cutoff, tested only past the oracle bound (within it,
+    one past the cutoff is K10's 9).  A refusal raises OracleBoundError."""
+    if algo == "brute":
+        return mcis_bruteforce(q)
+    if algo == "auto" and max(q.g1.n, q.g2.n) > ORACLE_BOUND:
+        if any(min_vertex_cover(g, VC_CUTOFF) is None for g in (q.g1, q.g2)):
+            raise OracleBoundError(
+                f"refusing: a minimum vertex cover exceeds cutoff {VC_CUTOFF} "
+                f"and inputs exceed the oracle bound {ORACLE_BOUND}"
+            )
+    return mcis_vc_fpt(q)

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import mcislab
-from mcislab import cli, harness
+from mcislab import cli, harness, solvers
 from mcislab.cli import (
     EXIT_CHECK_FAILED,
     EXIT_OK,
@@ -33,7 +33,7 @@ from mcislab.graphs import (
 )
 from mcislab.params import min_vertex_cover, vertex_cover_number
 from mcislab.reductions import CheckOutcome, ReductionReport, has_clique, read_reduction
-from mcislab.solvers import SolveQuery, mcis_bruteforce, mcis_vc_fpt
+from mcislab.solvers import OracleBoundError, SolveQuery, mcis_bruteforce, mcis_vc_fpt, solve
 
 
 @pytest.fixture
@@ -176,7 +176,7 @@ def test_solve_auto_answers_k10_pairs_without_brute_force(problem, graph_files, 
     def refuse(query):
         raise AssertionError("auto reached the brute-force oracle")
 
-    monkeypatch.setattr(cli, "mcis_bruteforce", refuse)
+    monkeypatch.setattr(solvers, "mcis_bruteforce", refuse)
     k10 = graph_files("k10.el", complete_graph(10))
     rng = random.Random(11)
     for i in range(24):
@@ -185,6 +185,31 @@ def test_solve_auto_answers_k10_pairs_without_brute_force(problem, graph_files, 
         assert main(["solve", "--problem", problem, "--json", k10, graph_files(f"g{i}.el", g)]) == EXIT_OK
         result = json.loads(capsys.readouterr().out)["result"]
         assert (result["size"], result["method"]) == (omega, "vc-fpt"), sorted(g.edges)
+
+
+@pytest.mark.parametrize("problem", ["mcis", "mccis"])
+def test_solve_auto_gate_admits_a_cover_of_the_cutoff_and_refuses_one_more(problem, graph_files, capsys):
+    # past the oracle bound, disjoint edges have a cover of one per edge: 8
+    # edges sit at the cutoff and 9 one past it
+    def edges(count):
+        return Graph.from_edges(2 * count, [(2 * i, 2 * i + 1) for i in range(count)])
+
+    p3 = graph_files("p3.el", path_graph(3))
+    at, past = graph_files("e8.el", edges(8)), graph_files("e9.el", edges(9))
+    assert main(["solve", "--problem", problem, "--json", at, p3]) == EXIT_OK
+    result = json.loads(capsys.readouterr().out)["result"]
+    assert (result["size"], result["method"]) == (2, "vc-fpt")
+    assert main(["solve", "--problem", problem, past, p3]) == EXIT_REFUSED
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: refusing: a minimum vertex cover exceeds cutoff 8 "
+        "and inputs exceed the oracle bound 10\n"
+    )
+    query = SolveQuery(edges(9), path_graph(3), connected=problem == "mccis")
+    with pytest.raises(OracleBoundError, match="exceeds cutoff 8"):
+        solve(query, "auto")
+    assert solve(query, "vc-fpt").size == 2
 
 
 def test_solve_auto_refuses_dense_inputs_without_an_exact_cover(graph_files, capsys):

@@ -146,6 +146,11 @@ def test_vc_makes_one_cover_search_per_component(monkeypatch):
     g = Graph.from_edges(12, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (6, 7), (7, 8), (8, 9), (6, 9)])
     assert len(min_vertex_cover(g).cover) == 2 + 1 + 2
     assert sorted(calls) == [1, 1, 3, 3, 4]
+    # a budget runs on across components: the 4-cycle's cover of 2 does not
+    # fit the 1 that the triangle and the path leave of 4
+    calls.clear()
+    assert min_vertex_cover(g, 4) is None
+    assert calls == [3, 2, 1]
 
 
 def test_vc_sparse_n60_is_a_minimum_cover():
@@ -363,7 +368,7 @@ def test_vertex_cover_number_helper():
     assert vertex_cover_number(edgeless_graph(4)) == 0
 
 
-def test_vertex_cover_number_stops_past_its_budget():
+def test_min_vertex_cover_stops_past_its_budget():
     # with a budget the search answers only whether the cover fits it
     rng = random.Random(19)
     # two odd cycles, covers 3 and 4: the budget left runs on across components
@@ -371,6 +376,7 @@ def test_vertex_cover_number_stops_past_its_budget():
     graphs = [edgeless_graph(3), cycle_graph(7), cycles]
     graphs += [random_graph(rng, rng.randint(2, 14), rng.choice((0.1, 0.3, 0.6))) for _ in range(40)]
     for g in graphs:
-        k = vertex_cover_number(g)
+        split = min_vertex_cover(g)
+        k = len(split.cover)
         for budget in range(k + 2):
-            assert vertex_cover_number(g, budget) == min(k, budget + 1), (g.edges, budget)
+            assert min_vertex_cover(g, budget) == (None if budget < k else split), (g.edges, budget)
