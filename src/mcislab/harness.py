@@ -27,12 +27,12 @@ from .reductions import (
 )
 from .solvers import (
     SolveQuery,
+    _Cover,
     configuration_bound,
     isi_backtracking,
     mcis_bruteforce,
     mcis_vc_fpt,
 )
-from .params import vertex_cover_number
 
 
 def _witness_ok(query: SolveQuery, result) -> bool:
@@ -53,19 +53,20 @@ def _witness_ok(query: SolveQuery, result) -> bool:
 def run_oracle_suite(seed: int, count: int, max_n: int) -> dict:
     """Compare mcis_vc_fpt against mcis_bruteforce on a seeded random corpus.
 
-    Checks, per instance and per connectivity flag: equal optimum size,
-    witness validity, and the configuration-counter bound.
+    Checks, per instance and per connectivity flag, over one cover per graph:
+    equal optimum size, witness validity, and the configuration-counter bound.
     """
     rng = random.Random(seed)
     failures = []
     instances = 0
     for index in range(count):
         g1, g2 = random_graph_pair(rng, max_n)
-        k1, k2 = vertex_cover_number(g1), vertex_cover_number(g2)
+        covers = _Cover(g1), _Cover(g2)
+        k1, k2 = len(covers[0].order), len(covers[1].order)
         for connected in (False, True):
             query = SolveQuery(g1, g2, connected=connected)
             oracle = mcis_bruteforce(query)
-            fpt = mcis_vc_fpt(query)
+            fpt = mcis_vc_fpt(query, covers)
             instances += 1
             problems = []
             if fpt.size != oracle.size:

@@ -18,9 +18,9 @@ each other:
 * :func:`mcis_vc_fpt` — the vertex-cover-parameterized algorithm: minimum
   covers on both sides, twin classes of the independent sets, then an
   enumeration of cover tripartitions, cover bijections and
-  cover-to-twin-class assignments.  Each side holds its cover adjacency and
-  twin classes as bitmasks (:class:`_Cover`, built by the search's caller)
-  and generates its tripartitions per size bucket when the search first
+  cover-to-twin-class assignments.  Each graph's side (:class:`_Cover`,
+  built by the caller once for both modes) holds its cover adjacency and
+  twin classes as bitmasks and generates its tripartitions per size bucket when the search first
   reaches it, by one depth-first walk over the roles (the buckets come one
   at a time, in decreasing order of their ceiling, from a closed form);
   to-independent parts must be independent, and for MCCIS the cover part
@@ -52,7 +52,7 @@ each other:
   that raises :class:`WitnessError`.  For MCCIS, ``induces_connected``
   alone decides which cover parts are linked and which candidates stay.
 
-:func:`solve` routes MCIS/MCCIS by name and owns the size gates.
+:func:`solve` routes MCIS/MCCIS by name, owns the size gates, and hands the gate's covers on.
 :func:`enumerate_configurations` exposes the same enumeration as a stream
 of mappings, each with its cover bijection.  No search here recurses.
 The threshold question "is there a common induced subgraph on ``k``
@@ -75,7 +75,7 @@ from .graphs import (
     induces_connected,
     is_induced_isomorphism,
 )
-from .params import min_vertex_cover, twin_partition
+from .params import CoverSplit, min_vertex_cover, twin_partition
 
 # the most vertices a graph may have for the brute-force oracle to take it
 ORACLE_BOUND = 10
@@ -480,7 +480,7 @@ class _Part(NamedTuple):
     sig_members: dict[tuple[int, ...], int]  # per trace signature: the members of its classes
     traces: dict[int, list[int]]  # twin classes by trace
     masks: dict[int, int]  # per trace: the members of its classes
-    counted: int  # the members of the classes that may pair in this part
+    counted: int  # the members of the classes with a non-empty trace, which may pair in MCCIS
 
 
 class _Side(NamedTuple):
@@ -494,15 +494,15 @@ class _Side(NamedTuple):
 
 
 class _Cover:
-    """One side of the FPT search, its cover vertices numbered 0..k-1 in
-    increasing order so that cover adjacency, twin-class neighborhoods and
-    twin-class members are bitmasks; member bit b is the vertex ``flat[b]``.
-    Every table keyed by a matched or to-independent part is filled when the
-    search first asks for that part, never for all 2^k parts up front."""
+    """One graph's side of the FPT search in both modes, over ``split`` or a
+    minimum cover it searches, numbered 0..k-1 in increasing order so that cover
+    adjacency, twin-class neighborhoods and members are bitmasks (member bit b is
+    the vertex ``flat[b]``).  Tables keyed by a part are filled on first request,
+    never for all 2^k parts up front; only ``buckets`` is keyed by mode."""
 
-    def __init__(self, g: Graph, connected: bool):
-        split = min_vertex_cover(g)
-        self.g, self.connected = g, connected
+    def __init__(self, g: Graph, split: CoverSplit | None = None):
+        split = min_vertex_cover(g) if split is None else split
+        self.g = g
         self.twins = twin_partition(g, split)
         self.order = sorted(split.cover)
         pos = {v: j for j, v in enumerate(self.order)}
@@ -533,8 +533,8 @@ class _Cover:
 
     def _part(self, mm: int) -> _Part:
         """Signatures and twin classes by trace in the matched part ``mm``.
-        In connected mode a class with an empty trace may not pair: its
-        paired members would be isolated in the candidate."""
+        ``counted`` leaves out the classes with an empty trace: in connected
+        mode their paired members would be isolated in the candidate."""
         degree = [(a & mm).bit_count() for a in self.adjmask]
         sig = _Table(lambda t: tuple(sorted([degree[j] for j in self.positions[t]])))
         sig_members: dict[tuple[int, ...], int] = {}
@@ -545,7 +545,7 @@ class _Cover:
             masks[nb & mm] = masks.get(nb & mm, 0) | mk
             s = sig[nb & mm]
             sig_members[s] = sig_members.get(s, 0) | mk
-        counted = sum([mk for nb, mk in zip(self.nbhdmask, self.members) if nb & mm or not self.connected])
+        counted = sum([mk for nb, mk in zip(self.nbhdmask, self.members) if nb & mm])
         sig_at = [sig[a & mm] for a in self.adjmask]
         return _Part(sig[mm], frozenset(sig_members), sig_at, sig_members, traces, masks, counted)
 
@@ -557,24 +557,23 @@ class _Cover:
         reps = [c.members[0] for c, nb in zip(self.twins, self.nbhdmask) if nb & used]
         return used != 0 and induces_connected(self.g, [*self.vertices(used), *reps])
 
-    def _bucket(self, sizes: tuple[int, int]) -> list[_Side]:
-        """The tripartition generator: the cover's tripartitions with
-        ``sizes`` (matched, to-independent) in ``itertools.product`` order
-        over the roles (matched, unused, to-independent), smallest vertex
-        most significant, from one depth-first walk that tries the roles in
-        that order at each position.  The walk keeps its own stack, so no
-        cover size can exhaust Python's: each branch pushes its children in
-        reverse, and matched pops first.  A branch ends once the positions
-        left cannot hold the roles left; once no role is left, the rest are
-        unused.  The to-independent part I is independent: it maps into an
-        independent set.  In connected mode M ∪ I must be linked
-        (:meth:`_linked`).  A twin class adjacent to I cannot pair
-        (``free``), nor one that M does not count (:meth:`_part`), so
-        ``pairs`` holds the members of the others; ``needs`` holds the
-        signature in M of each vertex of I, which an opposite part must
-        offer.
+    def _bucket(self, key: tuple[bool, int, int]) -> list[_Side]:
+        """The tripartition generator: the cover's tripartitions of sizes
+        ``key[1:]`` (matched, to-independent), in MCCIS if ``key[0]``, in
+        ``itertools.product`` order over the roles (matched, unused,
+        to-independent), smallest vertex most significant, from one depth-first
+        walk that tries the roles in that order at each position.  The walk
+        keeps its own stack, so no cover size can exhaust Python's: each branch
+        pushes its children in reverse, and matched pops first.  A branch ends
+        once the positions left cannot hold the roles left; once no role is
+        left, the rest are unused.  The to-independent part I is independent: it
+        maps into an independent set.  In connected mode M ∪ I must be linked
+        (:meth:`_linked`).  A twin class adjacent to I cannot pair (``free``),
+        nor in connected mode one that M does not count (:meth:`_part`), so
+        ``pairs`` holds the members of the others; ``needs`` holds the signature
+        in M of each vertex of I, which an opposite part must offer.
         """
-        k, bucket = len(self.order), []
+        k, bucket, (connected, *sizes) = len(self.order), [], key
         stack = [(0, 0, 0, *sizes)]
         while stack:
             j, mm, im, m, i = stack.pop()
@@ -586,10 +585,11 @@ class _Cover:
                 stack.append((j + 1, mm, im, m, i))
                 if m:
                     stack.append((j + 1, mm | 1 << j, im, m - 1, i))
-            elif not self.connected or self.linked[mm | im]:
+            elif not connected or self.linked[mm | im]:
                 part = self.parts[mm]
                 needs = frozenset([part.sig_at[p] for p in self.positions[im]])
-                bucket.append(_Side(part, mm, im, part.counted & self.free[im], needs))
+                pairs = part.counted & self.free[im] if connected else self.free[im]
+                bucket.append(_Side(part, mm, im, pairs, needs))
         return bucket
 
 
@@ -620,7 +620,7 @@ def _assemble(
 
 
 def _class_choices(
-    c: _Cover, s: _Side, image: dict[int, int], other: _Cover, o: _Side
+    c: _Cover, s: _Side, image: dict[int, int], other: _Cover, o: _Side, connected: bool
 ) -> list[list[int]] | None:
     """For each to-independent position of ``s``, the twin classes of
     ``other`` whose trace in ``o``'s matched part is the image under
@@ -628,7 +628,7 @@ def _class_choices(
     connected mode a class must also meet ``o``'s used cover positions: its
     members meet no other vertex of a candidate, so they would be isolated."""
     cands = [o.part.traces.get(c.image(c.adjmask[u] & s.mm, image), []) for u in c.positions[s.im]]
-    if c.connected:
+    if connected:
         used = o.mm | o.im
         cands = [[x for x in cs if other.nbhdmask[x] & used] for cs in cands]
     return cands if all(cands) else None
@@ -652,9 +652,10 @@ def _buckets(k1: int, k2: int, a: int, b: int) -> Iterator[tuple[int, int, int, 
                     yield ub, ms, i1s, r - b
 
 
-def _iter_search(c1: _Cover, c2: _Cover, stats: SolveStats, best: list[int]) -> Iterator[VertexMapping]:
+def _iter_search(c1: _Cover, c2: _Cover, connected: bool, stats: SolveStats,
+                 best: list[int]) -> Iterator[VertexMapping]:
     """Core enumeration shared by the FPT solver and the configuration stream:
-    each kept candidate's mapping, over the caller's covers, in ``c1``'s mode.
+    each kept candidate's mapping, over the caller's covers, in MCCIS if ``connected``.
 
     ``best`` is a one-element list holding the best size so far, updated by
     the consumer; subtrees whose size ceiling cannot beat it are skipped.
@@ -676,11 +677,11 @@ def _iter_search(c1: _Cover, c2: _Cover, stats: SolveStats, best: list[int]) -> 
     for ub, ms, i1s, i2s in _buckets(k1, k2, c1.g.n - k1, c2.g.n - k2):
         if ub <= best[0]:
             break
-        trips1 = c1.buckets[ms, i1s]
+        trips1 = c1.buckets[connected, ms, i1s]
         if not trips1:
             continue
         by_degms: dict[tuple[int, ...], list[_Side]] = {}
-        for s2 in c2.buckets[ms, i2s]:
+        for s2 in c2.buckets[connected, ms, i2s]:
             by_degms.setdefault(s2.part.degms, []).append(s2)
         base = ms + i1s + i2s
         for s1 in trips1:
@@ -707,7 +708,7 @@ def _iter_search(c1: _Cover, c2: _Cover, stats: SolveStats, best: list[int]) -> 
                 ):
                     stats.pairs_pruned += 1
                     continue
-                yield from _search_pair(c1, c2, s1, s2, stats, best, ub)
+                yield from _search_pair(c1, c2, s1, s2, connected, stats, best, ub)
 
 
 def _search_pair(
@@ -715,6 +716,7 @@ def _search_pair(
     c2: _Cover,
     s1: _Side,
     s2: _Side,
+    connected: bool,
     stats: SolveStats,
     best: list[int],
     ub: int,
@@ -791,10 +793,10 @@ def _search_pair(
         if ub <= best[0]:
             return
         stats.bijections_tried += 1
-        cands1 = _class_choices(c1, s1, sigma, c2, s2)
+        cands1 = _class_choices(c1, s1, sigma, c2, s2, connected)
         if cands1 is None:
             continue
-        cands2 = _class_choices(c2, s2, {v: u for u, v in sigma.items()}, c1, s1)
+        cands2 = _class_choices(c2, s2, {v: u for u, v in sigma.items()}, c1, s1, connected)
         if cands2 is None:
             continue
         plan = [(left, right) for trace, mk in s1.part.masks.items() if (left := mk & s1.pairs)
@@ -811,7 +813,7 @@ def _search_pair(
             if len(mapping) != size:
                 raise WitnessError(f"assembled {len(mapping)} pairs where the class plan predicts {size}")
             # the arbiter makes both sides isomorphic, so one side's connectivity decides
-            if c1.connected and not induces_connected(g1, [u for u, _ in mapping.pairs]):
+            if connected and not induces_connected(g1, [u for u, _ in mapping.pairs]):
                 continue
             stats.candidates_validated += 1
             if not is_induced_isomorphism(g1, g2, mapping):
@@ -829,14 +831,14 @@ def enumerate_configurations(
     the pair is dominated by some yielded mapping.  The floor of -1 is never
     raised, so nothing is pruned.
     """
-    c1, c2 = _Cover(g1, False), _Cover(g2, False)
+    c1, c2 = _Cover(g1), _Cover(g2)
     cover1, cover2 = set(c1.order), set(c2.order)
-    for mapping in _iter_search(c1, c2, SolveStats(), [-1]):
+    for mapping in _iter_search(c1, c2, False, SolveStats(), [-1]):
         yield tuple((u, v) for u, v in mapping.pairs if u in cover1 and v in cover2), mapping
 
 
-def mcis_vc_fpt(q: SolveQuery) -> SolveResult:
-    """Exact MCIS/MCCIS via the cover-tripartition enumeration."""
+def mcis_vc_fpt(q: SolveQuery, covers: tuple[_Cover, _Cover] | None = None) -> SolveResult:
+    """Exact MCIS/MCCIS via the cover-tripartition enumeration, over ``covers`` if given."""
     stats = SolveStats()
     method = "vc-fpt"
     if q.g1.n == 0 or q.g2.n == 0:
@@ -844,7 +846,7 @@ def mcis_vc_fpt(q: SolveQuery) -> SolveResult:
     # A single vertex is always a (connected) common induced subgraph.
     best_witness = VertexMapping(((0, 0),))
     best = [1]
-    for mapping in _iter_search(_Cover(q.g1, q.connected), _Cover(q.g2, q.connected), stats, best):
+    for mapping in _iter_search(*(covers or (_Cover(q.g1), _Cover(q.g2))), q.connected, stats, best):
         if len(mapping) > best[0]:
             best[0] = len(mapping)
             best_witness = mapping
@@ -854,13 +856,18 @@ def mcis_vc_fpt(q: SolveQuery) -> SolveResult:
 def solve(q: SolveQuery, algo: str) -> SolveResult:
     """MCIS/MCCIS by ``algo``: ``brute``, ``vc-fpt``, or ``auto``, the FPT once
     both covers fit the cutoff, tested only past the oracle bound (within it,
-    one past the cutoff is K10's 9).  A refusal raises OracleBoundError."""
+    one past the cutoff is K10's 9) up to the first graph that does not fit, then
+    over the gate's splits.  A refusal raises OracleBoundError, another route ValueError."""
     if algo == "brute":
         return mcis_bruteforce(q)
+    if algo not in ("vc-fpt", "auto"):
+        raise ValueError(f"unknown route {algo!r}: expected brute, vc-fpt or auto")
     if algo == "auto" and max(q.g1.n, q.g2.n) > ORACLE_BOUND:
-        if any(min_vertex_cover(g, VC_CUTOFF) is None for g in (q.g1, q.g2)):
+        splits = list(itertools.takewhile(bool, (min_vertex_cover(g, VC_CUTOFF) for g in (q.g1, q.g2))))
+        if len(splits) < 2:
             raise OracleBoundError(
                 f"refusing: a minimum vertex cover exceeds cutoff {VC_CUTOFF} "
                 f"and inputs exceed the oracle bound {ORACLE_BOUND}"
             )
+        return mcis_vc_fpt(q, (_Cover(q.g1, splits[0]), _Cover(q.g2, splits[1])))
     return mcis_vc_fpt(q)

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import mcislab
-from mcislab import cli, harness, solvers
+from mcislab import cli, harness, params, solvers
 from mcislab.cli import (
     EXIT_CHECK_FAILED,
     EXIT_OK,
@@ -481,10 +481,52 @@ def test_check_json_contains_counter_totals(capsys):
     assert suite["counter_bound_checked"] == suite["instances"]
 
 
+def test_each_question_searches_each_graph_cover_once(monkeypatch):
+    # a check pair asks four questions (the oracle and the FPT, in two modes)
+    # and auto past the oracle bound two (the gate and the FPT); each graph's
+    # cover is searched and built once, for both modes, and a refused pair
+    # stops at the first graph whose cover does not fit the cutoff
+    searched, built = [], []
+    real_cover, real_twins = params.min_vertex_cover, solvers.twin_partition
+
+    def counting(g, budget=None):
+        searched.append((g, budget))
+        return real_cover(g, budget)
+
+    def twins(g, split):
+        built.append(g)
+        return real_twins(g, split)
+
+    for module in (params, solvers):
+        monkeypatch.setattr(module, "min_vertex_cover", counting)
+    monkeypatch.setattr(solvers, "twin_partition", twins)
+    assert harness.run_oracle_suite(3, 4, 9)["ok"]
+    rng = random.Random(3)
+    drawn = [g for _ in range(4) for g in random_graph_pair(rng, 9)]
+    assert searched == [(g, None) for g in drawn] and built == drawn
+
+    def edges(count):
+        return Graph.from_edges(2 * count, [(2 * i, 2 * i + 1) for i in range(count)])
+
+    fits, past = (edges(8), edges(3)), edges(9)
+    for connected in (False, True):
+        searched.clear()
+        built.clear()
+        result = solve(SolveQuery(*fits, connected=connected), "auto")
+        assert searched == [(g, solvers.VC_CUTOFF) for g in fits] and built == list(fits)
+        assert result == mcis_vc_fpt(SolveQuery(*fits, connected=connected))
+    for pair, tried in (((past, fits[1]), [past]), ((fits[1], past), [fits[1], past])):
+        searched.clear()
+        built.clear()
+        with pytest.raises(OracleBoundError):
+            solve(SolveQuery(*pair), "auto")
+        assert searched == [(g, solvers.VC_CUTOFF) for g in tried] and built == []
+
+
 @pytest.fixture
 def fpt_one_too_large(monkeypatch):
-    def wrong(query):
-        result = mcis_vc_fpt(query)
+    def wrong(query, covers=None):
+        result = mcis_vc_fpt(query, covers)
         return dataclasses.replace(result, size=result.size + 1)
 
     monkeypatch.setattr(harness, "mcis_vc_fpt", wrong)

@@ -270,14 +270,14 @@ class Trip(NamedTuple):
 
 def generated(g, connected=False):
     """Each (m, i) bucket of the generator over g's minimum cover, as Trips."""
-    cover = _Cover(g, connected)
+    cover = _Cover(g)
     sizes = range(len(cover.order) + 2)
 
     def trip(s):
         matched, to_indep = frozenset(cover.vertices(s.mm)), frozenset(cover.vertices(s.im))
         return Trip(matched, frozenset(cover.order) - matched - to_indep, to_indep)
 
-    return {(m, i): [trip(s) for s in cover.buckets[m, i]] for m in sizes for i in sizes}
+    return {(m, i): [trip(s) for s in cover.buckets[connected, m, i]] for m in sizes for i in sizes}
 
 
 def reference(g, connected=False):

@@ -426,26 +426,77 @@ def test_fpt_optimum_obeys_metamorphic_relations_at_planted_sizes():
     # an isolated vertex added to each graph raises the MCIS optimum by one.
     # Two pairs are drawn per cell and the first is solved; its witness must
     # be valid (a solver that keeps disconnected MCCIS candidates fails here).
-    rng, relabel = random.Random(5), random.Random(99)
+    # The third graph H is planted into both graphs of a second pair (H plus
+    # three vertices hung on its cover, relabelled twice), so that pair's
+    # optimum is at least |H| in MCIS and H's largest component in MCCIS;
+    # in 12 of the 18 solves the optimum is that floor.  Each pair's two
+    # modes run over one shared pair of covers.
+    rng, relabel, plant = random.Random(5), random.Random(99), random.Random(7)
 
     def shuffled(g):
         perm = list(range(g.n))
         relabel.shuffle(perm)
         return Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges])
 
+    def hosting(h):
+        cover, n = sorted(min_vertex_cover(h).cover), h.n + 3
+        hung = [(u, v) for v in range(h.n, n) for u in plant.sample(cover, plant.randint(1, 2))]
+        perm = list(range(n))
+        plant.shuffle(perm)
+        return Graph.from_edges(n, [(perm[u], perm[v]) for u, v in [*h.edges, *hung]])
+
     for k in (4, 6, 8):
         for n in (30, 40, 60):
-            g1, g2 = [planted_cover_graph(rng, n, k) for _ in range(4)][:2]
+            g1, g2, h, _ = [planted_cover_graph(rng, n, k) for _ in range(4)]
             swapped = (shuffled(g2), shuffled(g1))
             lifted = [Graph(g.n + 1, g.edges) for g in (g1, g2)]
-            for conn in (False, True):
+            hosts = hosting(h), hosting(h)
+            covers = solvers._Cover(g1), solvers._Cover(g2)
+            host_covers = solvers._Cover(hosts[0]), solvers._Cover(hosts[1])
+            for conn, floor in ((False, h.n), (True, max(map(len, connected_components(h))))):
                 query = SolveQuery(g1, g2, connected=conn)
-                result = mcis_vc_fpt(query)
+                result = mcis_vc_fpt(query, covers)
                 assert_valid_witness(query, result)
                 optimum = result.size
                 assert mcis_vc_fpt(SolveQuery(*swapped, connected=conn)).size == optimum, (k, n, conn)
                 if not conn:
                     assert mcis_vc_fpt(SolveQuery(*lifted)).size == optimum + 1, (k, n)
+                query = SolveQuery(*hosts, connected=conn)
+                result = mcis_vc_fpt(query, host_covers)
+                assert_valid_witness(query, result)
+                assert result.size >= floor, (k, n, conn)
+
+
+def test_fpt_over_shared_covers_equals_fresh_solves_in_either_mode_order():
+    # one pair of covers serves both modes: MCIS first or MCCIS first, every
+    # size, witness and work counter equals that of a solve that builds its
+    # own covers, so no table one mode fills leaks into the other; so do the
+    # covers that `solve` builds from the auto gate's budgeted splits
+    rng = random.Random(47)
+    pairs = [random_graph_pair(rng, 9) for _ in range(40)]
+    for k in (4, 6):
+        planted = random.Random(1)
+        pairs.append((planted_cover_graph(planted, 40, k), planted_cover_graph(planted, 40, k)))
+    for g1, g2 in pairs:
+        fresh = {conn: mcis_vc_fpt(SolveQuery(g1, g2, connected=conn)) for conn in (False, True)}
+        splits = [min_vertex_cover(g, solvers.VC_CUTOFF) for g in (g1, g2)]
+        assert None not in splits
+        for order in ((False, True), (True, False)):
+            for covers in (
+                (solvers._Cover(g1), solvers._Cover(g2)),
+                (solvers._Cover(g1, splits[0]), solvers._Cover(g2, splits[1])),
+            ):
+                for conn in order:
+                    shared = mcis_vc_fpt(SolveQuery(g1, g2, connected=conn), covers)
+                    want = fresh[conn]
+                    assert (shared.size, shared.witness, shared.stats) == (want.size, want.witness, want.stats)
+
+
+@pytest.mark.parametrize("algo", ["bruteforce", "vcfpt", "VC-FPT", ""])
+def test_solve_rejects_an_unknown_route(algo):
+    # a misspelt route used to run the FPT without the auto gate
+    with pytest.raises(ValueError, match="unknown route"):
+        solvers.solve(SolveQuery(path_graph(3), path_graph(3)), algo)
 
 
 def test_fpt_check_seed_64_pair_drops_what_cannot_yield():
@@ -483,7 +534,7 @@ def test_cover_links_connect_a_part_iff_it_and_its_independent_neighbors_do():
     for _ in range(40):
         g, _ = random_graph_pair(rng, 9)
         split = min_vertex_cover(g)
-        cover = solvers._Cover(g, True)
+        cover = solvers._Cover(g)
         for size in range(1, len(split.cover) + 1):
             for part in itertools.combinations(sorted(split.cover), size):
                 mask = sum(1 << cover.order.index(v) for v in part)
@@ -649,13 +700,13 @@ def test_fpt_draws_tripartition_buckets_lazily(monkeypatch):
     k = len(min_vertex_cover(g).cover)
     sizes = range(k + 1)
     # all buckets of both sides together reach the bound below, so it is not vacuous
-    everything = sum(len(solvers._Cover(g, False).buckets[m, i]) for m in sizes for i in sizes)
+    everything = sum(len(solvers._Cover(g).buckets[False, m, i]) for m in sizes for i in sizes)
     assert 2 * everything >= (3**k + 3**k) // 2
     generated = []
     real = solvers._Cover._bucket
 
-    def counting(self, sizes):
-        bucket = real(self, sizes)
+    def counting(self, key):
+        bucket = real(self, key)
         generated.extend(bucket)
         return bucket
 
