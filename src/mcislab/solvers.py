@@ -51,6 +51,9 @@ each other:
   assembled mapping is induced by construction; the arbiter still tests each one, as a guard
   that raises :class:`WitnessError`.  For MCCIS, ``induces_connected``
   alone decides which cover parts are linked and which candidates stay.
+  The search starts from an incumbent, two one- or two-vertex cover shapes
+  (built once per side) paired trace by trace with no search, under the same
+  guards; it stays the witness unless the search beats it.
 
 :func:`solve` routes MCIS/MCCIS by name, owns the size gates, and hands the gate's covers on.
 :func:`enumerate_configurations` exposes the same enumeration as a stream
@@ -117,7 +120,8 @@ class SolveStats:
     their first bijection, by the pair bound or by a to-independent vertex
     whose degree signature no opposite trace has.  ``search_nodes`` counts
     the placements ``isi_backtracking`` makes: a pattern vertex on a host
-    vertex, or a pattern component in a host component.
+    vertex, or a pattern component in a host component.  ``incumbent`` is the
+    size the FPT search started from (0 on other routes).
     """
 
     configurations: int = 0
@@ -128,6 +132,7 @@ class SolveStats:
     pairs_tried: int = 0
     pairs_pruned: int = 0
     search_nodes: int = 0
+    incumbent: int = 0
 
 
 @dataclass(frozen=True)
@@ -498,7 +503,8 @@ class _Cover:
     minimum cover it searches, numbered 0..k-1 in increasing order so that cover
     adjacency, twin-class neighborhoods and members are bitmasks (member bit b is
     the vertex ``flat[b]``).  Tables keyed by a part are filled on first request,
-    never for all 2^k parts up front; only ``buckets`` is keyed by mode."""
+    never for all 2^k parts up front; only ``buckets`` is keyed by mode.  The
+    incumbent's ``shapes`` are built once, with the cover."""
 
     def __init__(self, g: Graph, split: CoverSplit | None = None):
         split = min_vertex_cover(g) if split is None else split
@@ -523,6 +529,23 @@ class _Cover:
         self.free = _Table(
             lambda im: sum(b for b, nb in zip(self.members, self.nbhdmask) if not nb & im)
         )
+        self.shapes = self._shapes()
+
+    def _shapes(self) -> list[tuple[tuple[int, ...], bool, tuple[int, ...]]]:
+        """The incumbent's shapes, mode-free: cover positions, their adjacency,
+        and members by trace (private to the first, private to the second,
+        common, missed).  The independent set alone has no position, a star one
+        with its neighbors, and a double star two in either order, adjacent or
+        in one class's neighborhood: read off those masks, not a scan of pairs."""
+        k, every, star = len(self.order), (1 << len(self.flat)) - 1, [0] * (len(self.order) + 1)
+        for nb, mk in zip(self.nbhdmask, self.members):
+            for j in _bits(nb):
+                star[j] |= mk  # position k stands for none: star[k] stays 0
+        duos = {(a, b) for a, am in enumerate(self.adjmask) for b in _bits(am)}
+        duos.update(d for nb in set(self.nbhdmask) for d in itertools.permutations(self.positions[nb], 2))
+        return [(tuple(p for p in (a, b) if p < k), bool(a < k and self.adjmask[a] >> b & 1),
+                 (star[a] & ~star[b], star[b] & ~star[a], star[a] & star[b], every & ~(star[a] | star[b])))
+                for a, b in [(k, k), *[(j, k) for j in range(k)], *sorted(duos)]]
 
     def vertices(self, mask: int) -> tuple[int, ...]:
         return tuple(self.order[j] for j in self.positions[mask])
@@ -821,6 +844,28 @@ def _search_pair(
             yield mapping
 
 
+def _incumbent(c1: _Cover, c2: _Cover, connected: bool) -> VertexMapping:
+    """The largest pairing of two shapes (:meth:`_Cover._shapes`) with equal
+    cover part and adjacency, trace by trace, from one shape per isomorphism
+    type (its key); in MCCIS without missed members or the shape with no
+    position, so every pairing is connected.  Else a single vertex."""
+    traces = 3 if connected else 4
+    kinds: list[dict[tuple[int, ...], tuple]] = [{}, {}]
+    for c, kind in zip((c1, c2), kinds):
+        for pos, adjacent, masks in c.shapes:
+            if pos or not connected:
+                kind.setdefault((len(pos), adjacent, *[mk.bit_count() for mk in masks[:traces]]), (pos, masks))
+    pick = max(((k1[0] + sum(map(min, k1[2:], k2[2:])), s1, s2) for k1, s1 in kinds[0].items()
+                for k2, s2 in kinds[1].items() if k1[:2] == k2[:2]), key=lambda t: t[0], default=None)
+    if pick is None:  # a single vertex is always a (connected) common induced subgraph
+        return VertexMapping(((0, 0),))
+    _, (pos1, masks1), (pos2, masks2) = pick
+    pairs = [(c1.order[a], c2.order[b]) for a, b in zip(pos1, pos2)]
+    for mk1, mk2 in zip(masks1[:traces], masks2):
+        pairs += zip([c1.flat[b] for b in _bits(mk1)], [c2.flat[b] for b in _bits(mk2)])
+    return VertexMapping(tuple(sorted(pairs)))
+
+
 def enumerate_configurations(
     g1: Graph, g2: Graph
 ) -> Iterator[tuple[tuple[tuple[int, int], ...], VertexMapping]]:
@@ -838,15 +883,19 @@ def enumerate_configurations(
 
 
 def mcis_vc_fpt(q: SolveQuery, covers: tuple[_Cover, _Cover] | None = None) -> SolveResult:
-    """Exact MCIS/MCCIS via the cover-tripartition enumeration, over ``covers`` if given."""
-    stats = SolveStats()
+    """Exact MCIS/MCCIS via the cover-tripartition enumeration, over ``covers`` if
+    given, from :func:`_incumbent`'s size; its pairing stays the witness unless beaten."""
     method = "vc-fpt"
     if q.g1.n == 0 or q.g2.n == 0:
-        return SolveResult(0, VertexMapping(()), method, stats)
-    # A single vertex is always a (connected) common induced subgraph.
-    best_witness = VertexMapping(((0, 0),))
-    best = [1]
-    for mapping in _iter_search(*(covers or (_Cover(q.g1), _Cover(q.g2))), q.connected, stats, best):
+        return SolveResult(0, VertexMapping(()), method, SolveStats())
+    c1, c2 = covers or (_Cover(q.g1), _Cover(q.g2))
+    best_witness = _incumbent(c1, c2, q.connected)
+    if not is_induced_isomorphism(q.g1, q.g2, best_witness) or (
+            q.connected and not induces_connected(q.g1, dict(best_witness.pairs))):
+        raise WitnessError(f"mcis_vc_fpt built an invalid incumbent {best_witness.pairs}")
+    best = [len(best_witness)]
+    stats = SolveStats(incumbent=best[0])
+    for mapping in _iter_search(c1, c2, q.connected, stats, best):
         if len(mapping) > best[0]:
             best[0] = len(mapping)
             best_witness = mapping

@@ -117,14 +117,16 @@ def test_solve_decision_threshold(graph_files, capsys):
 
 
 def test_solve_json_report_shape(graph_files, capsys):
-    p3 = graph_files("p3.el", path_graph(3))
-    k3 = graph_files("k3.el", complete_graph(3))
-    assert main(["solve", "--problem", "mcis", "--json", p3, k3]) == EXIT_OK
+    # on C6 against itself the search beats its incumbent of 5 (two cover
+    # vertices with their neighbors), so it reaches a configuration
+    c6 = graph_files("c6.el", cycle_graph(6))
+    assert main(["solve", "--problem", "mcis", "--json", c6, c6]) == EXIT_OK
     report = json.loads(capsys.readouterr().out)
     assert report["command"] == "solve"
-    assert report["result"]["size"] == 2
+    assert report["result"]["size"] == 6
     assert report["result"]["method"] == "vc-fpt"
     assert "inputs_digest" in report and "timings_ms" in report
+    assert report["stats"]["incumbent"] == 5
     assert report["stats"]["configurations"] >= 1
     assert report["stats"]["bijections_tried"] >= report["stats"]["bijections_pruned"] >= 0
     assert report["stats"]["pairs_tried"] >= report["stats"]["pairs_pruned"] >= 0

@@ -30,6 +30,7 @@ from mcislab import solvers
 from mcislab.solvers import (
     OracleBoundError,
     SolveQuery,
+    SolveResult,
     SolveStats,
     WitnessError,
     configuration_bound,
@@ -270,10 +271,12 @@ def test_witness_guards_raise_without_assert(monkeypatch):
     )
     with pytest.raises(WitnessError):
         mcis_bruteforce(SolveQuery(path_graph(2), edgeless_graph(2)))
-    # the FPT solver's arbiter is a guard too: a rejected candidate raises
-    monkeypatch.setattr(solvers, "is_induced_isomorphism", lambda *args: False)
-    with pytest.raises(WitnessError):
-        mcis_vc_fpt(SolveQuery(path_graph(3), path_graph(3)))
+    # the FPT solver's arbiter is a guard too: a rejected candidate raises.
+    # On C6 against itself the incumbent has 5 vertices and passes; the
+    # search's candidate of 6 is the one rejected
+    monkeypatch.setattr(solvers, "is_induced_isomorphism", lambda g1, g2, mapping: len(mapping) < 6)
+    with pytest.raises(WitnessError, match="non-induced mapping"):
+        mcis_vc_fpt(SolveQuery(cycle_graph(6), cycle_graph(6)))
     # connectivity decides rather than guards: the two edges of 2K2 are one
     # disconnected common subgraph, which MCCIS passes over for one edge
     monkeypatch.undo()
@@ -375,7 +378,9 @@ def test_fpt_n40_cover4_pair_stays_small():
         assert result.size == optimum
         assert_valid_witness(query, result)
         assert result.stats.configurations <= 1_000
-        assert result.stats.bijections_tried > result.stats.bijections_pruned > 0
+        # in MCIS the incumbent (a star against a star, 36 vertices) is the
+        # optimum, so the label-class bound skips every bijection tried
+        assert result.stats.bijections_tried >= result.stats.bijections_pruned > 0
 
 
 def test_fpt_k89_self_pair_is_bounded_before_its_bijections():
@@ -506,7 +511,9 @@ def test_fpt_check_seed_64_pair_drops_what_cannot_yield():
     query = SolveQuery(g1, g2, connected=True)
     result = mcis_vc_fpt(query)
     assert result.size == 5
-    assert result.witness.pairs == ((1, 2), (2, 4), (3, 8), (5, 5), (7, 7))
+    # the incumbent, a double star against a double star, is the optimum
+    assert result.witness.pairs == ((1, 2), (2, 4), (5, 5), (6, 8), (7, 7))
+    assert result.stats.incumbent == 5
     assert_valid_witness(query, result)
     assert result.stats.configurations <= 2_000
     assert mcis_vc_fpt(SolveQuery(g1, g2)).stats.bijections_tried < 117
@@ -545,18 +552,18 @@ def test_cover_links_connect_a_part_iff_it_and_its_independent_neighbors_do():
 
 def test_fpt_work_counters_stay_under_recorded_ceilings():
     # summed over check seeds 1-20 (the first 120 check-oracle solves); the
-    # ceilings are the exact sums since the FPT takes the cover search's own
-    # minimum cover instead of the lexicographically smallest one (174
-    # configurations, 1,242 choice nodes and 669 bijections tried with it),
-    # so a change that adds work fails here even when timing noise hides it
+    # ceilings are the exact sums since the search starts from the incumbent
+    # its covers' shapes pair (177 configurations, 1,668 choice nodes, 884
+    # bijections and 6,294 pairs tried from a start of 1), so a change that
+    # adds work fails here even when timing noise hides it
     ceilings = {
-        "configurations": 177,
-        "candidates_validated": 177,
-        "choice_nodes": 1_668,
-        "bijections_tried": 884,
-        "bijections_pruned": 31,
-        "pairs_tried": 6_294,
-        "pairs_pruned": 5_567,
+        "configurations": 16,
+        "candidates_validated": 16,
+        "choice_nodes": 920,
+        "bijections_tried": 633,
+        "bijections_pruned": 20,
+        "pairs_tried": 5_877,
+        "pairs_pruned": 5_384,
     }
     totals = dict.fromkeys(ceilings, 0)
     connected_candidates = 0
@@ -571,8 +578,64 @@ def test_fpt_work_counters_stay_under_recorded_ceilings():
                 connected_candidates += stats.candidates_validated if conn else 0
     assert all(totals[name] <= ceilings[name] for name in ceilings), totals
     # only connected candidates are validated: 202 were before the cover-part
-    # filter, most of them then failing the final connectivity check
-    assert connected_candidates <= 101
+    # filter, most of them then failing the final connectivity check, and 75
+    # from a start of 1
+    assert connected_candidates <= 8
+
+
+@pytest.mark.parametrize("conn", [False, True])
+def test_fpt_incumbent_is_guarded_without_assert(conn, monkeypatch):
+    # the incumbent becomes the witness unless the search beats it, so the
+    # arbiter (and in MCCIS the connectivity test) guards it as a candidate
+    query = SolveQuery(cycle_graph(6), cycle_graph(6), connected=conn)
+    monkeypatch.setattr(solvers, "is_induced_isomorphism", lambda *args: False)
+    with pytest.raises(WitnessError, match="incumbent"):
+        mcis_vc_fpt(query)
+    monkeypatch.undo()
+    if conn:
+        monkeypatch.setattr(solvers, "induces_connected", lambda *args: False)
+        with pytest.raises(WitnessError, match="incumbent"):
+            mcis_vc_fpt(query)
+
+
+def test_fpt_incumbent_is_a_common_subgraph_no_larger_than_the_optimum():
+    # the incumbent pairs two cover shapes with no search: it must be a valid
+    # common induced subgraph, connected in MCCIS, and never beat the optimum
+    def incumbent(g1, g2, conn):
+        mapping = solvers._incumbent(solvers._Cover(g1), solvers._Cover(g2), conn)
+        assert_valid_witness(SolveQuery(g1, g2, connected=conn), SolveResult(len(mapping), mapping, "", None))
+        return len(mapping)
+
+    rng = random.Random(48)
+    for _ in range(500):
+        g1, g2 = random_graph_pair(rng, 9)
+        for conn in (False, True):
+            result = mcis_vc_fpt(SolveQuery(g1, g2, connected=conn))
+            assert incumbent(g1, g2, conn) == result.stats.incumbent <= result.size, (g1.edges, g2.edges)
+    # the planted pairs of random.Random(5) with the optima the search finds
+    # (MCIS, MCCIS), which equal those of a search started from 1
+    rng = random.Random(5)
+    optima = iter([(37, 28), (57, 49), (77, 63), (34, 28), (54, 43), (73, 55), (33, 25), (52, 41), (73, 57)])
+    for k in (4, 8, 10):
+        for n in (40, 60, 80):
+            g1, g2 = planted_cover_graph(rng, n, k), planted_cover_graph(rng, n, k)
+            for conn, optimum in zip((False, True), next(optima)):
+                assert incumbent(g1, g2, conn) <= optimum, (k, n, conn)
+
+
+def test_fpt_work_from_the_incumbent_on_the_benchmark_small_pairs():
+    # the 44 n=10 pairs with planted covers of 3 that perfbench's fpt-sparse
+    # workload solves in both modes; from a start of 1 the search placed 1,946
+    # choice nodes and reached 364 configurations
+    rng = random.Random("fpt-small:0")
+    totals = dict.fromkeys(("choice_nodes", "configurations", "incumbent"), 0)
+    for _ in range(44):
+        g1, g2 = planted_cover_graph(rng, 10, 3), planted_cover_graph(rng, 10, 3)
+        for conn in (False, True):
+            stats = mcis_vc_fpt(SolveQuery(g1, g2, connected=conn)).stats
+            for name in totals:
+                totals[name] += getattr(stats, name)
+    assert totals == {"choice_nodes": 91, "configurations": 17, "incumbent": 673}
 
 
 def test_fpt_choice_layer_tests_each_class_choice_as_it_is_made():
@@ -748,9 +811,11 @@ def test_fpt_solves_hundreds_of_disjoint_edges_within_two_seconds():
 
 
 def test_fpt_assembly_is_checked_against_its_predicted_size(monkeypatch):
+    # C6's incumbent against itself has 5 vertices, so the search assembles
+    # the optimum of 6 (on P4 the incumbent is the optimum, and nothing is)
     monkeypatch.setattr(solvers, "_assemble", lambda *args: VertexMapping(()))
-    with pytest.raises(WitnessError):
-        mcis_vc_fpt(SolveQuery(path_graph(4), path_graph(4)))
+    with pytest.raises(WitnessError, match="class plan predicts 6"):
+        mcis_vc_fpt(SolveQuery(cycle_graph(6), cycle_graph(6)))
 
 
 def test_fpt_candidates_are_induced_by_construction(monkeypatch):
