@@ -20,11 +20,13 @@ each other:
   enumeration of cover tripartitions, cover bijections and
   cover-to-twin-class assignments.  Each graph's side (:class:`_Cover`,
   built by the caller once for both modes) holds its cover adjacency and
-  twin classes as bitmasks and generates its tripartitions per size bucket when the search first
-  reaches it, by one depth-first walk over the roles (the buckets come one
-  at a time, in decreasing order of their ceiling, from a closed form);
+  twin classes as bitmasks and generates its tripartitions per size bucket, once per
+  search, when the search first reaches it, by one depth-first walk over the roles (the buckets
+  come one at a time, in decreasing order of their ceiling, from a closed form);
   to-independent parts must be independent, and for MCCIS the cover part
-  linked.  A kept tripartition's ``pairs`` mask, which every
+  linked.  The walk cuts a branch whose free members (of the classes with no neighbor in its
+  to-independent part) cannot beat the best size, and the search skips a bucket whose bound
+  on them (``room``) cannot.  A kept tripartition's ``pairs`` mask, which every
   pair bound and class plan reads, holds the members of the twin classes
   that can pair.  A tripartition pair can pair at most ``min(P1, P2)``
   members, P being a side's mask size, and at most the sum of ``min`` per
@@ -115,10 +117,11 @@ class SolveStats:
     ``bijections_tried`` counts the cover bijections the FPT examines and
     ``bijections_pruned`` those the label-class bound skips whole.
     ``pairs_tried`` counts the tripartition pairs with equal matched degree
-    multisets it reaches in a live bucket (in connected mode, of tripartitions
-    with a connected cover part), and ``pairs_pruned`` those skipped before
+    multisets it reaches in a live bucket, among the tripartitions the walk keeps
+    (in connected mode, with a connected cover part), and ``pairs_pruned`` those skipped before
     their first bijection, by the pair bound or by a to-independent vertex
-    whose degree signature no opposite trace has.  ``search_nodes`` counts
+    whose degree signature no opposite trace has; ``buckets_pruned`` counts the size
+    buckets the room bound skips before either side is walked.  ``search_nodes`` counts
     the placements ``isi_backtracking`` makes: a pattern vertex on a host
     vertex, or a pattern component in a host component.  ``incumbent`` is the
     size the FPT search started from (0 on other routes).
@@ -131,6 +134,7 @@ class SolveStats:
     bijections_pruned: int = 0
     pairs_tried: int = 0
     pairs_pruned: int = 0
+    buckets_pruned: int = 0
     search_nodes: int = 0
     incumbent: int = 0
 
@@ -503,7 +507,8 @@ class _Cover:
     minimum cover it searches, numbered 0..k-1 in increasing order so that cover
     adjacency, twin-class neighborhoods and members are bitmasks (member bit b is
     the vertex ``flat[b]``).  Tables keyed by a part are filled on first request,
-    never for all 2^k parts up front; only ``buckets`` is keyed by mode.  The
+    never for all 2^k parts up front; nothing is keyed by mode.  The class
+    ``blocks`` per position, the ``room`` bound per to-independent size and the
     incumbent's ``shapes`` are built once, with the cover."""
 
     def __init__(self, g: Graph, split: CoverSplit | None = None):
@@ -518,17 +523,24 @@ class _Cover:
         ends = itertools.accumulate([len(c.members) for c in self.twins], initial=0)
         self.members = [(1 << b) - (1 << a) for a, b in itertools.pairwise(ends)]
         self.positions = _Table(lambda mask: tuple(_bits(mask)))
-        self.buckets = _Table(self._bucket)
         self.parts = _Table(self._part)
         # per matched part: the position adjacency inside it
         self.inner = _Table(lambda mm: {
             j: frozenset(self.positions[self.adjmask[j] & mm]) for j in self.positions[mm]
         })
         self.linked = _Table(self._linked)
-        # per to-independent part: the members of the classes with no neighbor in it
-        self.free = _Table(
-            lambda im: sum(b for b, nb in zip(self.members, self.nbhdmask) if not nb & im)
-        )
+        # per position: the members of the classes adjacent to it, and of those adjacent to it alone
+        self.blocks, private = [0] * len(self.order), [0] * len(self.order)
+        for nb, mk in zip(self.nbhdmask, self.members):
+            for j in _bits(nb):
+                self.blocks[j] |= mk
+            if nb.bit_count() == 1:
+                private[nb.bit_length() - 1] += mk.bit_count()
+        # per size i: the most members an i-subset can leave free, bounded from block
+        # sizes alone: it takes out a block no smaller than the i-th smallest, and
+        # i disjoint private blocks no smaller together than the i smallest
+        self.room = [len(self.flat) - max(lo, hi) for lo, hi in zip(
+            [0, *sorted(b.bit_count() for b in self.blocks)], itertools.accumulate(sorted(private), initial=0))]
         self.shapes = self._shapes()
 
     def _shapes(self) -> list[tuple[tuple[int, ...], bool, tuple[int, ...]]]:
@@ -537,10 +549,7 @@ class _Cover:
         common, missed).  The independent set alone has no position, a star one
         with its neighbors, and a double star two in either order, adjacent or
         in one class's neighborhood: read off those masks, not a scan of pairs."""
-        k, every, star = len(self.order), (1 << len(self.flat)) - 1, [0] * (len(self.order) + 1)
-        for nb, mk in zip(self.nbhdmask, self.members):
-            for j in _bits(nb):
-                star[j] |= mk  # position k stands for none: star[k] stays 0
+        k, every, star = len(self.order), (1 << len(self.flat)) - 1, [*self.blocks, 0]  # position k stands for none
         duos = {(a, b) for a, am in enumerate(self.adjmask) for b in _bits(am)}
         duos.update(d for nb in set(self.nbhdmask) for d in itertools.permutations(self.positions[nb], 2))
         return [(tuple(p for p in (a, b) if p < k), bool(a < k and self.adjmask[a] >> b & 1),
@@ -580,10 +589,10 @@ class _Cover:
         reps = [c.members[0] for c, nb in zip(self.twins, self.nbhdmask) if nb & used]
         return used != 0 and induces_connected(self.g, [*self.vertices(used), *reps])
 
-    def _bucket(self, key: tuple[bool, int, int]) -> list[_Side]:
-        """The tripartition generator: the cover's tripartitions of sizes
-        ``key[1:]`` (matched, to-independent), in MCCIS if ``key[0]``, in
-        ``itertools.product`` order over the roles (matched, unused,
+    def _bucket(self, connected: bool, ms: int, i: int, floor: int) -> list[_Side]:
+        """The tripartition generator: the cover's tripartitions with ``ms``
+        matched and ``i`` to-independent positions, in MCCIS if ``connected``,
+        in ``itertools.product`` order over the roles (matched, unused,
         to-independent), smallest vertex most significant, from one depth-first
         walk that tries the roles in that order at each position.  The walk
         keeps its own stack, so no cover size can exhaust Python's: each branch
@@ -591,27 +600,32 @@ class _Cover:
         once the positions left cannot hold the roles left; once no role is
         left, the rest are unused.  The to-independent part I is independent: it
         maps into an independent set.  In connected mode M ∪ I must be linked
-        (:meth:`_linked`).  A twin class adjacent to I cannot pair (``free``),
-        nor in connected mode one that M does not count (:meth:`_part`), so
-        ``pairs`` holds the members of the others; ``needs`` holds the signature
-        in M of each vertex of I, which an opposite part must offer.
+        (:meth:`_linked`).  A twin class adjacent to I cannot pair (a branch
+        carries the members I leaves free: a position joining I takes out its
+        ``blocks``), nor in connected mode one that M does not count
+        (:meth:`_part`), so ``pairs`` holds the members of the others; ``needs``
+        holds the signature in M of each vertex of I, which an opposite part
+        must offer.  A branch leaving at most ``floor`` free is cut, and a leaf
+        whose ``pairs`` holds at most ``floor`` is not built: ``pairs`` lies
+        within the free members, so no other side is lost.
         """
-        k, bucket, (connected, *sizes) = len(self.order), [], key
-        stack = [(0, 0, 0, *sizes)]
+        k, bucket = len(self.order), []
+        stack = [(0, 0, 0, (1 << len(self.flat)) - 1, ms, i)]
         while stack:
-            j, mm, im, m, i = stack.pop()
-            if m + i > k - j:
+            j, mm, im, free, m, i = stack.pop()
+            if m + i > k - j or free.bit_count() <= floor:
                 continue
             if m or i:
                 if i and not self.adjmask[j] & im:
-                    stack.append((j + 1, mm, im | 1 << j, m, i - 1))
-                stack.append((j + 1, mm, im, m, i))
+                    stack.append((j + 1, mm, im | 1 << j, free & ~self.blocks[j], m, i - 1))
+                stack.append((j + 1, mm, im, free, m, i))
                 if m:
-                    stack.append((j + 1, mm | 1 << j, im, m - 1, i))
-            elif not connected or self.linked[mm | im]:
-                part = self.parts[mm]
+                    stack.append((j + 1, mm | 1 << j, im, free, m - 1, i))
+                continue
+            part = self.parts[mm]
+            pairs = part.counted & free if connected else free
+            if pairs.bit_count() > floor and (not connected or self.linked[mm | im]):
                 needs = frozenset([part.sig_at[p] for p in self.positions[im]])
-                pairs = part.counted & self.free[im] if connected else self.free[im]
                 bucket.append(_Side(part, mm, im, pairs, needs))
         return bucket
 
@@ -683,9 +697,11 @@ def _iter_search(c1: _Cover, c2: _Cover, connected: bool, stats: SolveStats,
     ``best`` is a one-element list holding the best size so far, updated by
     the consumer; subtrees whose size ceiling cannot beat it are skipped.
     Buckets (matched size and the two to-independent sizes) come from
-    :func:`_buckets` in decreasing order of their ceiling; each side's
-    tripartitions of one bucket come from its :class:`_Cover` when the
-    search first reaches it.
+    :func:`_buckets` in decreasing order of their ceiling; one whose sizes plus
+    the smaller ``room`` cannot beat ``best`` is skipped.  Each side's
+    tripartitions of one bucket come from its :class:`_Cover`'s walk once per
+    search, when first reached, at the floor under which no pair test of that side
+    passes: ``best`` less its sizes and the largest opposite to-independent size.
     A tripartition pair whose ``pairs`` masks cannot lift the bucket's
     cover part above ``best``, as a whole or per trace signature, or in
     which a to-independent vertex's degree signature is offered by no
@@ -697,16 +713,27 @@ def _iter_search(c1: _Cover, c2: _Cover, connected: bool, stats: SolveStats,
     and each pair that passes them all draws its own cover bijections.
     """
     k1, k2 = len(c1.order), len(c2.order)
-    for ub, ms, i1s, i2s in _buckets(k1, k2, c1.g.n - k1, c2.g.n - k2):
+    a, b = c1.g.n - k1, c2.g.n - k2
+
+    def walk(key: tuple[int, int, int]) -> list[_Side]:  # best only rises, so its floor holds
+        side, ms, i = key
+        c, k_other, own = (c1, k2, a) if side == 0 else (c2, k1, b)
+        return c._bucket(connected, ms, i, best[0] - ms - i - min(k_other - ms, own))
+
+    buckets = _Table(walk)  # per side and sizes: its tripartitions, walked once
+    for ub, ms, i1s, i2s in _buckets(k1, k2, a, b):
         if ub <= best[0]:
             break
-        trips1 = c1.buckets[connected, ms, i1s]
+        base = ms + i1s + i2s
+        if base + min(c1.room[i1s], c2.room[i2s]) <= best[0]:
+            stats.buckets_pruned += 1
+            continue
+        trips1 = buckets[0, ms, i1s]
         if not trips1:
             continue
         by_degms: dict[tuple[int, ...], list[_Side]] = {}
-        for s2 in c2.buckets[connected, ms, i2s]:
+        for s2 in buckets[1, ms, i2s]:
             by_degms.setdefault(s2.part.degms, []).append(s2)
-        base = ms + i1s + i2s
         for s1 in trips1:
             if ub <= best[0]:
                 break

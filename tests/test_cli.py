@@ -130,6 +130,7 @@ def test_solve_json_report_shape(graph_files, capsys):
     assert report["stats"]["configurations"] >= 1
     assert report["stats"]["bijections_tried"] >= report["stats"]["bijections_pruned"] >= 0
     assert report["stats"]["pairs_tried"] >= report["stats"]["pairs_pruned"] >= 0
+    assert report["stats"]["buckets_pruned"] >= 0
     assert report["stats"]["choice_nodes"] >= report["stats"]["configurations"] >= 1
 
 

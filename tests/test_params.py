@@ -277,7 +277,8 @@ def generated(g, connected=False):
         matched, to_indep = frozenset(cover.vertices(s.mm)), frozenset(cover.vertices(s.im))
         return Trip(matched, frozenset(cover.order) - matched - to_indep, to_indep)
 
-    return {(m, i): [trip(s) for s in cover.buckets[connected, m, i]] for m in sizes for i in sizes}
+    # a floor of -1 cuts nothing: every tripartition the walk keeps
+    return {(m, i): [trip(s) for s in cover._bucket(connected, m, i, -1)] for m in sizes for i in sizes}
 
 
 def reference(g, connected=False):
@@ -340,7 +341,8 @@ def test_tripartition_order_is_product_order():
         assert got == [t for t in expected if (len(t[0]), len(t[2])) == (m, i)]
 
 
-def test_tripartition_size_buckets_filter_the_full_stream():
+def covers_up_to_eight():
+    """Seeded graphs whose minimum covers take every size from 0 to 8."""
     rng = random.Random(46)
     draws = [edgeless_graph(2)] + [random_graph(rng, rng.randint(2, 10), rng.choice((0.2, 0.5))) for _ in range(60)]
     graphs = [g for g in draws if vertex_cover_number(g) <= 6]
@@ -348,7 +350,11 @@ def test_tripartition_size_buckets_filter_the_full_stream():
     # `solve --algo auto` sends to the FPT: 3^8 role vectors per mode
     rng = random.Random(7)
     wide = (random_graph(rng, rng.randint(10, 13), 0.3) for _ in itertools.count())
-    graphs += [next(g for g in wide if vertex_cover_number(g) == k) for k in (7, 8)]
+    return graphs + [next(g for g in wide if vertex_cover_number(g) == k) for k in (7, 8)]
+
+
+def test_tripartition_size_buckets_filter_the_full_stream():
+    graphs = covers_up_to_eight()
     covers = set()
     for g in graphs:
         k = vertex_cover_number(g)
@@ -361,6 +367,43 @@ def test_tripartition_size_buckets_filter_the_full_stream():
                 if m + i > k:
                     assert expected == []
     assert covers == set(range(9))
+
+
+def test_tripartition_walk_floor_keeps_exactly_the_sides_above_it():
+    # a floor cuts branches by the members they leave free, which hold every
+    # leaf's pairs mask, so it must keep the same sides as filtering the
+    # whole walk by pairs, in the same order
+    cut = 0
+    for g in covers_up_to_eight():
+        cover = _Cover(g)
+        sizes = range(len(cover.order) + 1)
+        for conn, m, i in itertools.product((False, True), sizes, sizes):
+            full = cover._bucket(conn, m, i, -1)
+            for floor in range(len(cover.flat) + 1):
+                expected = [s for s in full if s.pairs.bit_count() > floor]
+                assert cover._bucket(conn, m, i, floor) == expected, (g.edges, conn, m, i, floor)
+                cut += len(full) - len(expected)
+    assert cut  # some floor cuts something
+
+
+def test_tripartition_room_bounds_the_members_an_independent_part_leaves_free():
+    # room[i] bounds, from the block sizes alone, the members of the twin
+    # classes with no neighbor in any independent i-subset of the cover
+    rng = random.Random(49)
+    tight = 0
+    for _ in range(150):
+        g = random_graph(rng, rng.randint(1, 11), rng.choice((0.1, 0.2, 0.4)))
+        cover = _Cover(g)
+        assert len(cover.room) == len(cover.order) + 1
+        for i in range(len(cover.order) + 1):
+            most = max((
+                sum(len(c.members) for c in cover.twins if not c.neighborhood & set(part))
+                for part in itertools.combinations(cover.order, i)
+                if not any(v in g.adj[u] for u, v in itertools.combinations(part, 2))
+            ), default=0)
+            assert cover.room[i] >= most, (g.edges, i)
+            tight += cover.room[i] == most
+    assert tight  # and meets it somewhere, so it is not vacuous
 
 
 def test_vertex_cover_number_helper():

@@ -19,7 +19,7 @@ from mcislab.graphs import (
     is_induced_isomorphism,
     path_graph,
 )
-from mcislab.params import min_vertex_cover
+from mcislab.params import CoverSplit, min_vertex_cover
 from mcislab.reductions import (
     ThreePartitionInstance,
     incidence_graph,
@@ -384,13 +384,33 @@ def test_fpt_n40_cover4_pair_stays_small():
 
 
 def test_fpt_k89_self_pair_is_bounded_before_its_bijections():
-    # the pair bound cuts every tripartition pair that cannot match the whole
-    # graph before its first bijection (1,401,410 were tried without it)
+    # every tripartition pair that cannot match the whole graph is cut before
+    # its first bijection (1,401,410 were tried without the pair bound): the
+    # room bound skips whole size buckets, and the walk builds no side whose
+    # free members cannot beat the best size (12,868 pairs were reached and
+    # pruned when the walk built every side)
     g = Graph.from_edges(17, [(u, v) for u in range(8) for v in range(8, 17)])
     result = mcis_vc_fpt(SolveQuery(g, g))
     assert result.size == 17
     assert result.stats.bijections_tried <= 10
-    assert result.stats.pairs_tried >= result.stats.pairs_pruned > 0
+    assert result.stats.buckets_pruned > 0
+    assert result.stats.pairs_tried <= 2
+
+
+@pytest.mark.parametrize("conn", [False, True])
+def test_fpt_k20_21_self_pair_builds_only_sides_that_can_beat_the_best(conn):
+    # K_{20,21} over its split (the cover search alone takes seconds here): the
+    # first bucket, every cover vertex to-independent, yields 40; the room bound
+    # then skips every bucket but the identity's, ms = 20.  Building every side
+    # of those buckets tried 137,846,528,820 tripartition pairs
+    g = Graph.from_edges(41, [(u, v) for u in range(20) for v in range(20, 41)])
+    split = CoverSplit(frozenset(range(20)), frozenset(range(20, 41)))
+    query = SolveQuery(g, g, connected=conn)
+    result = mcis_vc_fpt(query, (solvers._Cover(g, split), solvers._Cover(g, split)))
+    assert result.size == 41
+    assert_valid_witness(query, result)
+    assert result.stats.pairs_tried <= 2
+    assert result.stats.buckets_pruned == 19
 
 
 def test_fpt_n40_cover6_pair_prunes_whole_tripartition_pairs():
@@ -554,18 +574,20 @@ def test_fpt_work_counters_stay_under_recorded_ceilings():
     # summed over check seeds 1-20 (the first 120 check-oracle solves); the
     # ceilings are the exact sums since the search starts from the incumbent
     # its covers' shapes pair (177 configurations, 1,668 choice nodes, 884
-    # bijections and 6,294 pairs tried from a start of 1), so a change that
-    # adds work fails here even when timing noise hides it
+    # bijections and 6,294 pairs tried from a start of 1) and the walk builds
+    # no side that cannot beat the best size (5,877 pairs tried and 5,384
+    # pruned when it built every side), so a change that adds work fails here
+    # even when timing noise hides it
     ceilings = {
         "configurations": 16,
         "candidates_validated": 16,
         "choice_nodes": 920,
         "bijections_tried": 633,
         "bijections_pruned": 20,
-        "pairs_tried": 5_877,
-        "pairs_pruned": 5_384,
+        "pairs_tried": 2_823,
+        "pairs_pruned": 2_330,
     }
-    totals = dict.fromkeys(ceilings, 0)
+    totals = dict.fromkeys([*ceilings, "buckets_pruned"], 0)
     connected_candidates = 0
     for seed in range(1, 21):
         rng = random.Random(seed)
@@ -577,6 +599,8 @@ def test_fpt_work_counters_stay_under_recorded_ceilings():
                     totals[name] += getattr(stats, name)
                 connected_candidates += stats.candidates_validated if conn else 0
     assert all(totals[name] <= ceilings[name] for name in ceilings), totals
+    # the size buckets the room bound skips whole, exactly: fewer means a looser bound
+    assert totals["buckets_pruned"] == 125, totals
     # only connected candidates are validated: 202 were before the cover-part
     # filter, most of them then failing the final connectivity check, and 75
     # from a start of 1
@@ -763,13 +787,13 @@ def test_fpt_draws_tripartition_buckets_lazily(monkeypatch):
     k = len(min_vertex_cover(g).cover)
     sizes = range(k + 1)
     # all buckets of both sides together reach the bound below, so it is not vacuous
-    everything = sum(len(solvers._Cover(g).buckets[False, m, i]) for m in sizes for i in sizes)
+    everything = sum(len(solvers._Cover(g)._bucket(False, m, i, -1)) for m in sizes for i in sizes)
     assert 2 * everything >= (3**k + 3**k) // 2
     generated = []
     real = solvers._Cover._bucket
 
-    def counting(self, key):
-        bucket = real(self, key)
+    def counting(self, connected, ms, i, floor):
+        bucket = real(self, connected, ms, i, floor)
         generated.extend(bucket)
         return bucket
 
@@ -778,6 +802,38 @@ def test_fpt_draws_tripartition_buckets_lazily(monkeypatch):
     # once the whole graph is matched no later bucket's ceiling can beat it,
     # so the bucket loop stops before most buckets are generated
     assert 0 < len(generated) < (3**k + 3**k) // 2
+
+
+def test_fpt_walk_floor_leaves_room_for_the_largest_opposite_size(monkeypatch):
+    # each side's bucket is walked once per search, at the best size less its
+    # own sizes and the largest to-independent size that any bucket of those
+    # sizes gives the opposite side; a smaller term would cut a side that a
+    # later pair test of a larger opposite size passes
+    real = solvers._Cover._bucket
+    rng = random.Random(50)
+    walks = 0
+    for _ in range(60):
+        g1, g2 = random_graph_pair(rng, 9)
+        c1, c2 = solvers._Cover(g1), solvers._Cover(g2)
+        k1, k2 = len(c1.order), len(c2.order)
+        largest = {}
+        for _, ms, i1s, i2s in solvers._buckets(k1, k2, g1.n - k1, g2.n - k2):
+            largest[c1, ms, i1s] = max(largest.get((c1, ms, i1s), 0), i2s)
+            largest[c2, ms, i2s] = max(largest.get((c2, ms, i2s), 0), i1s)
+        for conn in (False, True):
+            best, floors = [1], []
+
+            def recording(self, connected, ms, i, floor):
+                floors.append((best[0] - ms - i - floor, largest[self, ms, i]))
+                return real(self, connected, ms, i, floor)
+
+            monkeypatch.setattr(solvers._Cover, "_bucket", recording)
+            for mapping in solvers._iter_search(c1, c2, conn, SolveStats(), best):
+                best[0] = max(best[0], len(mapping))
+            monkeypatch.undo()
+            assert all(term == want for term, want in floors), (g1.edges, g2.edges, conn)
+            walks += len(floors)
+    assert walks > 100
 
 
 def sorted_buckets(k1, k2, a, b):
