@@ -12,8 +12,8 @@ each other:
   depth, along one table per call indexed by order position, pruned by
   degree, non-degree and adjacency to the images of earlier neighbors.
 * :func:`mcis_bruteforce` — the oracle: enumerate vertex subsets of the
-  smaller graph in decreasing size and try to embed each into the other
-  graph.  Refuses inputs above :data:`ORACLE_BOUND` vertices; it exists
+  smaller graph in decreasing size and embed each whose degrees fit into the
+  other graph.  Refuses inputs above :data:`ORACLE_BOUND` vertices; it exists
   for validation, not production use.
 * :func:`mcis_vc_fpt` — the vertex-cover-parameterized algorithm: minimum
   covers on both sides, twin classes of the independent sets, then an
@@ -111,8 +111,9 @@ class SolveStats:
     FPT choice search reaches, and ``choice_nodes`` the class choices it places
     (within capacity and agreeing on cross adjacency with the choices before
     it; a choice that cannot beat the best size ends its branch).
-    ``candidates_validated`` counts the candidates the arbiter checks; in
-    MCCIS, ``configurations - candidates_validated`` counts the candidates
+    ``candidates_validated`` counts the candidates the arbiter checks (in brute
+    force, the subsets searched: a subset refuted by its degrees is not); in
+    MCCIS, ``configurations - candidates_validated`` counts the FPT candidates
     the connectivity test rejects.
     ``bijections_tried`` counts the cover bijections the FPT examines and
     ``bijections_pruned`` those the label-class bound skips whole.
@@ -123,8 +124,8 @@ class SolveStats:
     whose degree signature no opposite trace has; ``buckets_pruned`` counts the size
     buckets the room bound skips before either side is walked.  ``search_nodes`` counts
     the placements ``isi_backtracking`` makes: a pattern vertex on a host
-    vertex, or a pattern component in a host component.  ``incumbent`` is the
-    size the FPT search started from (0 on other routes).
+    vertex, or a pattern component in a host component; a refuted pattern makes
+    none.  ``incumbent`` is the size the FPT search started from (0 on other routes).
     """
 
     configurations: int = 0
@@ -367,6 +368,16 @@ def _pack(
     return assignment
 
 
+def _degrees_fit(pattern: Sequence[int], host: Sequence[int]) -> bool:
+    """Whether pattern degrees fit host degrees, both sorted non-increasing: an
+    injective induced map keeps adjacency and non-adjacency, so the pattern's i-th
+    largest degree, and i-th largest non-degree (n - 1 - degree), is at most the
+    host's.  Summed, these also bound the pattern's edges and non-edges."""
+    slack = len(host) - len(pattern)  # p - 1 - a <= h - 1 - b, for the i-th smallest a and b
+    return slack >= 0 and all(map(int.__le__, pattern, host)) and all(
+        b - a <= slack for a, b in zip(pattern[::-1], host[::-1]))
+
+
 def isi_backtracking(
     pattern: Graph, host: Graph, stats: SolveStats | None = None
 ) -> VertexMapping | None:
@@ -378,14 +389,14 @@ def isi_backtracking(
     (:func:`_embeddings`) maps the pattern's vertices into the whole host,
     with degree and adjacency pruning and isomorphic pattern components
     forced into increasing min-image order.  Before either, a pattern with
-    more vertices, edges or non-edges than the host is refuted.
+    more vertices than the host, or whose degree sequences do not fit the
+    host's (:func:`_degrees_fit`; so also more edges or non-edges), is refuted.
     ``stats.search_nodes``, if given, gains the placements made.  The
     arbiter checks the witness, as a guard that raises :class:`WitnessError`.
     """
     if pattern.n == 0:
         return VertexMapping(())
-    p, h = pattern.n, host.n
-    if p > h or pattern.m > host.m or p * (p - 1) // 2 - pattern.m > h * (h - 1) // 2 - host.m:
+    if not _degrees_fit(sorted(map(len, pattern.adj), reverse=True), sorted(map(len, host.adj), reverse=True)):
         return None
     tally = [0]
     comps = _component_orders(pattern)
@@ -416,7 +427,9 @@ def isi_backtracking(
 
 
 def mcis_bruteforce(q: SolveQuery) -> SolveResult:
-    """Exact optimum by decreasing-size subset enumeration; validation only."""
+    """Exact optimum by decreasing-size subset enumeration; validation only.
+    A subset whose induced degrees do not fit the other graph's
+    (:func:`_degrees_fit`) is skipped first: neither validated nor searched."""
     if q.g1.n > ORACLE_BOUND or q.g2.n > ORACLE_BOUND:
         raise OracleBoundError(
             f"oracle bound {ORACLE_BOUND} exceeded (inputs have {q.g1.n} and {q.g2.n} vertices)"
@@ -424,8 +437,12 @@ def mcis_bruteforce(q: SolveQuery) -> SolveResult:
     stats = SolveStats()
     swap = q.g1.n > q.g2.n
     small, big = (q.g2, q.g1) if swap else (q.g1, q.g2)
+    big_degrees = sorted(map(len, big.adj), reverse=True)
     for size in range(small.n, 0, -1):
         for subset in itertools.combinations(range(small.n), size):
+            inside = frozenset(subset)
+            if not _degrees_fit(sorted([len(small.adj[v] & inside) for v in subset], reverse=True), big_degrees):
+                continue
             if q.connected and not induces_connected(small, subset):
                 continue
             pattern = induced_subgraph(small, subset)
@@ -875,7 +892,8 @@ def _incumbent(c1: _Cover, c2: _Cover, connected: bool) -> VertexMapping:
     """The largest pairing of two shapes (:meth:`_Cover._shapes`) with equal
     cover part and adjacency, trace by trace, from one shape per isomorphism
     type (its key); in MCCIS without missed members or the shape with no
-    position, so every pairing is connected.  Else a single vertex."""
+    position, so every pairing is connected.  Else a single vertex.  A tie
+    goes to the first in shape order, so to the fewer cover positions."""
     traces = 3 if connected else 4
     kinds: list[dict[tuple[int, ...], tuple]] = [{}, {}]
     for c, kind in zip((c1, c2), kinds):

@@ -1,5 +1,5 @@
 """``isi_backtracking`` against oracles that share none of its code: the
-networkx VF2 matcher on seeded multi-component pairs, and hypothesis
+networkx VF2 matcher on seeded multi-component and dense pairs, and hypothesis
 properties (a planted induced subgraph embeds; complementing both graphs
 keeps the answer)."""
 
@@ -8,8 +8,9 @@ import random
 
 import pytest
 
+from mcislab.corpus import random_graph
 from mcislab.graphs import Graph, cycle_graph, is_induced_isomorphism, path_graph
-from mcislab.solvers import isi_backtracking
+from mcislab.solvers import SolveStats, isi_backtracking
 
 
 def disjoint_union(pieces) -> Graph:
@@ -64,7 +65,8 @@ def oracle_pairs():
     return pairs
 
 
-def test_isi_agrees_with_networkx_vf2_on_multi_component_pairs():
+def vf2_answers(pairs) -> list[bool]:
+    """Whether each pattern embeds in its host, by networkx VF2."""
     nx = pytest.importorskip("networkx")
     from networkx.algorithms.isomorphism import GraphMatcher
 
@@ -74,14 +76,51 @@ def test_isi_agrees_with_networkx_vf2_on_multi_component_pairs():
         out.add_edges_from(g.edges)
         return out
 
-    answers = []
-    for pattern, host in oracle_pairs():
-        # VF2's "subgraph" is the node-induced one
-        expected = GraphMatcher(to_nx(host), to_nx(pattern)).subgraph_is_isomorphic()
+    # VF2's "subgraph" is the node-induced one
+    return [GraphMatcher(to_nx(host), to_nx(pattern)).subgraph_is_isomorphic() for pattern, host in pairs]
+
+
+def test_isi_agrees_with_networkx_vf2_on_multi_component_pairs():
+    pairs = oracle_pairs()
+    answers = vf2_answers(pairs)
+    for (pattern, host), expected in zip(pairs, answers):
         witness = isi_backtracking(pattern, host)
         assert (witness is not None) == expected, (pattern, host)
         if witness is not None:
             assert is_induced_isomorphism(pattern, host, witness)
-        answers.append(expected)
     # both answers occur often enough for the comparison to mean something
     assert min(answers.count(True), answers.count(False)) >= 100
+
+
+def degree_refuted(pattern: Graph, host: Graph) -> bool:
+    """The degree rule restated, on a pair that the vertex, edge and non-edge
+    counts alone let through: the pattern's i-th largest degree or non-degree
+    exceeds the host's."""
+    def pairs(g):
+        return g.n * (g.n - 1) // 2
+
+    if pattern.n > host.n or pattern.m > host.m or pairs(pattern) - pattern.m > pairs(host) - host.m:
+        return False
+    degrees = [sorted((len(a) for a in g.adj), reverse=True) for g in (pattern, host)]
+    non_degrees = [sorted((g.n - 1 - len(a) for a in g.adj), reverse=True) for g in (pattern, host)]
+    return any(a > b for a, b in zip(*degrees)) or any(a > b for a, b in zip(*non_degrees))
+
+
+def test_isi_agrees_with_networkx_vf2_on_dense_pairs():
+    # dense pairs, where the degree sequences refute many patterns before any placement
+    rng = random.Random(8)
+    pairs = []
+    for _ in range(1000):
+        pattern = random_graph(rng, rng.randint(3, 7), rng.choice((0.5, 0.6, 0.7, 0.8)))
+        pairs.append((pattern, random_graph(rng, rng.randint(pattern.n, 9), rng.choice((0.5, 0.6, 0.7, 0.8)))))
+    refuted = 0
+    for (pattern, host), expected in zip(pairs, vf2_answers(pairs)):
+        stats = SolveStats()
+        witness = isi_backtracking(pattern, host, stats)
+        assert (witness is not None) == expected, (pattern, host)
+        if witness is not None:
+            assert is_induced_isomorphism(pattern, host, witness)
+        if degree_refuted(pattern, host):
+            assert stats.search_nodes == 0, (pattern, host)
+            refuted += 1
+    assert refuted >= 100

@@ -211,6 +211,19 @@ def test_isi_refutes_a_pattern_with_more_non_edges_before_searching():
     assert isi_backtracking(edgeless_graph(2), host, stats) is not None
 
 
+def test_isi_refutes_a_pattern_by_its_degrees_before_searching():
+    # each pattern has no more vertices, edges or non-edges than its host, and
+    # the vertex layer would place a first vertex
+    claw_and_point = Graph.from_edges(5, [(0, 1), (0, 2), (0, 3)])
+    triangle_and_point = Graph.from_edges(4, [(0, 1), (1, 2), (0, 2)])
+    # P4's second degree 2 exceeds the host's 1; the isolated vertex's
+    # non-degree 3 exceeds every C5 vertex's 2
+    for pattern, host in ((path_graph(4), claw_and_point), (triangle_and_point, cycle_graph(5))):
+        stats = SolveStats()
+        assert isi_backtracking(pattern, host, stats) is None
+        assert stats.search_nodes == 0
+
+
 def test_isi_packs_components_into_isomorphic_host_components():
     # two triangles and an edge into three disjoint triangles: the edge needs a triangle of its own
     triangles = [(3 * i + a, 3 * i + b) for i in range(3) for a, b in ((0, 1), (1, 2), (0, 2))]
@@ -250,6 +263,20 @@ def test_brute_connected_restriction():
     assert mcis_bruteforce(SolveQuery(two_edges, path_graph(5))).size == 4
 
 
+def test_brute_refutes_k10_subsets_by_their_degrees():
+    # the K10 pair: K10 against the 33rd dense draw of random.Random(3), with
+    # 41 edges and clique number 8.  K10 and each K9 need more vertices of
+    # degree 9, or 8 or more, than the draw has, so they are refuted before a
+    # search; searching the ten K9s took the solve 1,096,008 search nodes
+    rng = random.Random(3)
+    for _ in range(33):
+        dense = random_graph(rng, 10, rng.choice((0.6, 0.7, 0.8, 0.9)))
+    result = mcis_bruteforce(SolveQuery(complete_graph(10), dense))
+    assert result.size == 8
+    assert result.stats.search_nodes <= 100
+    assert result.stats.candidates_validated == 1
+
+
 def test_brute_refuses_above_bound():
     with pytest.raises(OracleBoundError):
         mcis_bruteforce(SolveQuery(edgeless_graph(11), edgeless_graph(3)))
@@ -265,12 +292,13 @@ def test_witness_guards_raise_without_assert(monkeypatch):
     monkeypatch.setattr(solvers, "is_induced_isomorphism", lambda *args: False)
     with pytest.raises(WitnessError):
         isi_backtracking(path_graph(2), path_graph(3))
-    # an embedding that maps an edge onto a non-edge reaches the oracle's guard
+    # an embedding that maps an edge onto a non-edge reaches the oracle's guard;
+    # P2's edge passes the degree test against P3, so the fake is called
     monkeypatch.setattr(
-        solvers, "isi_backtracking", lambda p, h, stats=None: VertexMapping(((0, 0), (1, 1)))
+        solvers, "isi_backtracking", lambda p, h, stats=None: VertexMapping(((0, 0), (1, 2)))
     )
     with pytest.raises(WitnessError):
-        mcis_bruteforce(SolveQuery(path_graph(2), edgeless_graph(2)))
+        mcis_bruteforce(SolveQuery(path_graph(2), path_graph(3)))
     # the FPT solver's arbiter is a guard too: a rejected candidate raises.
     # On C6 against itself the incumbent has 5 vertices and passes; the
     # search's candidate of 6 is the one rejected
@@ -645,6 +673,20 @@ def test_fpt_incumbent_is_a_common_subgraph_no_larger_than_the_optimum():
             g1, g2 = planted_cover_graph(rng, n, k), planted_cover_graph(rng, n, k)
             for conn, optimum in zip((False, True), next(optima)):
                 assert incumbent(g1, g2, conn) <= optimum, (k, n, conn)
+
+
+def test_fpt_incumbent_takes_the_star_on_a_tie_with_a_double_star():
+    # the paw against the diamond (K4 less an edge), optimum 3: a star pairing
+    # (a P3 about one cover vertex) and a double-star pairing (a triangle on
+    # two) both reach it.  A tie goes to the shape with fewer cover positions;
+    # no size can pin it, since a double star counted one too large only ever
+    # ties with the star it then displaces
+    paw = Graph.from_edges(4, [(0, 1), (0, 2), (1, 2), (2, 3)])
+    diamond = Graph.from_edges(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)])
+    for conn in (False, True):
+        result = mcis_vc_fpt(SolveQuery(paw, diamond, connected=conn))
+        assert result.size == result.stats.incumbent == 3
+        assert result.witness.pairs == ((1, 2), (2, 0), (3, 3))
 
 
 def test_fpt_work_from_the_incumbent_on_the_benchmark_small_pairs():
