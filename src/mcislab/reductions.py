@@ -30,7 +30,7 @@ from .graphs import (
     triangles,
 )
 from .params import min_feedback_vertex_set
-from .solvers import SolveQuery, isi_backtracking, mcis_bruteforce
+from .solvers import SolveQuery, depth_first, isi_backtracking, mcis_bruteforce
 
 
 class EquivalenceClassError(ValueError):
@@ -145,24 +145,17 @@ def has_clique(g: Graph, l: int) -> bool:
 
 
 def three_partition_exists(inst: ThreePartitionInstance) -> bool:
-    """Exhaustive grouping into triples (the 3-Partition oracle), depth first on a stack."""
+    """Exhaustive grouping into triples (the 3-Partition oracle): one triple per
+    level of :func:`~mcislab.solvers.depth_first`, the first item left with two
+    of the others, so a grouping is a node ``m`` levels down with no item left."""
 
-    def children(remaining: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+    def triples(_: int, remaining: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
         first, rest = remaining[0], remaining[1:]
         for i, j in itertools.combinations(range(len(rest)), 2):
             if inst.items[first] + inst.items[rest[i]] + inst.items[rest[j]] == inst.B:
                 yield tuple(x for x in rest if x not in (rest[i], rest[j]))
 
-    stack = [iter([tuple(range(3 * inst.m))])]  # the root, then one lazy child iterator per triple
-    while stack:
-        nxt = next(stack[-1], None)
-        if nxt is None:
-            stack.pop()
-        elif not nxt:
-            return True
-        else:
-            stack.append(children(nxt))
-    return False
+    return next(depth_first(tuple(range(3 * inst.m)), triples, inst.m), None) is not None
 
 
 def _roles(out: ReductionOutput, side: str) -> list[str | None]:

@@ -44,8 +44,8 @@ each other:
   neighborhood under the bijection), so the bijection can reach at most the
   matched and to-independent cover vertices plus ``sum(min(L_key, R_key))``
   over the keys (McSplit's bound); a bijection whose bound cannot beat the
-  best size so far is skipped whole.  Below it, one depth-first search with
-  an explicit depth, one step for both sides, gives each to-independent
+  best size so far is skipped whole.  Below it, one :func:`depth_first` search,
+  one step for both sides, gives each to-independent
   cover vertex a twin class and tests each choice as it is made: a member
   bit left in the class, adjacency agreeing with the opposite side's
   choices, and the size still reachable, which only falls; for MCCIS the
@@ -59,7 +59,8 @@ each other:
 
 :func:`solve` routes MCIS/MCCIS by name, owns the size gates, and hands the gate's covers on.
 :func:`enumerate_configurations` exposes the same enumeration as a stream
-of mappings, each with its cover bijection.  No search here recurses.
+of mappings, each with its cover bijection.  No search here recurses: the
+component layer and the class choices run on :func:`depth_first`'s stack.
 The threshold question "is there a common induced subgraph on ``k``
 vertices?" is answered from the exact optimum (``solve -k``).
 """
@@ -67,10 +68,11 @@ vertices?" is answered from the exact optimum (``solve -k``).
 from __future__ import annotations
 
 import bisect
+import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator, NamedTuple, Sequence, Union
+from typing import Callable, Iterator, NamedTuple, Sequence, TypeVar, Union
 
 from .graphs import (
     Graph,
@@ -86,6 +88,7 @@ from .params import CoverSplit, min_vertex_cover, twin_partition
 ORACLE_BOUND = 10
 # past the oracle bound, `solve` under `auto` runs the FPT when the larger cover is at most this
 VC_CUTOFF = 8
+_Node = TypeVar("_Node")  # a node of a depth_first search
 
 
 class OracleBoundError(RuntimeError):
@@ -151,6 +154,23 @@ class SolveResult:
 def configuration_bound(k1: int, k2: int) -> int:
     """Loose ceiling on how many configurations the enumeration may touch."""
     return 3**k1 * 3**k2 * math.factorial(max(k1, k2)) * 2 ** (2 * k1 * k2)
+
+
+def depth_first(root: _Node, children: Callable[[int, _Node], Iterator[_Node]], depth: int) -> Iterator[_Node]:
+    """The nodes ``depth`` levels below ``root``, depth first, a node ``x`` at
+    level ``l`` having the children ``children(l, x)``, none of them None.  The
+    child iterators sit on an explicit stack, so no depth exhausts Python's;
+    children that apply a choice as they yield it and take it back when resumed
+    leave every choice on the path applied while a node is yielded."""
+    stack = [iter([root])]  # the root, then one child iterator per level below it
+    while stack:
+        node = next(stack[-1], None)
+        if node is None:
+            stack.pop()
+        elif len(stack) > depth:
+            yield node
+        else:
+            stack.append(children(len(stack) - 1, node))
 
 
 # ---------------------------------------------------------------------------
@@ -309,8 +329,10 @@ def _pack(
     deleting a vertex of degree d from a graph adds at most d - 1
     components.  Components of one class take non-decreasing host indices,
     and none goes to a host component while an earlier one of the same
-    class holds the same share.  Images in different host components are
-    never adjacent, so the witness is built per host component.
+    class holds the same share.  One :func:`depth_first` level per component;
+    a placement stays applied while yielded, so the packing stays in ``where``.
+    Images in different host components are never adjacent, so the witness is
+    built per host component.
     """
     hclasses = _component_classes(hadj, host_comps, tally)
     pools = [sorted(c) for c in host_comps]
@@ -321,41 +343,31 @@ def _pack(
     members: dict[int, list[list[int]]] = {}
     for comp, cid in zip(comps, classes):
         members.setdefault(cid, []).append(comp)
-    fits: dict[tuple[tuple[int, ...], int], bool] = {}
 
+    @functools.cache
     def fit(share: tuple[int, ...], hc: int) -> bool:
-        if (share, hc) not in fits:
-            pool, splits = rep[hc]
-            part = [c for cid, run in itertools.groupby(share) for c in members[cid][: len(list(run))]]
-            spare = max(len(pool) - sum(map(len, part)), 0)
-            fits[share, hc] = (len(part) < 2 or spare * splits >= len(part) - 1) and next(
-                _embeddings(padj, hadj, part, list(share), pool, tally), None) is not None
-        return fits[share, hc]
+        pool, splits = rep[hc]
+        part = [c for cid, run in itertools.groupby(share) for c in members[cid][: len(list(run))]]
+        spare = max(len(pool) - sum(map(len, part)), 0)
+        return (len(part) < 2 or spare * splits >= len(part) - 1) and next(
+            _embeddings(padj, hadj, part, list(share), pool, tally), None) is not None
 
     share: list[tuple[int, ...]] = [()] * len(pools)
     where = [-1] * len(comps)
-    t = 0
-    while 0 <= t < len(comps):
-        cid, h = classes[t], where[t]
-        if h >= 0:  # back again: take the component out and try further on
+
+    def place(t: int, _: int) -> Iterator[int]:
+        cid = classes[t]
+        for h in range(where[t - 1] if t and classes[t - 1] == cid else 0, len(pools)):
+            # an earlier host component of its class holding the same share rules h out
+            if (hclasses[h], share[h]) in zip(hclasses[:h], share) or not fit(share[h] + (cid,), hclasses[h]):
+                continue
+            tally[0] += 1
+            where[t] = h
+            share[h] += (cid,)
+            yield h
             share[h] = share[h][:-1]
-            lo = h + 1
-        else:
-            lo = where[t - 1] if t and classes[t - 1] == cid else 0
-        for h in range(lo, len(pools)):
-            if (hclasses[h], share[h]) in zip(hclasses[:h], share):
-                continue  # an earlier host component of its class holds the same share
-            if fit(share[h] + (cid,), hclasses[h]):
-                break
-        else:
-            where[t] = -1
-            t -= 1
-            continue
-        tally[0] += 1
-        where[t] = h
-        share[h] += (cid,)
-        t += 1
-    if t < 0:
+
+    if next(depth_first(0, place, len(comps)), None) is None:
         return None
     assignment: dict[int, int] = {}
     for h, pool in enumerate(pools):
@@ -394,8 +406,6 @@ def isi_backtracking(
     ``stats.search_nodes``, if given, gains the placements made.  The
     arbiter checks the witness, as a guard that raises :class:`WitnessError`.
     """
-    if pattern.n == 0:
-        return VertexMapping(())
     if not _degrees_fit(sorted(map(len, pattern.adj), reverse=True), sorted(map(len, host.adj), reverse=True)):
         return None
     tally = [0]
@@ -506,7 +516,6 @@ class _Part(NamedTuple):
     sig_members: dict[tuple[int, ...], int]  # per trace signature: the members of its classes
     traces: dict[int, list[int]]  # twin classes by trace
     masks: dict[int, int]  # per trace: the members of its classes
-    counted: int  # the members of the classes with a non-empty trace, which may pair in MCCIS
 
 
 class _Side(NamedTuple):
@@ -531,13 +540,13 @@ class _Cover:
     def __init__(self, g: Graph, split: CoverSplit | None = None):
         split = min_vertex_cover(g) if split is None else split
         self.g = g
-        self.twins = twin_partition(g, split)
+        twins = twin_partition(g, split)
         self.order = sorted(split.cover)
         pos = {v: j for j, v in enumerate(self.order)}
         self.adjmask = [sum(1 << pos[w] for w in g.adj[v] if w in pos) for v in self.order]
-        self.nbhdmask = [sum(1 << pos[w] for w in c.neighborhood) for c in self.twins]
-        self.flat = [v for c in self.twins for v in c.members]  # class by class
-        ends = itertools.accumulate([len(c.members) for c in self.twins], initial=0)
+        self.nbhdmask = [sum(1 << pos[w] for w in c.neighborhood) for c in twins]
+        self.flat = [v for c in twins for v in c.members]  # class by class
+        ends = itertools.accumulate([len(c.members) for c in twins], initial=0)
         self.members = [(1 << b) - (1 << a) for a, b in itertools.pairwise(ends)]
         self.positions = _Table(lambda mask: tuple(_bits(mask)))
         self.parts = _Table(self._part)
@@ -581,9 +590,7 @@ class _Cover:
         return sum([1 << sigma[j] for j in self.positions[mask]])
 
     def _part(self, mm: int) -> _Part:
-        """Signatures and twin classes by trace in the matched part ``mm``.
-        ``counted`` leaves out the classes with an empty trace: in connected
-        mode their paired members would be isolated in the candidate."""
+        """Signatures and twin classes by trace in the matched part ``mm``."""
         degree = [(a & mm).bit_count() for a in self.adjmask]
         sig = _Table(lambda t: tuple(sorted([degree[j] for j in self.positions[t]])))
         sig_members: dict[tuple[int, ...], int] = {}
@@ -594,16 +601,15 @@ class _Cover:
             masks[nb & mm] = masks.get(nb & mm, 0) | mk
             s = sig[nb & mm]
             sig_members[s] = sig_members.get(s, 0) | mk
-        counted = sum([mk for nb, mk in zip(self.nbhdmask, self.members) if nb & mm])
         sig_at = [sig[a & mm] for a in self.adjmask]
-        return _Part(sig[mm], frozenset(sig_members), sig_at, sig_members, traces, masks, counted)
+        return _Part(sig[mm], frozenset(sig_members), sig_at, sig_members, traces, masks)
 
     def _linked(self, used: int) -> bool:
         """Whether the cover part ``used`` is non-empty and connected with
         one member of each twin class that meets it: members are pairwise
         non-adjacent and meet only their class neighborhood, so one stands
         for all, as in any candidate with this cover part."""
-        reps = [c.members[0] for c, nb in zip(self.twins, self.nbhdmask) if nb & used]
+        reps = [self.flat[(mk & -mk).bit_length() - 1] for mk, nb in zip(self.members, self.nbhdmask) if nb & used]
         return used != 0 and induces_connected(self.g, [*self.vertices(used), *reps])
 
     def _bucket(self, connected: bool, ms: int, i: int, floor: int) -> list[_Side]:
@@ -619,8 +625,8 @@ class _Cover:
         maps into an independent set.  In connected mode M ∪ I must be linked
         (:meth:`_linked`).  A twin class adjacent to I cannot pair (a branch
         carries the members I leaves free: a position joining I takes out its
-        ``blocks``), nor in connected mode one that M does not count
-        (:meth:`_part`), so ``pairs`` holds the members of the others; ``needs``
+        ``blocks``), nor in connected mode one isolated from M (an empty trace,
+        ``masks[0]``), so ``pairs`` holds the members of the others; ``needs``
         holds the signature in M of each vertex of I, which an opposite part
         must offer.  A branch leaving at most ``floor`` free is cut, and a leaf
         whose ``pairs`` holds at most ``floor`` is not built: ``pairs`` lies
@@ -640,7 +646,7 @@ class _Cover:
                     stack.append((j + 1, mm | 1 << j, im, free, m - 1, i))
                 continue
             part = self.parts[mm]
-            pairs = part.counted & free if connected else free
+            pairs = free & ~part.masks.get(0, 0) if connected else free
             if pairs.bit_count() > floor and (not connected or self.linked[mm | im]):
                 needs = frozenset([part.sig_at[p] for p in self.positions[im]])
                 bucket.append(_Side(part, mm, im, pairs, needs))
@@ -798,8 +804,8 @@ def _search_pair(
     A candidate's size is the matched and to-independent cover vertices
     plus ``min(L_key, R_key)`` per key over the members no choice took;
     with none taken it is McSplit's label-class bound, which prunes a whole
-    bijection.  Below it ``place`` chooses classes depth first on a stack of
-    ``choose`` iterators, first side first: a choice takes the lowest member
+    bijection.  Below it :func:`depth_first` runs one level of ``choose``
+    per to-independent position, first side first: a choice takes the lowest member
     left in its class into its graph's ``taken`` mask, and the size is
     recounted only when that member is in the plan.  A branch ends on an
     empty class, on cross adjacency that disagrees with a choice made, or on
@@ -842,20 +848,6 @@ def _search_pair(
                 chosen.pop()
             taken[g] ^= low
 
-    # depth first over the steps in product order, one level per
-    # to-independent position (at most k1 + k2 deep) on a stack of choice
-    # iterators, yielding each complete assignment's size
-    def place() -> Iterator[int]:
-        stack = [iter([bound])]  # the root: no choice made yet
-        while stack:
-            now = next(stack[-1], None)
-            if now is None:
-                stack.pop()
-            elif len(stack) > len(steps):
-                yield now
-            else:
-                stack.append(choose(len(stack) - 1, now))
-
     for sigma in _cover_bijections(c1.inner[s1.mm], c2.inner[s2.mm]):
         if ub <= best[0]:
             return
@@ -874,7 +866,7 @@ def _search_pair(
             continue
         inplan = [sum([key[g] for key in plan]) for g in (0, 1)]  # per graph: the plan's members
         steps = [(u, cs, 1) for u, cs in zip(indep1, cands1)] + [(y, cs, 0) for y, cs in zip(indep2, cands2)]
-        for size in place():
+        for size in depth_first(bound, choose, len(steps)):
             stats.configurations += 1
             mapping = _assemble(c1, c2, s1, s2, sigma, chosen, taken, plan)
             if len(mapping) != size:

@@ -393,11 +393,12 @@ def test_tripartition_room_bounds_the_members_an_independent_part_leaves_free():
     tight = 0
     for _ in range(150):
         g = random_graph(rng, rng.randint(1, 11), rng.choice((0.1, 0.2, 0.4)))
-        cover = _Cover(g)
+        split = min_vertex_cover(g)
+        cover, twins = _Cover(g, split), twin_partition(g, split)
         assert len(cover.room) == len(cover.order) + 1
         for i in range(len(cover.order) + 1):
             most = max((
-                sum(len(c.members) for c in cover.twins if not c.neighborhood & set(part))
+                sum(len(c.members) for c in twins if not c.neighborhood & set(part))
                 for part in itertools.combinations(cover.order, i)
                 if not any(v in g.adj[u] for u, v in itertools.combinations(part, 2))
             ), default=0)

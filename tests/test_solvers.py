@@ -193,6 +193,20 @@ def test_isi_long_path_embeds_without_recursion():
     assert is_induced_isomorphism(pattern, host, witness)
 
 
+def test_isi_packs_two_thousand_components_without_recursion():
+    # 2,000 disjoint edges into themselves beside a P3: the component layer
+    # goes 2,000 levels deep, past the default recursion limit, on the
+    # driver's own stack
+    t = 2000
+    edges = [(2 * i, 2 * i + 1) for i in range(t)]
+    pattern = Graph.from_edges(2 * t, edges)
+    host = Graph.from_edges(2 * t + 3, edges + [(2 * t, 2 * t + 1), (2 * t + 1, 2 * t + 2)])
+    stats = SolveStats()
+    witness = isi_backtracking(pattern, host, stats)
+    assert witness is not None and is_induced_isomorphism(pattern, host, witness)
+    assert stats.search_nodes == 14_000
+
+
 def test_isi_checks_a_long_witness_in_linear_time():
     # the arbiter compared every two pairs of the witness: 11 s at 20,000 vertices
     g = path_graph(20_000)
@@ -747,6 +761,20 @@ def test_fpt_mccis_chooses_no_twin_class_that_would_be_isolated():
     assert result.stats.configurations <= 36
     # the connectivity test rejects the other assignments without raising
     assert result.stats.candidates_validated < result.stats.configurations
+
+
+def test_fpt_mccis_witnesses_are_connected_on_sparse_random_pairs():
+    # a candidate whose cover part is linked only through a twin class it
+    # leaves out is disconnected, yet as large as the optimum; only the
+    # connectivity test of _search_pair turns it down.  Without that test,
+    # draws 103, 185 and 321 return such a witness
+    rng = random.Random(1)
+    for _ in range(400):
+        n1, n2 = rng.randint(4, 9), rng.randint(4, 9)
+        g1 = random_graph(rng, n1, rng.choice((0.2, 0.3, 0.5)))
+        g2 = random_graph(rng, n2, rng.choice((0.2, 0.3, 0.5)))
+        query = SolveQuery(g1, g2, connected=True)
+        assert_valid_witness(query, mcis_vc_fpt(query))
 
 
 def to_networkx(nx, g):

@@ -112,6 +112,33 @@ def test_only_the_one_breadth_first_search_builds_a_deque():
     assert [where for where in found if not where.startswith("graphs._levels:")] == []
 
 
+def _own_nodes(func):
+    """The nodes of a function's body, leaving out those of functions nested in it."""
+    todo = list(func.body)
+    while todo:
+        node = todo.pop()
+        yield node
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            todo.extend(ast.iter_child_nodes(node))
+
+
+def test_only_the_depth_first_driver_and_the_vertex_layer_walk_a_stack_of_iterators():
+    # solvers.depth_first is the one stack of child iterators; the vertex layer
+    # keeps its index loop, which a generator per level slowed by 8-16%.  next()
+    # on a subscripted stack in any other function is a second driver by hand
+    found = sorted(
+        f"{path.stem}.{node.name}"
+        for path, _, node in _nodes()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and any(
+            isinstance(call, ast.Call) and getattr(call.func, "id", None) == "next"
+            and call.args and isinstance(call.args[0], ast.Subscript)
+            for call in _own_nodes(node)
+        )
+    )
+    assert found == ["solvers._embeddings", "solvers.depth_first"]
+
+
 def _calls_itself(node):
     """Whether a function's body calls a name or attribute of its own name,
     other than the parent class's method through ``super()``."""
