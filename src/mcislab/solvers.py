@@ -68,7 +68,6 @@ vertices?" is answered from the exact optimum (``solve -k``).
 from __future__ import annotations
 
 import bisect
-import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -126,9 +125,9 @@ class SolveStats:
     their first bijection, by the pair bound or by a to-independent vertex
     whose degree signature no opposite trace has; ``buckets_pruned`` counts the size
     buckets the room bound skips before either side is walked.  ``search_nodes`` counts
-    the placements ``isi_backtracking`` makes: a pattern vertex on a host
-    vertex, or a pattern component in a host component; a refuted pattern makes
-    none.  ``incumbent`` is the size the FPT search started from (0 on other routes).
+    placements on every route: a pattern vertex (in the FPT, a matched cover position)
+    on a host vertex, or a pattern component in a host component; a refuted pattern
+    makes none.  ``incumbent`` is the size the FPT search started from (0 on other routes).
     """
 
     configurations: int = 0
@@ -213,7 +212,7 @@ def _embeddings(
     comps: list[list[int]],
     classes: list[int],
     pool: Sequence[int],
-    tally: list[int],
+    stats: SolveStats,
 ) -> Iterator[dict[int, int]]:
     """The vertex layer: every placement of the vertices of ``comps``, in order.
 
@@ -231,7 +230,7 @@ def _embeddings(
     vertices of ``comps``.
     A component of the same class as the one before it must have all images
     above that component's smallest image (symmetry breaking).  Each
-    placement adds one to ``tally[0]``, and each yield is a fresh dict.
+    placement adds one to the caller's ``stats.search_nodes``, and each yield is a fresh dict.
     """
     order = [v for comp in comps for v in comp]
     if not order:
@@ -276,7 +275,7 @@ def _embeddings(
             i -= 1
             used.discard(images[i])
             continue
-        tally[0] += 1
+        stats.search_nodes += 1
         images[i] = c
         if i + 1 < n:
             used.add(c)
@@ -286,27 +285,28 @@ def _embeddings(
         yield dict(zip(order, images))
 
 
-def _component_classes(adj: _Adj, comps: list[list[int]], tally: list[int]) -> list[int]:
-    """Isomorphism class of each component, numbered by first appearance.
+def _component_classes(adj: _Adj, comps: list[list[int]], stats: SolveStats) -> tuple[list[int], list[list[int]]]:
+    """Isomorphism class of each component, numbered by first appearance, and
+    per class the sorted vertices of its first component (its pool).
 
     The sorted degree sequence (which fixes n and m) is compared first; the
-    exact test, the vertex layer embedding one component into the other,
-    runs only between components with equal sequences.
+    exact test, the vertex layer embedding one component into a class's pool
+    (placements count in ``stats``), runs only between equal sequences.
     """
-    reps: dict[tuple[int, ...], list[tuple[int, list[int]]]] = {}
+    same_seq: dict[tuple[int, ...], list[int]] = {}  # per degree sequence: its classes
     classes: list[int] = []
-    count = 0
+    pools: list[list[int]] = []
     for comp in comps:
-        same_key = reps.setdefault(tuple(sorted(len(adj[v]) for v in comp)), [])
-        for cid, rep in same_key:
-            if next(_embeddings(adj, adj, [comp], [cid], rep, tally), None) is not None:
+        same_key = same_seq.setdefault(tuple(sorted(len(adj[v]) for v in comp)), [])
+        for cid in same_key:
+            if next(_embeddings(adj, adj, [comp], [cid], pools[cid], stats), None) is not None:
                 classes.append(cid)
                 break
         else:
-            same_key.append((count, sorted(comp)))
-            classes.append(count)
-            count += 1
-    return classes
+            same_key.append(len(pools))
+            classes.append(len(pools))
+            pools.append(sorted(comp))
+    return classes, pools
 
 
 def _pack(
@@ -315,7 +315,7 @@ def _pack(
     comps: list[list[int]],
     classes: list[int],
     host_comps: list[list[int]],
-    tally: list[int],
+    stats: SolveStats,
 ) -> dict[int, int] | None:
     """The component layer: give each pattern component a host component.
 
@@ -323,45 +323,42 @@ def _pack(
     component's share is the tuple of pattern classes given to it, in the
     order given; adding a class must fit, which the vertex layer decides
     once per (share, host class) on the disjoint union of the share's
-    components.  Before any placement, a share of c >= 2 components fails
-    if the vertices it leaves over, times the component's maximum degree D
-    less one, fall below c - 1: its images are pairwise non-adjacent, and
-    deleting a vertex of degree d from a graph adds at most d - 1
-    components.  Components of one class take non-decreasing host indices,
-    and none goes to a host component while an earlier one of the same
-    class holds the same share.  One :func:`depth_first` level per component;
-    a placement stays applied while yielded, so the packing stays in ``where``.
-    Images in different host components are never adjacent, so the witness is
-    built per host component.
+    components, in the class's pool from :func:`_component_classes`.  Before
+    any placement, a share of c >= 2 components fails if the vertices it
+    leaves over, times the pool's maximum degree D less one, fall below
+    c - 1: its images are pairwise non-adjacent, and deleting a vertex of
+    degree d from a graph adds at most d - 1 components.  Components of one
+    class take non-decreasing host indices, and none goes to a host
+    component while an earlier one of the same class holds the same share.
+    One :func:`depth_first` level per component; a placement stays applied
+    while yielded, so the packing stays in ``where``.  Images in different
+    host components are never adjacent, so the witness is built per host
+    component, from ``where`` grouped once.  Both layers' placements count
+    in ``stats.search_nodes``.
     """
-    hclasses = _component_classes(hadj, host_comps, tally)
-    pools = [sorted(c) for c in host_comps]
-    rep: dict[int, tuple[list[int], int]] = {}  # per host class: a pool, and its D - 1
-    for pool, hc in zip(pools, hclasses):
-        if hc not in rep:
-            rep[hc] = pool, max(len(hadj[v]) for v in pool) - 1
+    hclasses, pools = _component_classes(hadj, host_comps, stats)
     members: dict[int, list[list[int]]] = {}
     for comp, cid in zip(comps, classes):
         members.setdefault(cid, []).append(comp)
 
-    @functools.cache
-    def fit(share: tuple[int, ...], hc: int) -> bool:
-        pool, splits = rep[hc]
+    def fits(key: tuple[tuple[int, ...], int]) -> bool:
+        share, pool = key[0], pools[key[1]]
         part = [c for cid, run in itertools.groupby(share) for c in members[cid][: len(list(run))]]
         spare = max(len(pool) - sum(map(len, part)), 0)
-        return (len(part) < 2 or spare * splits >= len(part) - 1) and next(
-            _embeddings(padj, hadj, part, list(share), pool, tally), None) is not None
+        return (len(part) < 2 or spare * (max(len(hadj[v]) for v in pool) - 1) >= len(part) - 1) and next(
+            _embeddings(padj, hadj, part, list(share), pool, stats), None) is not None
 
-    share: list[tuple[int, ...]] = [()] * len(pools)
+    fit = _Table(fits)  # per (share, host class)
+    share: list[tuple[int, ...]] = [()] * len(host_comps)
     where = [-1] * len(comps)
 
     def place(t: int, _: int) -> Iterator[int]:
         cid = classes[t]
-        for h in range(where[t - 1] if t and classes[t - 1] == cid else 0, len(pools)):
+        for h in range(where[t - 1] if t and classes[t - 1] == cid else 0, len(host_comps)):
             # an earlier host component of its class holding the same share rules h out
-            if (hclasses[h], share[h]) in zip(hclasses[:h], share) or not fit(share[h] + (cid,), hclasses[h]):
+            if (hclasses[h], share[h]) in zip(hclasses[:h], share) or not fit[share[h] + (cid,), hclasses[h]]:
                 continue
-            tally[0] += 1
+            stats.search_nodes += 1
             where[t] = h
             share[h] += (cid,)
             yield h
@@ -369,11 +366,13 @@ def _pack(
 
     if next(depth_first(0, place, len(comps)), None) is None:
         return None
+    parts: dict[int, list[int]] = {}  # per host component: the pattern components placed in it
+    for t, h in enumerate(where):
+        parts.setdefault(h, []).append(t)
     assignment: dict[int, int] = {}
-    for h, pool in enumerate(pools):
-        part = [t for t in range(len(comps)) if where[t] == h]
-        share_comps = [comps[t] for t in part]
-        found = next(_embeddings(padj, hadj, share_comps, [classes[t] for t in part], pool, tally), None)
+    for h, part in parts.items():
+        found = next(_embeddings(padj, hadj, [comps[t] for t in part], [classes[t] for t in part],
+                                 sorted(host_comps[h]), stats), None)
         if found is None:
             raise WitnessError(f"host component {h} does not take the share its class fits")
         assignment.update(found)
@@ -403,27 +402,26 @@ def isi_backtracking(
     forced into increasing min-image order.  Before either, a pattern with
     more vertices than the host, or whose degree sequences do not fit the
     host's (:func:`_degrees_fit`; so also more edges or non-edges), is refuted.
-    ``stats.search_nodes``, if given, gains the placements made.  The
-    arbiter checks the witness, as a guard that raises :class:`WitnessError`.
+    Both layers count their placements in ``stats.search_nodes``, into a
+    fresh :class:`SolveStats` when none is given.  The arbiter checks the
+    witness, as a guard that raises :class:`WitnessError`.
     """
     if not _degrees_fit(sorted(map(len, pattern.adj), reverse=True), sorted(map(len, host.adj), reverse=True)):
         return None
-    tally = [0]
+    stats = SolveStats() if stats is None else stats
     comps = _component_orders(pattern)
     classes = [0]
     host_comps: list[list[int]] = []
     if len(comps) > 1:
-        classes = _component_classes(pattern.adj, comps, tally)
+        classes, _ = _component_classes(pattern.adj, comps, stats)
         ranked = sorted(range(len(comps)), key=lambda i: (-len(comps[i]), classes[i]))
         comps = [comps[i] for i in ranked]
         classes = [classes[i] for i in ranked]
         host_comps = _component_orders(host)
     if len(host_comps) > 1:
-        found = _pack(pattern.adj, host.adj, comps, classes, host_comps, tally)
+        found = _pack(pattern.adj, host.adj, comps, classes, host_comps, stats)
     else:
-        found = next(_embeddings(pattern.adj, host.adj, comps, classes, range(host.n), tally), None)
-    if stats is not None:
-        stats.search_nodes += tally[0]
+        found = next(_embeddings(pattern.adj, host.adj, comps, classes, range(host.n), stats), None)
     if found is None:
         return None
     mapping = VertexMapping(tuple(sorted(found.items())))
@@ -476,13 +474,14 @@ def mcis_bruteforce(q: SolveQuery) -> SolveResult:
 
 
 def _cover_bijections(
-    inner1: dict[int, frozenset[int]], inner2: dict[int, frozenset[int]]
+    inner1: dict[int, frozenset[int]], inner2: dict[int, frozenset[int]], stats: SolveStats
 ) -> Iterator[dict[int, int]]:
     """The induced isomorphisms between two equal-size matched cover parts,
     given the position adjacency inside each: the vertex layer's placements
-    of the first part, by (-degree, position), onto the sorted second part."""
+    of the first part, by (-degree, position), onto the sorted second part,
+    each counted in ``stats.search_nodes``."""
     order = sorted(inner1, key=lambda v: (-len(inner1[v]), v))
-    return _embeddings(inner1, inner2, [order], [0], sorted(inner2), [0])
+    return _embeddings(inner1, inner2, [order], [0], sorted(inner2), stats)
 
 
 def _bits(mask: int) -> Iterator[int]:
@@ -848,7 +847,7 @@ def _search_pair(
                 chosen.pop()
             taken[g] ^= low
 
-    for sigma in _cover_bijections(c1.inner[s1.mm], c2.inner[s2.mm]):
+    for sigma in _cover_bijections(c1.inner[s1.mm], c2.inner[s2.mm], stats):
         if ub <= best[0]:
             return
         stats.bijections_tried += 1

@@ -24,16 +24,26 @@ from mcislab.cli import (
 from mcislab.corpus import random_graph, random_graph_pair
 from mcislab.graphs import (
     Graph,
+    VertexMapping,
     complete_graph,
     cycle_graph,
     edgeless_graph,
+    induces_connected,
     parse_graph,
     path_graph,
     serialize_graph,
 )
 from mcislab.params import min_vertex_cover, vertex_cover_number
 from mcislab.reductions import CheckOutcome, ReductionReport, has_clique, read_reduction
-from mcislab.solvers import OracleBoundError, SolveQuery, mcis_bruteforce, mcis_vc_fpt, solve
+from mcislab.solvers import (
+    OracleBoundError,
+    SolveQuery,
+    SolveResult,
+    SolveStats,
+    mcis_bruteforce,
+    mcis_vc_fpt,
+    solve,
+)
 
 
 @pytest.fixture
@@ -550,6 +560,56 @@ def test_oracle_suite_failures_carry_a_replayable_instance(fpt_one_too_large):
         for text, g in ((failure["g1"], g1), (failure["g2"], g2)):
             again = parse_graph(text)
             assert (again.n, again.edges) == (g.n, g.edges)
+
+
+def _replays(failure, g1, g2):
+    """Whether a failure's graphs read back as the instance it names."""
+    return all((again.n, again.edges) == (g.n, g.edges)
+               for again, g in ((parse_graph(failure["g1"]), g1), (parse_graph(failure["g2"]), g2)))
+
+
+def test_oracle_suite_reports_an_oracle_witness_that_is_not_connected(monkeypatch):
+    # an oracle answering MCCIS with its MCIS witness: seed 6 draws one pair whose
+    # MCIS witness is larger than the MCCIS optimum, and one where it is only disconnected
+    def mcis_witness(query):
+        return mcis_bruteforce(dataclasses.replace(query, connected=False))
+
+    monkeypatch.setattr(harness, "mcis_bruteforce", mcis_witness)
+    report = harness.run_oracle_suite(6, 2, 6)
+    rng = random.Random(6)
+    drawn = [random_graph_pair(rng, 6) for _ in range(2)]
+    expected = []
+    for index, (g1, g2) in enumerate(drawn):
+        mcis = mcis_bruteforce(SolveQuery(g1, g2))
+        if not induces_connected(g1, [u for u, _ in mcis.witness.pairs]):
+            mccis = mcis_bruteforce(SolveQuery(g1, g2, connected=True)).size
+            mismatch = [f"size mismatch: fpt={mccis} oracle={mcis.size}"] if mccis != mcis.size else []
+            expected.append((index, True, [*mismatch, "oracle witness invalid"]))
+    assert [(f["index"], f["connected"], f["problems"]) for f in report["failures"]] == expected
+    assert [len(problems) for *_, problems in expected] == [2, 1]
+    assert all(_replays(f, *drawn[f["index"]]) for f in report["failures"])
+
+
+def test_oracle_suite_reports_every_counter_above_the_bound(monkeypatch):
+    monkeypatch.setattr(harness, "configuration_bound", lambda k1, k2: -1)
+    report = harness.run_oracle_suite(7, 2, 6)
+    assert not report["ok"] and len(report["failures"]) == report["instances"] == 4
+    rng = random.Random(7)
+    drawn = [random_graph_pair(rng, 6) for _ in range(2)]
+    for failure in report["failures"]:
+        g1, g2 = drawn[failure["index"]]
+        configurations = mcis_vc_fpt(SolveQuery(g1, g2, failure["connected"])).stats.configurations
+        k1, k2 = vertex_cover_number(g1), vertex_cover_number(g2)
+        assert failure["problems"] == [f"counter {configurations} exceeds bound for k1={k1}, k2={k2}"]
+        assert _replays(failure, g1, g2)
+
+
+def test_oracle_suite_witness_check_rejects_a_mapping_the_arbiter_rejects():
+    # P3 onto K3 by the identity keeps every edge but maps a non-edge onto an edge
+    query = SolveQuery(path_graph(3), complete_graph(3))
+    wrong = SolveResult(3, VertexMapping(((0, 0), (1, 1), (2, 2))), "brute", SolveStats())
+    assert not harness._witness_ok(query, wrong)
+    assert harness._witness_ok(query, mcis_bruteforce(query))
 
 
 def test_check_oracle_failure_exits_3_and_prints_each_failure(fpt_one_too_large, capsys):

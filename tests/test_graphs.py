@@ -147,6 +147,14 @@ def test_graph_rejects_out_of_range():
         Graph.from_edges(2, [(0, 2)])
 
 
+def test_cycle_needs_three_vertices():
+    # C2 would be a doubled edge, and a simple graph has none
+    for n in (0, 1, 2):
+        with pytest.raises(ValueError, match="at least 3 vertices"):
+            cycle_graph(n)
+    assert cycle_graph(3).m == 3
+
+
 def test_adjacency_is_symmetric():
     g = Graph.from_edges(4, [(0, 1), (2, 0), (1, 3)])
     for u in range(4):

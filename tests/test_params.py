@@ -224,8 +224,12 @@ def test_twins_edgeless_single_empty_class():
 
 
 def test_twins_reject_invalid_split():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="is not covered"):
         twin_partition(path_graph(3), CoverSplit(frozenset({0}), frozenset({1, 2})))
+    # parts that overlap, or that miss a vertex, are no split at all
+    for cover, independent in (({1}, {0, 1, 2}), ({1}, {0})):
+        with pytest.raises(ValueError, match="must partition the vertices"):
+            twin_partition(path_graph(3), CoverSplit(frozenset(cover), frozenset(independent)))
 
 
 def test_twins_cover_the_independent_set_and_swaps_are_automorphisms():

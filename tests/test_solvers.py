@@ -153,7 +153,7 @@ def test_vertex_layer_yields_the_induced_embeddings_in_lexicographic_order():
         pattern = random_graph(rng, rng.randint(1, 5), rng.choice((0.2, 0.5, 0.8)))
         host = random_graph(rng, rng.randint(pattern.n, 7), rng.choice((0.2, 0.5, 0.8)))
         comps = solvers._component_orders(pattern)
-        classes = solvers._component_classes(pattern.adj, comps, [0])
+        classes, _ = solvers._component_classes(pattern.adj, comps, SolveStats())
         ranked = sorted(range(len(comps)), key=lambda i: (-len(comps[i]), classes[i]))
         comps, classes = [comps[i] for i in ranked], [classes[i] for i in ranked]
         order = [v for comp in comps for v in comp]
@@ -165,7 +165,7 @@ def test_vertex_layer_yields_the_induced_embeddings_in_lexicographic_order():
             lows = [min(images[end - len(comp):end]) for comp, end in zip(comps, ends)]
             if all(lows[c] > lows[c - 1] for c in range(1, len(comps)) if classes[c] == classes[c - 1]):
                 expected.append(images)
-        placements = solvers._embeddings(pattern.adj, host.adj, comps, classes, range(host.n), [0])
+        placements = solvers._embeddings(pattern.adj, host.adj, comps, classes, range(host.n), SolveStats())
         assert [tuple(found[v] for v in order) for found in placements] == expected
 
 
@@ -840,7 +840,10 @@ def test_cover_bijections_are_the_induced_permutations_each_once():
             g2, m2 = g1, m1
         inner1 = {v: g1.adj[v] & set(m1) for v in m1}
         inner2 = {v: g2.adj[v] & set(m2) for v in m2}
-        found = [tuple(sorted(sigma.items())) for sigma in solvers._cover_bijections(inner1, inner2)]
+        stats = SolveStats()
+        found = [tuple(sorted(sigma.items())) for sigma in solvers._cover_bijections(inner1, inner2, stats)]
+        # each bijection ends on a placement of its own, and an empty part has none
+        assert stats.search_nodes >= len(found) if size else stats.search_nodes == 0
         expected = set()
         for image in itertools.permutations(m2):
             pairs = tuple(zip(m1, image))
@@ -850,6 +853,17 @@ def test_cover_bijections_are_the_induced_permutations_each_once():
         assert set(found) == expected
         total += len(found)
     assert total > 500
+
+
+@pytest.mark.parametrize("conn", [False, True])
+def test_fpt_counts_its_cover_bijection_placements_as_search_nodes(conn):
+    # the FPT's search_nodes are the vertex layer's placements of matched cover
+    # positions; C6 against C6 draws one bijection, of an empty matched part
+    for g1, g2, nodes in ((complete_graph(4), complete_graph(4), 4), (cycle_graph(5), cycle_graph(7), 36),
+                          (cycle_graph(6), cycle_graph(6), 0)):
+        stats = mcis_vc_fpt(SolveQuery(g1, g2, conn)).stats
+        assert stats.search_nodes == nodes
+        assert stats.bijections_tried > 0
 
 
 def test_fpt_draws_tripartition_buckets_lazily(monkeypatch):

@@ -112,6 +112,22 @@ def test_only_the_one_breadth_first_search_builds_a_deque():
     assert [where for where in found if not where.startswith("graphs._levels:")] == []
 
 
+def test_solvers_memoizes_only_through_its_table():
+    # solvers._Table is the one memo of the solvers: a functools cache beside
+    # it is a second set of books, and a slower one on the FPT's hot tables
+    found = []
+    for path, _, node in _nodes():
+        if path.stem != "solvers":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = {node.module if isinstance(node, ast.ImportFrom) else None, *[a.name for a in node.names]}
+        else:
+            names = {getattr(node, "id", None), getattr(node, "attr", None)}
+        if names & {"functools", "cache", "lru_cache", "cached_property"}:
+            found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+
+
 def _own_nodes(func):
     """The nodes of a function's body, leaving out those of functions nested in it."""
     todo = list(func.body)
