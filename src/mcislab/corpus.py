@@ -55,8 +55,6 @@ def random_three_partition(rng: random.Random) -> ThreePartitionInstance:
         m = rng.randint(1, 2)
         b = rng.randint(8, 13)
         lo, hi = b // 4 + 1, (b - 1) // 2
-        if lo > hi:
-            continue
         items = tuple(rng.randint(lo, hi) for _ in range(3 * m))
         if sum(items) == m * b:
             return ThreePartitionInstance(items, m, b)

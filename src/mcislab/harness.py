@@ -15,8 +15,10 @@ from .corpus import (
     random_graph_pair,
     random_three_partition,
 )
-from .graphs import induces_connected, is_induced_isomorphism, serialize_graph
+from .graphs import MappingError, induces_connected, is_induced_isomorphism, serialize_graph
 from .reductions import (
+    CheckOutcome,
+    ReductionReport,
     clique_to_incidence_isi,
     cross_compose,
     has_clique,
@@ -27,6 +29,7 @@ from .reductions import (
 )
 from .solvers import (
     SolveQuery,
+    WitnessError,
     _Cover,
     configuration_bound,
     isi_backtracking,
@@ -36,18 +39,13 @@ from .solvers import (
 
 
 def _witness_ok(query: SolveQuery, result) -> bool:
-    if len(result.witness) != result.size:
-        return False
-    if result.size == 0:
-        return True
-    if not is_induced_isomorphism(query.g1, query.g2, result.witness):
-        return False
-    if query.connected:
-        if not induces_connected(query.g1, [u for u, _ in result.witness.pairs]):
-            return False
-        if not induces_connected(query.g2, [v for _, v in result.witness.pairs]):
-            return False
-    return True
+    # the arbiter first: it refuses a pair out of range, which induces_connected
+    # would index blindly; once it accepts, the first side stands for both
+    return (
+        len(result.witness) == result.size
+        and is_induced_isomorphism(query.g1, query.g2, result.witness)
+        and (not query.connected or induces_connected(query.g1, [u for u, _ in result.witness.pairs]))
+    )
 
 
 def run_oracle_suite(seed: int, count: int, max_n: int) -> dict:
@@ -55,30 +53,38 @@ def run_oracle_suite(seed: int, count: int, max_n: int) -> dict:
 
     Checks, per instance and per connectivity flag, over one cover per graph:
     equal optimum size, witness validity, and the configuration-counter bound.
+    A route whose own guard raises is reported as a failure of that pair.
     """
     rng = random.Random(seed)
     failures = []
-    instances = 0
+    instances = bound_checked = 0
     for index in range(count):
         g1, g2 = random_graph_pair(rng, max_n)
         covers = _Cover(g1), _Cover(g2)
         k1, k2 = len(covers[0].order), len(covers[1].order)
         for connected in (False, True):
             query = SolveQuery(g1, g2, connected=connected)
-            oracle = mcis_bruteforce(query)
-            fpt = mcis_vc_fpt(query, covers)
             instances += 1
             problems = []
-            if fpt.size != oracle.size:
-                problems.append(f"size mismatch: fpt={fpt.size} oracle={oracle.size}")
-            if not _witness_ok(query, fpt):
-                problems.append("fpt witness invalid")
-            if not _witness_ok(query, oracle):
-                problems.append("oracle witness invalid")
-            if fpt.stats.configurations > configuration_bound(k1, k2):
-                problems.append(
-                    f"counter {fpt.stats.configurations} exceeds bound for k1={k1}, k2={k2}"
-                )
+            route = "oracle"
+            try:
+                oracle = mcis_bruteforce(query)
+                route = "fpt"
+                fpt = mcis_vc_fpt(query, covers)
+            except (WitnessError, MappingError) as exc:
+                problems.append(f"{route} raised {type(exc).__name__}: {exc}")
+            else:
+                bound_checked += 1
+                if fpt.size != oracle.size:
+                    problems.append(f"size mismatch: fpt={fpt.size} oracle={oracle.size}")
+                if not _witness_ok(query, fpt):
+                    problems.append("fpt witness invalid")
+                if not _witness_ok(query, oracle):
+                    problems.append("oracle witness invalid")
+                if fpt.stats.configurations > configuration_bound(k1, k2):
+                    problems.append(
+                        f"counter {fpt.stats.configurations} exceeds bound for k1={k1}, k2={k2}"
+                    )
             if problems:
                 failures.append(
                     {
@@ -93,20 +99,28 @@ def run_oracle_suite(seed: int, count: int, max_n: int) -> dict:
         "suite": "oracle",
         "seed": seed,
         "instances": instances,
-        "counter_bound_checked": instances,
+        "counter_bound_checked": bound_checked,
         "failures": failures,
         "ok": not failures,
     }
 
 
 def run_reduction_suite(seed: int, count: int) -> dict:
-    """Certificate and soundness checks for all four gadget builders, ``count`` rounds."""
+    """Certificate and soundness checks for all four gadget builders, ``count`` rounds.
+
+    A guard that raises while a builder's output or its source is checked
+    counts as one failed check of that builder.
+    """
     rng = random.Random(seed)
     failures = []
     checks = 0
 
-    def record(name: str, report) -> None:
+    def record(name: str, verify) -> None:
         nonlocal checks
+        try:
+            report = verify()
+        except (WitnessError, MappingError) as exc:
+            report = ReductionReport((CheckOutcome("guard", False, f"{type(exc).__name__}: {exc}"),))
         checks += len(report.checks)
         for failure in report.failures():
             failures.append({"builder": name, "check": failure.name, "detail": failure.detail})
@@ -115,25 +129,25 @@ def run_reduction_suite(seed: int, count: int) -> dict:
         # incidence reduction on a random source
         inst = random_clique_instance(rng, rng.randint(3, 5), 3)
         out = clique_to_incidence_isi(inst.graph, inst.l)
-        record("clique-incidence", verify_reduction(out, has_clique(inst.graph, inst.l)))
+        record("clique-incidence", lambda: verify_reduction(out, has_clique(inst.graph, inst.l)))
 
         # cross-composition of a small batch
         n, l = rng.randint(3, 4), 3
         batch = [random_clique_instance(rng, n, l) for _ in range(rng.randint(1, 3))]
         out = cross_compose(batch)
         answer = any(has_clique(b.graph, l) for b in batch)
-        record("cross-compose", verify_reduction(out, answer))
+        record("cross-compose", lambda: verify_reduction(out, answer))
 
         # universal-vertex lift of a forest pair
         f1 = random_forest(rng, 6)
         f2 = random_forest(rng, 6)
         out = isi_to_mccis(f1, f2)
-        record("universal", verify_reduction(out, isi_backtracking(f1, f2) is not None))
+        record("universal", lambda: verify_reduction(out, isi_backtracking(f1, f2) is not None))
 
         # 3-partition reduction
         tp = random_three_partition(rng)
         out = three_partition_to_forest_isi(tp)
-        record("3partition", verify_reduction(out, three_partition_exists(tp)))
+        record("3partition", lambda: verify_reduction(out, three_partition_exists(tp)))
 
     return {
         "suite": "reductions",

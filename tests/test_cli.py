@@ -24,6 +24,7 @@ from mcislab.cli import (
 from mcislab.corpus import random_graph, random_graph_pair
 from mcislab.graphs import (
     Graph,
+    MappingError,
     VertexMapping,
     complete_graph,
     cycle_graph,
@@ -40,6 +41,7 @@ from mcislab.solvers import (
     SolveQuery,
     SolveResult,
     SolveStats,
+    WitnessError,
     mcis_bruteforce,
     mcis_vc_fpt,
     solve,
@@ -103,17 +105,23 @@ def test_solve_isi_empty_pattern_answers_yes_in_text_and_json(graph_files, capsy
     assert json.loads(capsys.readouterr().out)["result"] == {"answer": True, "witness": []}
 
 
-def test_solve_into_a_closed_pipe_exits_1_without_a_traceback(graph_files):
-    p3 = graph_files("p3.el", path_graph(3))
-    k3 = graph_files("k3.el", complete_graph(3))
+def _into_closed_pipe(*args):
+    """Exit code and stderr of ``python -m mcislab.cli *args`` whose stdout reader has gone."""
     src = str(Path(mcislab.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    argv = [sys.executable, "-m", "mcislab.cli", "solve", "--problem", "mcis", "--json", p3, k3]
+    argv = [sys.executable, "-m", "mcislab.cli", *args]
     proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
     proc.stdout.close()  # the reader goes away before the report is written
     err = proc.stderr.read().decode()
     proc.stderr.close()
-    assert proc.wait(timeout=60) == EXIT_USAGE
+    return proc.wait(timeout=60), err
+
+
+def test_solve_into_a_closed_pipe_exits_1_without_a_traceback(graph_files):
+    p3 = graph_files("p3.el", path_graph(3))
+    k3 = graph_files("k3.el", complete_graph(3))
+    code, err = _into_closed_pipe("solve", "--problem", "mcis", "--json", p3, k3)
+    assert code == EXIT_USAGE
     assert "Traceback" not in err and "BrokenPipeError" not in err, err
 
 
@@ -612,6 +620,55 @@ def test_oracle_suite_witness_check_rejects_a_mapping_the_arbiter_rejects():
     assert harness._witness_ok(query, mcis_bruteforce(query))
 
 
+def test_oracle_suite_witness_check_fails_on_each_condition_alone():
+    # two isolated vertices onto two isolated vertices: an induced isomorphism
+    # whose sides are disconnected, so only MCCIS refuses it at the right size
+    g = edgeless_graph(2)
+    both = VertexMapping(((0, 0), (1, 1)))
+    for connected in (False, True):
+        query = SolveQuery(g, g, connected=connected)
+        assert harness._witness_ok(query, SolveResult(0, VertexMapping(()), "brute", SolveStats()))
+        assert not harness._witness_ok(query, SolveResult(1, both, "brute", SolveStats()))
+        assert harness._witness_ok(query, SolveResult(2, both, "brute", SolveStats())) == (not connected)
+    # the arbiter reads a witness before induces_connected, which would index
+    # the first graph's adjacency at vertex 2 without a range check
+    outside = SolveResult(2, VertexMapping(((2, 0), (3, 1))), "brute", SolveStats())
+    with pytest.raises(MappingError):
+        harness._witness_ok(SolveQuery(g, g, connected=True), outside)
+
+
+@pytest.mark.parametrize(
+    "route, name, error",
+    [("mcis_vc_fpt", "fpt", WitnessError), ("mcis_bruteforce", "oracle", MappingError)],
+)
+def test_check_oracle_reports_a_route_whose_guard_raises(route, name, error, monkeypatch, capsys):
+    # the route raises on MCCIS only, so the MCIS solves still read their bound
+    real = getattr(harness, route)
+
+    def raising(query, *covers):
+        if query.connected:
+            raise error("refused")
+        return real(query, *covers)
+
+    monkeypatch.setattr(harness, route, raising)
+    report = harness.run_oracle_suite(7, 2, 6)
+    assert report["instances"] == 4 and report["counter_bound_checked"] == 2
+    expected = [f"{name} raised {error.__name__}: refused"]
+    assert [(f["index"], f["connected"], f["problems"]) for f in report["failures"]] == [
+        (0, True, expected),
+        (1, True, expected),
+    ]
+    rng = random.Random(7)
+    drawn = [random_graph_pair(rng, 6) for _ in range(2)]
+    assert all(_replays(f, *drawn[f["index"]]) for f in report["failures"])
+    argv = ["check", "--suite", "oracle", "--seed", "7", "--count", "2", "--max-n", "6"]
+    assert main(argv) == EXIT_CHECK_FAILED
+    captured = capsys.readouterr()
+    lines = captured.out.splitlines()
+    assert captured.err == "" and lines[0] == "oracle: FAIL (4 checks)"
+    assert [json.loads(line.removeprefix("  failure: ")) for line in lines[1:]] == report["failures"]
+
+
 def test_check_oracle_failure_exits_3_and_prints_each_failure(fpt_one_too_large, capsys):
     argv = ["check", "--suite", "oracle", "--seed", "7", "--count", "2", "--max-n", "6"]
     assert main(argv) == EXIT_CHECK_FAILED
@@ -672,6 +729,33 @@ def test_check_reduction_failure_exits_3_and_prints_each_failed_check(monkeypatc
     ]
 
 
+def test_check_reduction_guard_errors_are_failed_checks_of_their_builder(monkeypatch, capsys):
+    # the universal round's source answer and the 3-Partition round's verifier raise
+    real = harness.verify_reduction
+
+    def isi_raises(pattern, host):
+        raise WitnessError("isi refused")
+
+    def verify(out, source_answer):
+        if out.kind == "3partition":
+            raise MappingError("verify refused")
+        return real(out, source_answer)
+
+    monkeypatch.setattr(harness, "isi_backtracking", isi_raises)
+    monkeypatch.setattr(harness, "verify_reduction", verify)
+    argv = ["check", "--suite", "reductions", "--seed", "3", "--count", "1"]
+    assert main(argv) == EXIT_CHECK_FAILED
+    captured = capsys.readouterr()
+    # 24 checks, less the universal round's 5 and the 3-Partition round's 4,
+    # plus one failed check for each
+    assert captured.err == ""
+    assert captured.out.splitlines() == [
+        "reductions: FAIL (17 checks)",
+        "  failure: " + json.dumps({"builder": "universal", "check": "guard", "detail": "WitnessError: isi refused"}),
+        "  failure: " + json.dumps({"builder": "3partition", "check": "guard", "detail": "MappingError: verify refused"}),
+    ]
+
+
 def test_check_reduction_suite_rejects_a_zero_count(capsys):
     assert main(["check", "--suite", "reductions", "--count", "0"]) == EXIT_USAGE
     captured = capsys.readouterr()
@@ -689,6 +773,11 @@ def test_analyze_c5(tmp_path, capsys):
     assert "girth 5" in out
     assert "vertex_cover_size 3" in out
     assert "bipartite False" in out
+
+
+def test_analyze_into_a_closed_pipe_exits_1_with_nothing_on_stderr(graph_files):
+    c5 = graph_files("c5.el", cycle_graph(5))
+    assert _into_closed_pipe("analyze", c5) == (EXIT_USAGE, "")
 
 
 def test_analyze_forest_reports_acyclic(graph_files, capsys):
