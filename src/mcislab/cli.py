@@ -1,7 +1,7 @@
 """Command-line surface: solve, reduce, check, analyze.
 
 Each ``cmd_*`` returns an :data:`Outcome` and :func:`main` alone times the
-command and prints its text lines or, with ``--json``, the run report: keys
+command and prints its text lines or, with ``--json``, the one-line report: keys
 ``command``, ``flags``, ``inputs_digest``, ``result``, ``timings_ms`` and,
 for ``solve``, ``stats``.  MCIS and MCCIS go through :func:`solvers.solve`,
 which owns the routes and size gates.  The grammar is built once per process.
@@ -291,7 +291,7 @@ def main(argv: list[str] | None = None) -> int:
             }
             if stats is not None:
                 report["stats"] = dataclasses.asdict(stats)
-            lines = [json.dumps(report, indent=2, default=str)]
+            lines = [json.dumps(report, default=str)]
         print(*lines, sep="\n")
         sys.stdout.flush()  # a closed reader surfaces here, not at interpreter exit
         return code

@@ -145,7 +145,8 @@ def parse_graph(text: str) -> Graph:
     one edge per line.  Edge-list: no prefix, 0-based endpoints.  DIMACS,
     chosen when the first meaningful line starts with ``c`` or ``p``: ``c``
     comment lines, a ``p edge`` header prefix, an ``e`` edge prefix, 1-based
-    endpoints.  In both, ``#`` starts a comment, and the header's ``m`` must
+    endpoints.  The prefix is fixed once for the header and once for the
+    edge lines.  In both, ``#`` starts a comment, and the header's ``m`` must
     equal the number of edge lines; duplicate edge lines count there but
     collapse to one edge.  A header above :data:`MAX_VERTICES` vertices
     raises :class:`SizeBoundError` before anything is built.
@@ -160,15 +161,16 @@ def parse_graph(text: str) -> Graph:
             continue
         if dimacs is None:
             dimacs = tokens[0] in ("c", "p")
+            lead = ["p", "edge"] if dimacs else []  # the tokens before the two integers
         if dimacs and tokens[0] == "c":
             continue
-        prefix = ("p edge " if header is None else "e ") if dimacs else ""
-        if len(tokens) < 2 or tokens[:-2] != prefix.split():
+        if len(tokens) < 2 or tokens[:-2] != lead:
+            prefix = " ".join(lead + [""])
             if header is not None:
                 raise GraphParseError(line_no, f"expected edge line '{prefix}u v'")
             kind = "DIMACS header" if dimacs else "header"
             raise GraphParseError(line_no, f"expected {kind} '{prefix}n m'")
-        if not all(_INTEGER.fullmatch(token) for token in tokens[-2:]):
+        if not (_INTEGER.fullmatch(tokens[-2]) and _INTEGER.fullmatch(tokens[-1])):
             what = "header counts" if header is None else "endpoints"
             raise GraphParseError(line_no, f"{what} must be integers")
         a, b = int(tokens[-2]), int(tokens[-1])
@@ -178,11 +180,11 @@ def parse_graph(text: str) -> Graph:
                 raise GraphParseError(line_no, f"{what} count must be non-negative")
             if a > MAX_VERTICES:
                 raise SizeBoundError(f"line {line_no}: header declares {a} vertices")
-            header = (a, b, line_no)
+            header, lead = (a, b, line_no), ["e"] if dimacs else []
             continue
         if a == b:
             raise GraphParseError(line_no, f"self-loop at vertex {a}")
-        u, v = sorted((a - dimacs, b - dimacs))  # DIMACS ids start at 1
+        u, v = (a - dimacs, b - dimacs) if a < b else (b - dimacs, a - dimacs)  # DIMACS ids start at 1
         if u < 0 or v >= header[0]:
             span = f"[1, {header[0]}]" if dimacs else f"[0, {header[0]})"
             raise GraphParseError(line_no, f"endpoint out of range {span}")
@@ -296,38 +298,49 @@ def induces_forest(g: Graph, vertices: Iterable[int]) -> bool:
 def graph_stats(g: Graph) -> GraphStats:
     """Girth, bipartiteness, C4-freeness and the component count in one shot.
 
-    One breadth-first search per root.  An edge inside level d closes a cycle
-    of at most 2d + 1 vertices, a vertex at level d with two neighbours at
-    level d - 1 one of at most 2d, and a root on a shortest cycle sees its
-    length.  The first root of each component is searched in full: the graph
-    is bipartite iff no edge lies inside a level there, and a component with
-    one edge fewer than vertices is a tree, whose other roots are skipped.
-    Every cycle lies among the vertices no smaller than its smallest vertex,
-    which has two larger neighbours on it; so a later root is searched only
-    among larger vertices, only if two of its neighbours are larger, and
-    once a cycle of length c is known only to depth c // 2.  There is a
-    4-cycle iff some root u reaches some x > u along two paths of length 2
-    (opposite corners); the test stops at the first root that does.
+    An edge whose ends share a neighbour closes a triangle: girth 3, and not
+    bipartite.  There is a 4-cycle iff some root u reaches some x > u along
+    two paths of length 2 (opposite corners); the scan stops at the first
+    root that does.  The first root of each component is searched in full:
+    the graph is bipartite iff no edge lies inside a level there, and a
+    component with one edge fewer than vertices is a tree, whose other roots
+    are skipped.  In a search an edge inside level d closes a cycle of at
+    most 2d + 1 vertices, a vertex at level d with two neighbours at level
+    d - 1 one of at most 2d, and a root on a shortest cycle sees its length.
+    Later roots are searched only when neither a triangle nor a 4-cycle
+    settles the girth.  Every cycle lies among the vertices no smaller than
+    its smallest vertex, which has two larger neighbours on it; so a later
+    root is searched only among larger vertices, only if two of its
+    neighbours are larger, and once a cycle of length c is known only to
+    depth c // 2.
     """
-    girth = g.n + 1  # longer than any cycle
-    bipartite = c4_free = True
+    adj = g.adj
+    triangle = any(not adj[u].isdisjoint(adj[v]) for u, v in g.edges)
+    bipartite, c4_free = not triangle, True  # a triangle is an odd cycle
     tree: dict[int, bool] = {}  # per vertex reached so far: is its component a tree
-    components = 0
+    full: list[dict[int, int]] = []  # the search from each component's first root
+    later: list[int] = []  # the other roots that may be a cycle's smallest vertex
     for root in range(g.n):
         first = root not in tree
-        if tree.get(root) or not first and sum(w > root for w in g.adj[root]) < 2:
+        # once a 4-cycle is found, later roots have nothing left to tell
+        if tree.get(root) or not first and (not c4_free or sum(w > root for w in adj[root]) < 2):
             continue
-        levels = _levels(g, root) if first else _levels(g, root, range(root, g.n), girth // 2)
-        if first:
-            components += 1
-            acyclic = sum(len(g.adj[v]) for v in levels) == 2 * (len(levels) - 1)  # m = n - 1
-            tree.update(dict.fromkeys(levels, acyclic))
         if c4_free:
-            ends = [x for w in g.adj[root] for x in g.adj[w] if x > root]
+            ends = [x for w in adj[root] for x in adj[w] if x > root]
             c4_free = len(set(ends)) == len(ends)
+        if not first:
+            later.append(root)
+            continue
+        full.append(_levels(g, root))
+        acyclic = sum(len(adj[v]) for v in full[-1]) == 2 * (len(full[-1]) - 1)  # m = n - 1
+        tree.update(dict.fromkeys(full[-1], acyclic))
+    girth = 3 if triangle else g.n + 1 if c4_free else 4  # n + 1 is longer than any cycle
+    # drawn lazily, so each later search is bounded by the shortest cycle found before it
+    rest = (_levels(g, r, range(r, g.n), girth // 2) for r in later if girth > 4)
+    for levels in () if triangle else itertools.chain(full, rest):
         for v, d in levels.items():
             parents = 0
-            for w in g.adj[v]:
+            for w in adj[v]:
                 e = levels.get(w)
                 if e == d:
                     bipartite = False
@@ -336,7 +349,7 @@ def graph_stats(g: Graph) -> GraphStats:
                     parents += 1
             if parents >= 2:
                 girth = min(girth, 2 * d)
-    return GraphStats(girth if girth <= g.n else None, bipartite, c4_free, components)
+    return GraphStats(girth if girth <= g.n else None, bipartite, c4_free, len(full))
 
 
 def triangles(g: Graph) -> Iterator[tuple[int, int, int]]:

@@ -413,7 +413,7 @@ def write_reduction(out: ReductionOutput, outdir: str | Path) -> Path:
         "roles": {side: out.roles.get(side) for side in ("g1", "g2")},
         "certificates": out.certificates,
     }
-    (outdir / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
+    (outdir / "manifest.json").write_text(json.dumps(manifest) + "\n")
     return outdir
 
 

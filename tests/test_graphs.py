@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from mcislab import graphs
 from mcislab.graphs import (
     MAX_VERTICES,
     Graph,
@@ -100,10 +101,14 @@ def test_parse_malformed_line_reports_line_number():
         ("1_0 0\n", 1, "header counts must be integers"),
         ("3 1\n+0 \u0662\n", 2, "endpoints must be integers"),
         ("3 -1\n", 1, "edge count must be non-negative"),
+        ("3 2\n0 1\n1 2 3", 3, "expected edge line 'u v'"),
+        ("2 1\n0 0", 2, "self-loop at vertex 0"),
+        ("p edge 3 1\ne 2 2\n", 2, "self-loop at vertex 2"),
+        ("2 1\n0 5", 2, "endpoint out of range [0, 2)"),
     ],
     ids=["dimacs-header", "header-tokens", "header-counts", "negative-n", "dimacs-edge",
          "endpoint", "empty", "dimacs-range", "header-underscore", "endpoint-sign-and-digit",
-         "negative-m"],
+         "negative-m", "edge-tokens", "self-loop", "dimacs-self-loop", "range"],
 )
 def test_parse_errors_name_their_line(text, line_no, message):
     with pytest.raises(GraphParseError) as exc:
@@ -335,6 +340,33 @@ def test_stats_c4_detection():
     assert not graph_stats(cycle_graph(4)).c4_free
 
 
+def test_stats_searches_once_per_component_unless_the_girth_needs_more(monkeypatch):
+    searches = []
+    real = graphs._levels
+    monkeypatch.setattr(graphs, "_levels", lambda g, start, *rest: searches.append(start) or real(g, start, *rest))
+    rng = random.Random(42)
+    # a random recursive tree on 3,000 vertices beside 10 isolated ones
+    forest = Graph.from_edges(3010, [(rng.randrange(v), v) for v in range(1, 3000)])
+    k100_100 = Graph.from_edges(200, [(u, v) for u in range(100) for v in range(100, 200)])
+    petersen_edges = [(i, (i + 1) % 5) for i in range(5)] + [(i, i + 5) for i in range(5)]
+    petersen_edges += [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+    petersen = Graph.from_edges(10, petersen_edges)
+    # a 4-cycle hung off vertex 9: the first search reads girth 5, the scan finds
+    # the 4-cycle at root 10, and the Petersen graph's later roots need no search
+    petersen_c4 = Graph.from_edges(14, petersen_edges + [(9, 10), (10, 11), (11, 12), (12, 13), (10, 13)])
+    # every component takes one search, so all but the Petersen graph's
+    # ceilings are exact: a triangle settles K_200 and a 4-cycle K_{100,100},
+    # which one search by root once took 198 and 100
+    cases = [
+        (complete_graph(200), 1), (k100_100, 1), (forest, 11), (cycle_graph(5000), 1),
+        (petersen, 6), (petersen_c4, 1),
+    ]
+    for g, most in cases:
+        searches.clear()
+        graph_stats(g)
+        assert len(searches) <= most, (g.n, g.m, len(searches))
+
+
 # --- universal vertex ------------------------------------------------------
 
 
@@ -393,10 +425,26 @@ def test_structural_facts_match_networkx():
         pairs = list(itertools.combinations(range(n), 2))
         for keep in itertools.product((0, 1), repeat=len(pairs)):
             cases.append(Graph.from_edges(n, itertools.compress(pairs, keep)))
-    for n in range(2, 41):
-        for p in (1.5 / n, 3 / n):
-            pairs = itertools.combinations(range(n), 2)
-            cases.append(Graph.from_edges(n, [e for e in pairs if rng.random() < p]))
+    draws = [(n, p) for n in range(2, 41) for p in (1.5 / n, 3 / n)]
+    draws += [(n, p) for n in range(6, 17) for p in (0.2, 0.35, 0.5)]
+    for n, p in draws:
+        pairs = itertools.combinations(range(n), 2)
+        cases.append(Graph.from_edges(n, [e for e in pairs if rng.random() < p]))
+
+    def union(*parts):
+        edges, base = [], 0
+        for part in parts:
+            edges += [(base + u, base + v) for u, v in part.edges]
+            base += part.n
+        return Graph.from_edges(base, edges)
+
+    tree = Graph.from_edges(6, [(0, 1), (0, 2), (2, 3), (2, 4), (4, 5)])
+    cases += [
+        union(cycle_graph(5), cycle_graph(4)),  # girth 4, not bipartite
+        union(complete_graph(3), cycle_graph(4), path_graph(4)),
+        union(cycle_graph(5), cycle_graph(7), tree),  # girth 5, not bipartite
+        union(cycle_graph(6), cycle_graph(8)),  # girth 6, bipartite
+    ]
     for g in cases:
         h = nx.empty_graph(g.n)
         h.add_edges_from(g.edges)
