@@ -22,8 +22,6 @@ from .graphs import (
     serialize_graph,
 )
 from .params import (
-    CoverSplit,
-    FvsResult,
     TwinClass,
     min_feedback_vertex_set,
     min_vertex_cover,

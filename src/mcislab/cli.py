@@ -203,7 +203,7 @@ def cmd_check(args: argparse.Namespace) -> Outcome:
 def cmd_analyze(args: argparse.Namespace) -> Outcome:
     g, text = _load_graph(args.file)
     stats = graph_stats(g)
-    fvs_size = min_feedback_vertex_set(g).size if g.n <= ORACLE_BOUND else None
+    fvs_size = len(min_feedback_vertex_set(g)) if g.n <= ORACLE_BOUND else None
     result = {
         "n": g.n,
         "m": g.m,

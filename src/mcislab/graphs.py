@@ -314,9 +314,7 @@ def graph_stats(g: Graph) -> GraphStats:
     neighbours are larger, and once a cycle of length c is known only to
     depth c // 2.
     """
-    adj = g.adj
-    triangle = any(not adj[u].isdisjoint(adj[v]) for u, v in g.edges)
-    bipartite, c4_free = not triangle, True  # a triangle is an odd cycle
+    adj, c4_free = g.adj, True
     tree: dict[int, bool] = {}  # per vertex reached so far: is its component a tree
     full: list[dict[int, int]] = []  # the search from each component's first root
     later: list[int] = []  # the other roots that may be a cycle's smallest vertex
@@ -334,6 +332,8 @@ def graph_stats(g: Graph) -> GraphStats:
         full.append(_levels(g, root))
         acyclic = sum(len(adj[v]) for v in full[-1]) == 2 * (len(full[-1]) - 1)  # m = n - 1
         tree.update(dict.fromkeys(full[-1], acyclic))
+    triangle = not all(tree.values()) and any(not adj[u].isdisjoint(adj[v]) for u, v in g.edges)
+    bipartite = not triangle  # a triangle is an odd cycle, and a forest has none
     girth = 3 if triangle else g.n + 1 if c4_free else 4  # n + 1 is longer than any cycle
     # drawn lazily, so each later search is bounded by the shortest cycle found before it
     rest = (_levels(g, r, range(r, g.n), girth // 2) for r in later if girth > 4)

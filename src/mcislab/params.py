@@ -16,27 +16,11 @@ from .graphs import Graph, connected_components, induces_forest
 
 
 @dataclass(frozen=True)
-class CoverSplit:
-    """A vertex cover together with the complementary independent set."""
-
-    cover: frozenset[int]
-    independent: frozenset[int]
-
-
-@dataclass(frozen=True)
 class TwinClass:
     """Independent-set vertices sharing one exact neighborhood in the cover."""
 
     neighborhood: frozenset[int]
     members: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class FvsResult:
-    """A minimum-cardinality vertex set whose removal leaves a forest."""
-
-    vertices: frozenset[int]
-    size: int
 
 
 # ---------------------------------------------------------------------------
@@ -85,33 +69,34 @@ def _remove(adj: dict[int, set[int]], v: int) -> set[int]:
 
 def vertex_cover_number(g: Graph) -> int:
     """Size of a minimum vertex cover."""
-    return len(min_vertex_cover(g).cover)
+    return len(min_vertex_cover(g))
 
 
-def min_vertex_cover(g: Graph, budget: int | None = None) -> CoverSplit | None:
-    """A minimum vertex cover and its complement, or None once a component's
-    cover does not fit the ``budget`` the components before it left: the union
-    of the exact search's covers, one per component.  Any minimum cover serves
-    the FPT, whose parameter is its size; the search is deterministic."""
+def min_vertex_cover(g: Graph, budget: int | None = None) -> frozenset[int] | None:
+    """A minimum vertex cover, or None once a component's cover does not fit
+    the ``budget`` the components before it left: the union of the exact
+    search's covers, one per component.  The empty cover fits too, so a caller
+    tests ``is None``.  Any minimum cover serves the FPT, whose parameter is
+    its size; the search is deterministic."""
     left, chosen = g.n if budget is None else budget, set()
     for comp in connected_components(g):
         cover = _cover({v: g.adj[v] for v in comp}, min(len(comp), left - len(chosen)))
         if cover is None:
             return None
         chosen |= cover
-    return CoverSplit(frozenset(chosen), frozenset(range(g.n)) - chosen)
+    return frozenset(chosen)
 
 
 # ---------------------------------------------------------------------------
 # feedback vertex set
 
 
-def min_feedback_vertex_set(g: Graph) -> FvsResult:
-    """Exact FVS by subset enumeration in increasing size (desk scale only)."""
+def min_feedback_vertex_set(g: Graph) -> frozenset[int]:
+    """A minimum vertex set whose removal leaves a forest, by subset enumeration (desk scale only)."""
     for size in range(g.n + 1):
         for combo in itertools.combinations(range(g.n), size):
             if induces_forest(g, set(range(g.n)).difference(combo)):
-                return FvsResult(frozenset(combo), size)
+                return frozenset(combo)
     raise AssertionError("removing all vertices always leaves a forest")
 
 
@@ -119,22 +104,22 @@ def min_feedback_vertex_set(g: Graph) -> FvsResult:
 # twins
 
 
-def twin_partition(g: Graph, split: CoverSplit) -> tuple[TwinClass, ...]:
-    """Group independent-set vertices by their exact neighborhood in the cover.
+def twin_partition(g: Graph, cover: AbstractSet[int]) -> tuple[TwinClass, ...]:
+    """Group the vertices outside ``cover`` by their exact neighborhood in it.
 
     Only inhabited classes are materialized.  Raises ``ValueError`` when
-    ``split`` is not a valid cover split of ``g``.
+    ``cover`` holds a vertex outside ``range(g.n)`` or misses an edge.
     """
-    if split.cover | split.independent != frozenset(range(g.n)) or (
-        split.cover & split.independent
-    ):
-        raise ValueError("cover and independent set must partition the vertices")
+    for v in cover:
+        if not 0 <= v < g.n:
+            raise ValueError(f"cover vertex {v} out of range for n={g.n}")
     for u, v in g.edges:
-        if u not in split.cover and v not in split.cover:
+        if u not in cover and v not in cover:
             raise ValueError(f"edge ({u}, {v}) is not covered")
     groups: dict[frozenset[int], list[int]] = {}
-    for v in sorted(split.independent):
-        groups.setdefault(g.adj[v], []).append(v)
+    for v in range(g.n):
+        if v not in cover:
+            groups.setdefault(g.adj[v], []).append(v)
     return tuple(
         TwinClass(nbhd, tuple(members))
         for nbhd, members in sorted(groups.items(), key=lambda kv: tuple(sorted(kv[0])))

@@ -81,7 +81,7 @@ from .graphs import (
     induces_connected,
     is_induced_isomorphism,
 )
-from .params import CoverSplit, min_vertex_cover, twin_partition
+from .params import min_vertex_cover, twin_partition
 
 # the most vertices a graph may have for the brute-force oracle to take it
 ORACLE_BOUND = 10
@@ -144,10 +144,14 @@ class SolveStats:
 
 @dataclass(frozen=True)
 class SolveResult:
-    size: int
     witness: VertexMapping
     method: str
     stats: SolveStats
+
+    @property
+    def size(self) -> int:
+        """The common induced subgraph's order: the witness's length."""
+        return len(self.witness)
 
 
 def configuration_bound(k1: int, k2: int) -> int:
@@ -458,15 +462,14 @@ def mcis_bruteforce(q: SolveQuery) -> SolveResult:
             m = isi_backtracking(pattern, big, stats)
             if m is None:
                 continue
-            back = dict(enumerate(subset))
-            pairs = [(back[u], v) for u, v in m.pairs]
+            pairs = [(subset[u], v) for u, v in m.pairs]
             if swap:
                 pairs = [(v, u) for u, v in pairs]
             witness = VertexMapping(tuple(sorted(pairs)))
             if not is_induced_isomorphism(q.g1, q.g2, witness):
                 raise WitnessError(f"mcis_bruteforce built an invalid witness {witness.pairs}")
-            return SolveResult(size, witness, "brute", stats)
-    return SolveResult(0, VertexMapping(()), "brute", stats)
+            return SolveResult(witness, "brute", stats)
+    return SolveResult(VertexMapping(()), "brute", stats)
 
 
 # ---------------------------------------------------------------------------
@@ -528,19 +531,19 @@ class _Side(NamedTuple):
 
 
 class _Cover:
-    """One graph's side of the FPT search in both modes, over ``split`` or a
-    minimum cover it searches, numbered 0..k-1 in increasing order so that cover
-    adjacency, twin-class neighborhoods and members are bitmasks (member bit b is
-    the vertex ``flat[b]``).  Tables keyed by a part are filled on first request,
+    """One graph's side of the FPT search in both modes, over a vertex ``cover`` of
+    ``g`` or a minimum cover it searches, numbered 0..k-1 in increasing order so
+    that cover adjacency, twin-class neighborhoods and members are bitmasks (member
+    bit b is the vertex ``flat[b]``).  Tables keyed by a part are filled on first request,
     never for all 2^k parts up front; nothing is keyed by mode.  The class
     ``blocks`` per position, the ``room`` bound per to-independent size and the
     incumbent's ``shapes`` are built once, with the cover."""
 
-    def __init__(self, g: Graph, split: CoverSplit | None = None):
-        split = min_vertex_cover(g) if split is None else split
+    def __init__(self, g: Graph, cover: frozenset[int] | None = None):
+        cover = min_vertex_cover(g) if cover is None else cover
         self.g = g
-        twins = twin_partition(g, split)
-        self.order = sorted(split.cover)
+        twins = twin_partition(g, cover)
+        self.order = sorted(cover)
         pos = {v: j for j, v in enumerate(self.order)}
         self.adjmask = [sum(1 << pos[w] for w in g.adj[v] if w in pos) for v in self.order]
         self.nbhdmask = [sum(1 << pos[w] for w in c.neighborhood) for c in twins]
@@ -923,7 +926,7 @@ def mcis_vc_fpt(q: SolveQuery, covers: tuple[_Cover, _Cover] | None = None) -> S
     given, from :func:`_incumbent`'s size; its pairing stays the witness unless beaten."""
     method = "vc-fpt"
     if q.g1.n == 0 or q.g2.n == 0:
-        return SolveResult(0, VertexMapping(()), method, SolveStats())
+        return SolveResult(VertexMapping(()), method, SolveStats())
     c1, c2 = covers or (_Cover(q.g1), _Cover(q.g2))
     best_witness = _incumbent(c1, c2, q.connected)
     if not is_induced_isomorphism(q.g1, q.g2, best_witness) or (
@@ -935,24 +938,26 @@ def mcis_vc_fpt(q: SolveQuery, covers: tuple[_Cover, _Cover] | None = None) -> S
         if len(mapping) > best[0]:
             best[0] = len(mapping)
             best_witness = mapping
-    return SolveResult(best[0], best_witness, method, stats)
+    return SolveResult(best_witness, method, stats)
 
 
 def solve(q: SolveQuery, algo: str) -> SolveResult:
     """MCIS/MCCIS by ``algo``: ``brute``, ``vc-fpt``, or ``auto``, the FPT once
     both covers fit the cutoff, tested only past the oracle bound (within it,
     one past the cutoff is K10's 9) up to the first graph that does not fit, then
-    over the gate's splits.  A refusal raises OracleBoundError, another route ValueError."""
+    over the gate's covers.  An edgeless graph's cover is empty and fits, so the
+    gate tests ``is None``.  A refusal raises OracleBoundError, another route ValueError."""
     if algo == "brute":
         return mcis_bruteforce(q)
     if algo not in ("vc-fpt", "auto"):
         raise ValueError(f"unknown route {algo!r}: expected brute, vc-fpt or auto")
     if algo == "auto" and max(q.g1.n, q.g2.n) > ORACLE_BOUND:
-        splits = list(itertools.takewhile(bool, (min_vertex_cover(g, VC_CUTOFF) for g in (q.g1, q.g2))))
-        if len(splits) < 2:
+        budgeted = (min_vertex_cover(g, VC_CUTOFF) for g in (q.g1, q.g2))
+        covers = list(itertools.takewhile(lambda cover: cover is not None, budgeted))
+        if len(covers) < 2:
             raise OracleBoundError(
                 f"refusing: a minimum vertex cover exceeds cutoff {VC_CUTOFF} "
                 f"and inputs exceed the oracle bound {ORACLE_BOUND}"
             )
-        return mcis_vc_fpt(q, (_Cover(q.g1, splits[0]), _Cover(q.g2, splits[1])))
+        return mcis_vc_fpt(q, (_Cover(q.g1, covers[0]), _Cover(q.g2, covers[1])))
     return mcis_vc_fpt(q)

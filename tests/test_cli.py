@@ -233,6 +233,16 @@ def test_solve_auto_gate_admits_a_cover_of_the_cutoff_and_refuses_one_more(probl
     assert solve(query, "vc-fpt").size == 2
 
 
+def test_solve_auto_admits_an_edgeless_graph_whose_empty_cover_fits():
+    # an edgeless graph's minimum cover is empty, and falsy: the gate asks
+    # whether a cover fit by `is None`, or it would refuse isolated vertices
+    assert min_vertex_cover(edgeless_graph(11), 0) == frozenset()
+    assert min_vertex_cover(path_graph(3), 0) is None
+    for pair in ((edgeless_graph(11), path_graph(12)), (path_graph(12), edgeless_graph(11))):
+        result = solve(SolveQuery(*pair), "auto")
+        assert (result.size, result.method) == (6, "vc-fpt")
+
+
 def test_solve_auto_refuses_dense_inputs_without_an_exact_cover(graph_files, capsys):
     # routing asks only whether both covers fit the cutoff; the exact cover
     # numbers of two G(30, 0.5) graphs took about half a minute before refusing
@@ -514,9 +524,9 @@ def test_each_question_searches_each_graph_cover_once(monkeypatch):
         searched.append((g, budget))
         return real_cover(g, budget)
 
-    def twins(g, split):
+    def twins(g, cover):
         built.append(g)
-        return real_twins(g, split)
+        return real_twins(g, cover)
 
     for module in (params, solvers):
         monkeypatch.setattr(module, "min_vertex_cover", counting)
@@ -545,29 +555,29 @@ def test_each_question_searches_each_graph_cover_once(monkeypatch):
 
 
 @pytest.fixture
-def fpt_one_too_large(monkeypatch):
+def fpt_one_short(monkeypatch):
+    # an FPT whose witness loses its last pair: still an induced isomorphism,
+    # one vertex short of the optimum
     def wrong(query, covers=None):
         result = mcis_vc_fpt(query, covers)
-        return dataclasses.replace(result, size=result.size + 1)
+        return dataclasses.replace(result, witness=VertexMapping(result.witness.pairs[:-1]))
 
     monkeypatch.setattr(harness, "mcis_vc_fpt", wrong)
 
 
-def test_oracle_suite_failures_carry_a_replayable_instance(fpt_one_too_large):
+def test_oracle_suite_failures_carry_a_replayable_instance(fpt_one_short):
     report = harness.run_oracle_suite(7, 2, 6)
     assert not report["ok"] and len(report["failures"]) == report["instances"] == 4
+    # each shortened witness stays connected in MCCIS, so only the size is wrong
+    assert [(f["index"], f["connected"], f["problems"]) for f in report["failures"]] == [
+        (0, False, ["size mismatch: fpt=2 oracle=3"]),
+        (0, True, ["size mismatch: fpt=1 oracle=2"]),
+        (1, False, ["size mismatch: fpt=2 oracle=3"]),
+        (1, True, ["size mismatch: fpt=0 oracle=1"]),
+    ]
     rng = random.Random(7)
     drawn = [random_graph_pair(rng, 6) for _ in range(2)]
-    for failure in report["failures"]:
-        g1, g2 = drawn[failure["index"]]
-        oracle = mcis_bruteforce(SolveQuery(g1, g2, connected=failure["connected"])).size
-        assert failure["problems"] == [
-            f"size mismatch: fpt={oracle + 1} oracle={oracle}",
-            "fpt witness invalid",
-        ]
-        for text, g in ((failure["g1"], g1), (failure["g2"], g2)):
-            again = parse_graph(text)
-            assert (again.n, again.edges) == (g.n, g.edges)
+    assert all(_replays(f, *drawn[f["index"]]) for f in report["failures"])
 
 
 def _replays(failure, g1, g2):
@@ -615,24 +625,23 @@ def test_oracle_suite_reports_every_counter_above_the_bound(monkeypatch):
 def test_oracle_suite_witness_check_rejects_a_mapping_the_arbiter_rejects():
     # P3 onto K3 by the identity keeps every edge but maps a non-edge onto an edge
     query = SolveQuery(path_graph(3), complete_graph(3))
-    wrong = SolveResult(3, VertexMapping(((0, 0), (1, 1), (2, 2))), "brute", SolveStats())
+    wrong = SolveResult(VertexMapping(((0, 0), (1, 1), (2, 2))), "brute", SolveStats())
     assert not harness._witness_ok(query, wrong)
     assert harness._witness_ok(query, mcis_bruteforce(query))
 
 
 def test_oracle_suite_witness_check_fails_on_each_condition_alone():
     # two isolated vertices onto two isolated vertices: an induced isomorphism
-    # whose sides are disconnected, so only MCCIS refuses it at the right size
+    # whose sides are disconnected, so only MCCIS refuses it
     g = edgeless_graph(2)
     both = VertexMapping(((0, 0), (1, 1)))
     for connected in (False, True):
         query = SolveQuery(g, g, connected=connected)
-        assert harness._witness_ok(query, SolveResult(0, VertexMapping(()), "brute", SolveStats()))
-        assert not harness._witness_ok(query, SolveResult(1, both, "brute", SolveStats()))
-        assert harness._witness_ok(query, SolveResult(2, both, "brute", SolveStats())) == (not connected)
+        assert harness._witness_ok(query, SolveResult(VertexMapping(()), "brute", SolveStats()))
+        assert harness._witness_ok(query, SolveResult(both, "brute", SolveStats())) == (not connected)
     # the arbiter reads a witness before induces_connected, which would index
     # the first graph's adjacency at vertex 2 without a range check
-    outside = SolveResult(2, VertexMapping(((2, 0), (3, 1))), "brute", SolveStats())
+    outside = SolveResult(VertexMapping(((2, 0), (3, 1))), "brute", SolveStats())
     with pytest.raises(MappingError):
         harness._witness_ok(SolveQuery(g, g, connected=True), outside)
 
@@ -669,7 +678,7 @@ def test_check_oracle_reports_a_route_whose_guard_raises(route, name, error, mon
     assert [json.loads(line.removeprefix("  failure: ")) for line in lines[1:]] == report["failures"]
 
 
-def test_check_oracle_failure_exits_3_and_prints_each_failure(fpt_one_too_large, capsys):
+def test_check_oracle_failure_exits_3_and_prints_each_failure(fpt_one_short, capsys):
     argv = ["check", "--suite", "oracle", "--seed", "7", "--count", "2", "--max-n", "6"]
     assert main(argv) == EXIT_CHECK_FAILED
     lines = capsys.readouterr().out.splitlines()
@@ -824,7 +833,7 @@ def test_analyze_covers_many_disjoint_triangles_component_by_component(graph_fil
     assert vertex_cover_number(triangles) == 2_400
     assert time.perf_counter() - started < 1.0
     started = time.perf_counter()
-    assert len(min_vertex_cover(triangles).cover) == 2_400
+    assert len(min_vertex_cover(triangles)) == 2_400
     assert time.perf_counter() - started < 1.0
     assert main(["analyze", "--json", graph_files("triangles.el", triangles)]) == EXIT_OK
     assert json.loads(capsys.readouterr().out)["result"]["vertex_cover_size"] == 2_400
@@ -837,7 +846,7 @@ def test_analyze_covers_many_disjoint_triangles_component_by_component(graph_fil
     ]
     for g in long_components:
         started = time.perf_counter()
-        cover = min_vertex_cover(g).cover
+        cover = min_vertex_cover(g)
         assert time.perf_counter() - started < 1.0, g.n
         assert all(u in cover or v in cover for u, v in g.edges)
         assert len(cover) == vertex_cover_number(g)

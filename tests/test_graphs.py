@@ -367,6 +367,28 @@ def test_stats_searches_once_per_component_unless_the_girth_needs_more(monkeypat
         assert len(searches) <= most, (g.n, g.m, len(searches))
 
 
+def test_stats_tests_triangles_only_when_some_component_has_a_cycle():
+    # the triangle test, one isdisjoint per edge, waits for the first searches
+    # to flag the trees, so a forest makes none; it made 2,999 on this tree
+    calls = []
+
+    class Counting(frozenset):
+        def isdisjoint(self, other):
+            calls.append(other)
+            return super().isdisjoint(other)
+
+    def counted(g):
+        g.__dict__["adj"] = tuple(map(Counting, g.adj))
+        return g
+
+    rng = random.Random(42)
+    tree = [(rng.randrange(v), v) for v in range(1, 3000)]
+    stats = graph_stats(counted(Graph.from_edges(3000, tree)))
+    assert (stats.girth, stats.bipartite, stats.components, len(calls)) == (None, True, 1, 0)
+    stats = graph_stats(counted(Graph.from_edges(3003, tree + [(3000, 3001), (3001, 3002), (3000, 3002)])))
+    assert (stats.girth, stats.bipartite, stats.components) == (3, False, 2) and calls
+
+
 # --- universal vertex ------------------------------------------------------
 
 

@@ -17,7 +17,6 @@ from mcislab.graphs import (
     path_graph,
 )
 from mcislab.params import (
-    CoverSplit,
     min_feedback_vertex_set,
     min_vertex_cover,
     twin_partition,
@@ -74,36 +73,31 @@ def random_graph(rng, n, p):
 
 
 def test_vc_cycle5():
-    assert len(min_vertex_cover(cycle_graph(5)).cover) == 3
+    assert len(min_vertex_cover(cycle_graph(5))) == 3
 
 
 def test_vc_k4():
-    assert len(min_vertex_cover(complete_graph(4)).cover) == 3
+    assert len(min_vertex_cover(complete_graph(4))) == 3
 
 
 def test_vc_edgeless():
-    split = min_vertex_cover(edgeless_graph(5))
-    assert split.cover == frozenset()
-    assert split.independent == frozenset(range(5))
+    assert min_vertex_cover(edgeless_graph(5)) == frozenset()
 
 
 def test_vc_returns_a_valid_cover_split():
     rng = random.Random(2)
     for _ in range(40):
         g = random_graph(rng, rng.randint(1, 8), rng.choice((0.2, 0.5, 0.8)))
-        split = min_vertex_cover(g)
-        assert all(u in split.cover or v in split.cover for u, v in g.edges)
-        assert not any(
-            u in split.independent and v in split.independent for u, v in g.edges
-        )
-        assert split.cover | split.independent == frozenset(range(g.n))
+        cover = min_vertex_cover(g)
+        assert cover <= frozenset(range(g.n))
+        assert all(u in cover or v in cover for u, v in g.edges)
 
 
 def test_vc_matches_bruteforce_minimum():
     rng = random.Random(3)
     for _ in range(40):
         g = random_graph(rng, rng.randint(1, 8), rng.choice((0.2, 0.5, 0.8)))
-        assert len(min_vertex_cover(g).cover) == brute_min_cover_size(g)
+        assert len(min_vertex_cover(g)) == brute_min_cover_size(g)
 
 
 def all_labelled_graphs(max_n):
@@ -124,13 +118,13 @@ def test_vc_is_minimum_and_independent_of_edge_order_against_enumeration():
     ]
     shuffle = random.Random(7)
     for g in itertools.chain(all_labelled_graphs(5), seeded):
-        cover = min_vertex_cover(g).cover
+        cover = min_vertex_cover(g)
         assert all(u in cover or v in cover for u, v in g.edges)
         assert len(cover) == brute_min_cover_size(g)
         for _ in range(3):
             edges = [(v, u) if shuffle.random() < 0.5 else (u, v) for u, v in g.edges]
             shuffle.shuffle(edges)
-            assert min_vertex_cover(Graph.from_edges(g.n, edges)).cover == cover
+            assert min_vertex_cover(Graph.from_edges(g.n, edges)) == cover
 
 
 def test_vc_makes_one_cover_search_per_component(monkeypatch):
@@ -144,7 +138,7 @@ def test_vc_makes_one_cover_search_per_component(monkeypatch):
     monkeypatch.setattr(params, "_cover", counted)
     # a triangle, a path, a 4-cycle and two isolated vertices
     g = Graph.from_edges(12, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (6, 7), (7, 8), (8, 9), (6, 9)])
-    assert len(min_vertex_cover(g).cover) == 2 + 1 + 2
+    assert len(min_vertex_cover(g)) == 2 + 1 + 2
     assert sorted(calls) == [1, 1, 3, 3, 4]
     # a budget runs on across components: the 4-cycle's cover of 2 does not
     # fit the 1 that the triangle and the path leave of 4
@@ -155,9 +149,9 @@ def test_vc_makes_one_cover_search_per_component(monkeypatch):
 
 def test_vc_sparse_n60_is_a_minimum_cover():
     g = random_graph(random.Random(2), 60, 0.03)
-    split = min_vertex_cover(g)
-    assert all(u in split.cover or v in split.cover for u, v in g.edges)
-    assert len(split.cover) == vertex_cover_number(g) == 23
+    cover = min_vertex_cover(g)
+    assert all(u in cover or v in cover for u, v in g.edges)
+    assert len(cover) == vertex_cover_number(g) == 23
 
 
 # --- feedback vertex set ---------------------------------------------------
@@ -165,33 +159,33 @@ def test_vc_sparse_n60_is_a_minimum_cover():
 
 def test_fvs_forest_is_zero():
     forest = Graph.from_edges(6, [(0, 1), (1, 2), (3, 4)])
-    assert min_feedback_vertex_set(forest).size == 0
+    assert len(min_feedback_vertex_set(forest)) == 0
 
 
 def test_fvs_universal_over_forest_is_one():
     forest = Graph.from_edges(5, [(0, 1), (2, 3), (3, 4)])
     lifted = add_universal_vertex(forest)
-    assert min_feedback_vertex_set(lifted).size == 1
+    assert len(min_feedback_vertex_set(lifted)) == 1
 
 
 def test_fvs_k4_is_two():
     g = complete_graph(4)
-    assert min_feedback_vertex_set(g).size == brute_min_fvs_size(g) == 2
+    assert len(min_feedback_vertex_set(g)) == brute_min_fvs_size(g) == 2
 
 
 def test_fvs_result_removal_is_acyclic():
     rng = random.Random(8)
     for _ in range(20):
         g = random_graph(rng, rng.randint(1, 7), 0.5)
-        result = min_feedback_vertex_set(g)
-        assert result.size == len(result.vertices) == brute_min_fvs_size(g)
+        fvs = min_feedback_vertex_set(g)
+        assert fvs <= frozenset(range(g.n)) and len(fvs) == brute_min_fvs_size(g)
 
 
 def test_fvs_at_most_vc():
     rng = random.Random(12)
     for _ in range(30):
         g = random_graph(rng, rng.randint(1, 7), rng.choice((0.2, 0.5, 0.8)))
-        assert min_feedback_vertex_set(g).size <= len(min_vertex_cover(g).cover)
+        assert len(min_feedback_vertex_set(g)) <= len(min_vertex_cover(g))
 
 
 # --- twins -----------------------------------------------------------------
@@ -199,16 +193,14 @@ def test_fvs_at_most_vc():
 
 def test_twins_star_leaves_form_one_class():
     star = Graph.from_edges(4, [(0, 1), (0, 2), (0, 3)])
-    split = CoverSplit(frozenset({0}), frozenset({1, 2, 3}))
-    classes = twin_partition(star, split)
+    classes = twin_partition(star, frozenset({0}))
     assert len(classes) == 1
     assert classes[0].neighborhood == frozenset({0})
     assert classes[0].members == (1, 2, 3)
 
 
 def test_twins_p4_two_classes():
-    split = CoverSplit(frozenset({1, 2}), frozenset({0, 3}))
-    classes = twin_partition(path_graph(4), split)
+    classes = twin_partition(path_graph(4), frozenset({1, 2}))
     assert {(c.neighborhood, c.members) for c in classes} == {
         (frozenset({1}), (0,)),
         (frozenset({2}), (3,)),
@@ -216,8 +208,7 @@ def test_twins_p4_two_classes():
 
 
 def test_twins_edgeless_single_empty_class():
-    split = CoverSplit(frozenset(), frozenset(range(4)))
-    classes = twin_partition(edgeless_graph(4), split)
+    classes = twin_partition(edgeless_graph(4), frozenset())
     assert len(classes) == 1
     assert classes[0].neighborhood == frozenset()
     assert classes[0].members == (0, 1, 2, 3)
@@ -225,22 +216,23 @@ def test_twins_edgeless_single_empty_class():
 
 def test_twins_reject_invalid_split():
     with pytest.raises(ValueError, match="is not covered"):
-        twin_partition(path_graph(3), CoverSplit(frozenset({0}), frozenset({1, 2})))
-    # parts that overlap, or that miss a vertex, are no split at all
-    for cover, independent in (({1}, {0, 1, 2}), ({1}, {0})):
-        with pytest.raises(ValueError, match="must partition the vertices"):
-            twin_partition(path_graph(3), CoverSplit(frozenset(cover), frozenset(independent)))
+        twin_partition(path_graph(3), frozenset({0}))
+    # a vertex past the last, or a negative one, which adjacency would index
+    # from the end, is no vertex of the graph
+    for cover in ({1, 3}, {1, -1}):
+        with pytest.raises(ValueError, match="out of range for n=3"):
+            twin_partition(path_graph(3), frozenset(cover))
 
 
 def test_twins_cover_the_independent_set_and_swaps_are_automorphisms():
     rng = random.Random(13)
     for _ in range(25):
         g = random_graph(rng, rng.randint(1, 8), rng.choice((0.2, 0.5, 0.8)))
-        split = min_vertex_cover(g)
-        classes = twin_partition(g, split)
+        cover = min_vertex_cover(g)
+        classes = twin_partition(g, cover)
         members = [v for c in classes for v in c.members]
-        assert sorted(members) == sorted(split.independent)
-        assert len(classes) <= 2 ** len(split.cover)
+        assert sorted(members) == sorted(set(range(g.n)) - cover)
+        assert len(classes) <= 2 ** len(cover)
         for cls in classes:
             for a, b in itertools.combinations(cls.members, 2):
                 swap = {a: b, b: a}
@@ -290,16 +282,16 @@ def reference(g, connected=False):
     to-independent), smallest vertex most significant, filtered by
     independence and, in connected mode, by connectivity in g of the used
     cover vertices with their independent neighbours."""
-    split = min_vertex_cover(g)
+    cover = min_vertex_cover(g)
     kept = []
-    for roles in itertools.product(range(3), repeat=len(split.cover)):
+    for roles in itertools.product(range(3), repeat=len(cover)):
         parts = ([], [], [])
-        for v, role in zip(sorted(split.cover), roles):
+        for v, role in zip(sorted(cover), roles):
             parts[role].append(v)
         if any(v in g.adj[u] for u, v in itertools.combinations(parts[2], 2)):
             continue
         used = set(parts[0] + parts[2])
-        joined = used | {v for v in split.independent if g.adj[v] & used}
+        joined = used | {v for v in range(g.n) if v not in cover and g.adj[v] & used}
         if connected and not (used and induces_connected(g, joined)):
             continue
         kept.append(Trip(*map(frozenset, parts)))
@@ -397,8 +389,8 @@ def test_tripartition_room_bounds_the_members_an_independent_part_leaves_free():
     tight = 0
     for _ in range(150):
         g = random_graph(rng, rng.randint(1, 11), rng.choice((0.1, 0.2, 0.4)))
-        split = min_vertex_cover(g)
-        cover, twins = _Cover(g, split), twin_partition(g, split)
+        vc = min_vertex_cover(g)
+        cover, twins = _Cover(g, vc), twin_partition(g, vc)
         assert len(cover.room) == len(cover.order) + 1
         for i in range(len(cover.order) + 1):
             most = max((
@@ -424,7 +416,7 @@ def test_min_vertex_cover_stops_past_its_budget():
     graphs = [edgeless_graph(3), cycle_graph(7), cycles]
     graphs += [random_graph(rng, rng.randint(2, 14), rng.choice((0.1, 0.3, 0.6))) for _ in range(40)]
     for g in graphs:
-        split = min_vertex_cover(g)
-        k = len(split.cover)
+        cover = min_vertex_cover(g)
+        k = len(cover)
         for budget in range(k + 2):
-            assert min_vertex_cover(g, budget) == (None if budget < k else split), (g.edges, budget)
+            assert min_vertex_cover(g, budget) == (None if budget < k else cover), (g.edges, budget)

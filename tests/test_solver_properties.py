@@ -29,7 +29,6 @@ def test_fpt_and_bruteforce_agree_with_valid_witnesses(g1, g2, connected):
     fpt, brute = mcis_vc_fpt(query), mcis_bruteforce(query)
     assert fpt.size == brute.size
     for result in (fpt, brute):
-        assert len(result.witness) == result.size
         assert is_induced_isomorphism(g1, g2, result.witness)
         if connected:
             assert induces_connected(g1, [u for u, _ in result.witness.pairs])

@@ -19,7 +19,7 @@ from mcislab.graphs import (
     is_induced_isomorphism,
     path_graph,
 )
-from mcislab.params import CoverSplit, min_vertex_cover
+from mcislab.params import min_vertex_cover
 from mcislab.reductions import (
     ThreePartitionInstance,
     incidence_graph,
@@ -42,7 +42,6 @@ from mcislab.solvers import (
 
 
 def assert_valid_witness(query, result):
-    assert len(result.witness) == result.size
     assert is_induced_isomorphism(query.g1, query.g2, result.witness)
     if query.connected:
         assert induces_connected(query.g1, [u for u, _ in result.witness.pairs])
@@ -381,8 +380,8 @@ def test_fpt_counter_stays_within_bound():
     rng = random.Random(24)
     for _ in range(30):
         g1, g2 = random_graph_pair(rng, 7)
-        k1 = len(min_vertex_cover(g1).cover)
-        k2 = len(min_vertex_cover(g2).cover)
+        k1 = len(min_vertex_cover(g1))
+        k2 = len(min_vertex_cover(g2))
         for conn in (False, True):
             result = mcis_vc_fpt(SolveQuery(g1, g2, connected=conn))
             assert result.stats.configurations <= configuration_bound(k1, k2)
@@ -411,7 +410,7 @@ def planted_cover_graph(rng, n, k):
 def test_fpt_n40_cover4_pair_stays_small():
     rng = random.Random(1)
     g1, g2 = planted_cover_graph(rng, 40, 4), planted_cover_graph(rng, 40, 4)
-    assert len(min_vertex_cover(g1).cover) == len(min_vertex_cover(g2).cover) == 4
+    assert len(min_vertex_cover(g1)) == len(min_vertex_cover(g2)) == 4
     # optima as computed by the search before the class bound (65k+
     # configurations in each mode)
     for conn, optimum in ((False, 36), (True, 31)):
@@ -441,14 +440,14 @@ def test_fpt_k89_self_pair_is_bounded_before_its_bijections():
 
 @pytest.mark.parametrize("conn", [False, True])
 def test_fpt_k20_21_self_pair_builds_only_sides_that_can_beat_the_best(conn):
-    # K_{20,21} over its split (the cover search alone takes seconds here): the
+    # K_{20,21} over its known cover (the cover search alone takes seconds here): the
     # first bucket, every cover vertex to-independent, yields 40; the room bound
     # then skips every bucket but the identity's, ms = 20.  Building every side
     # of those buckets tried 137,846,528,820 tripartition pairs
     g = Graph.from_edges(41, [(u, v) for u in range(20) for v in range(20, 41)])
-    split = CoverSplit(frozenset(range(20)), frozenset(range(20, 41)))
+    cover = frozenset(range(20))
     query = SolveQuery(g, g, connected=conn)
-    result = mcis_vc_fpt(query, (solvers._Cover(g, split), solvers._Cover(g, split)))
+    result = mcis_vc_fpt(query, (solvers._Cover(g, cover), solvers._Cover(g, cover)))
     assert result.size == 41
     assert_valid_witness(query, result)
     assert result.stats.pairs_tried <= 2
@@ -458,7 +457,7 @@ def test_fpt_k20_21_self_pair_builds_only_sides_that_can_beat_the_best(conn):
 def test_fpt_n40_cover6_pair_prunes_whole_tripartition_pairs():
     rng = random.Random(1)
     g1, g2 = planted_cover_graph(rng, 40, 6), planted_cover_graph(rng, 40, 6)
-    assert len(min_vertex_cover(g1).cover) == len(min_vertex_cover(g2).cover) == 6
+    assert len(min_vertex_cover(g1)) == len(min_vertex_cover(g2)) == 6
     # optima and bijections tried by the search before the pair bound:
     # 22,450 bijections in plain mode, 28,933 in connected mode
     for conn, optimum, before in ((False, 36, 22_450), (True, 28, 28_933)):
@@ -506,7 +505,7 @@ def test_fpt_optimum_obeys_metamorphic_relations_at_planted_sizes():
         return Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges])
 
     def hosting(h):
-        cover, n = sorted(min_vertex_cover(h).cover), h.n + 3
+        cover, n = sorted(min_vertex_cover(h)), h.n + 3
         hung = [(u, v) for v in range(h.n, n) for u in plant.sample(cover, plant.randint(1, 2))]
         perm = list(range(n))
         plant.shuffle(perm)
@@ -538,7 +537,7 @@ def test_fpt_over_shared_covers_equals_fresh_solves_in_either_mode_order():
     # one pair of covers serves both modes: MCIS first or MCCIS first, every
     # size, witness and work counter equals that of a solve that builds its
     # own covers, so no table one mode fills leaks into the other; so do the
-    # covers that `solve` builds from the auto gate's budgeted splits
+    # covers that `solve` builds from the auto gate's budgeted cover searches
     rng = random.Random(47)
     pairs = [random_graph_pair(rng, 9) for _ in range(40)]
     for k in (4, 6):
@@ -546,12 +545,12 @@ def test_fpt_over_shared_covers_equals_fresh_solves_in_either_mode_order():
         pairs.append((planted_cover_graph(planted, 40, k), planted_cover_graph(planted, 40, k)))
     for g1, g2 in pairs:
         fresh = {conn: mcis_vc_fpt(SolveQuery(g1, g2, connected=conn)) for conn in (False, True)}
-        splits = [min_vertex_cover(g, solvers.VC_CUTOFF) for g in (g1, g2)]
-        assert None not in splits
+        budgeted = [min_vertex_cover(g, solvers.VC_CUTOFF) for g in (g1, g2)]
+        assert None not in budgeted
         for order in ((False, True), (True, False)):
             for covers in (
                 (solvers._Cover(g1), solvers._Cover(g2)),
-                (solvers._Cover(g1, splits[0]), solvers._Cover(g2, splits[1])),
+                (solvers._Cover(g1, budgeted[0]), solvers._Cover(g2, budgeted[1])),
             ):
                 for conn in order:
                     shared = mcis_vc_fpt(SolveQuery(g1, g2, connected=conn), covers)
@@ -602,12 +601,11 @@ def test_cover_links_connect_a_part_iff_it_and_its_independent_neighbors_do():
     rng = random.Random(45)
     for _ in range(40):
         g, _ = random_graph_pair(rng, 9)
-        split = min_vertex_cover(g)
         cover = solvers._Cover(g)
-        for size in range(1, len(split.cover) + 1):
-            for part in itertools.combinations(sorted(split.cover), size):
+        for size in range(1, len(cover.order) + 1):
+            for part in itertools.combinations(cover.order, size):
                 mask = sum(1 << cover.order.index(v) for v in part)
-                joined = set(part) | {v for v in split.independent if g.adj[v] & set(part)}
+                joined = set(part) | {v for v in range(g.n) if v not in cover.order and g.adj[v] & set(part)}
                 assert cover.linked[mask] == induces_connected(g, joined)
         assert not cover.linked[0]
 
@@ -669,7 +667,7 @@ def test_fpt_incumbent_is_a_common_subgraph_no_larger_than_the_optimum():
     # common induced subgraph, connected in MCCIS, and never beat the optimum
     def incumbent(g1, g2, conn):
         mapping = solvers._incumbent(solvers._Cover(g1), solvers._Cover(g2), conn)
-        assert_valid_witness(SolveQuery(g1, g2, connected=conn), SolveResult(len(mapping), mapping, "", None))
+        assert_valid_witness(SolveQuery(g1, g2, connected=conn), SolveResult(mapping, "", None))
         return len(mapping)
 
     rng = random.Random(48)
@@ -728,7 +726,7 @@ def test_fpt_choice_layer_tests_each_class_choice_as_it_is_made():
         for n in (10, 10, 10, 12, 16) for p in (0.2, 0.3)
     ]
     g1, g2 = pairs[6]
-    assert len(min_vertex_cover(g1).cover) == len(min_vertex_cover(g2).cover) == 6
+    assert len(min_vertex_cover(g1)) == len(min_vertex_cover(g2)) == 6
     for conn in (False, True):
         query = SolveQuery(g1, g2, connected=conn)
         result = mcis_vc_fpt(query)
@@ -736,7 +734,7 @@ def test_fpt_choice_layer_tests_each_class_choice_as_it_is_made():
         assert_valid_witness(query, result)
         assert result.stats.configurations <= 100
     g1, g2 = pairs[8]
-    assert len(min_vertex_cover(g1).cover) == len(min_vertex_cover(g2).cover) == 8
+    assert len(min_vertex_cover(g1)) == len(min_vertex_cover(g2)) == 8
     query = SolveQuery(g1, g2)
     result = mcis_vc_fpt(query)
     assert result.size == 12
@@ -868,7 +866,7 @@ def test_fpt_counts_its_cover_bijection_placements_as_search_nodes(conn):
 
 def test_fpt_draws_tripartition_buckets_lazily(monkeypatch):
     g = planted_cover_graph(random.Random(1), 40, 4)
-    k = len(min_vertex_cover(g).cover)
+    k = len(min_vertex_cover(g))
     sizes = range(k + 1)
     # all buckets of both sides together reach the bound below, so it is not vacuous
     everything = sum(len(solvers._Cover(g)._bucket(False, m, i, -1)) for m in sizes for i in sizes)
@@ -1001,7 +999,7 @@ def test_enumerate_every_item_is_validated():
     rng = random.Random(26)
     for _ in range(10):
         g1, g2 = random_graph_pair(rng, 5)
-        cover1, cover2 = min_vertex_cover(g1).cover, min_vertex_cover(g2).cover
+        cover1, cover2 = min_vertex_cover(g1), min_vertex_cover(g2)
         for bijection, mapping in enumerate_configurations(g1, g2):
             assert is_induced_isomorphism(g1, g2, mapping)
             # the cover bijection, in vertex ids, is the mapping on the matched
