@@ -35,8 +35,8 @@ each other:
   trace's.
   These tests skip a pair where the pair loop visits it, before its
   first bijection.  The cover bijections of a live pair are placements of
-  the vertex layer, the one search for induced embeddings, over the
-  adjacency inside the two matched parts.  The pair search reads cover
+  the vertex layer, the one search for induced embeddings, of the first matched
+  part in ``_Cover.inner``'s order onto the second's positions.  The pair search reads cover
   positions and bitmasks only, twin-class members included (member bit b
   is the vertex ``_Cover.flat[b]``), and translates them to vertex ids
   only when it assembles a candidate.  Once a cover bijection is
@@ -55,7 +55,7 @@ each other:
   alone decides which cover parts are linked and which candidates stay.
   The search starts from an incumbent, two one- or two-vertex cover shapes
   (built once per side) paired trace by trace with no search, under the same
-  guards; it stays the witness unless the search beats it.
+  guards; it stays the witness unless the search beats it (on an empty graph it is empty, and nothing can).
 
 :func:`solve` routes MCIS/MCCIS by name, owns the size gates, and hands the gate's covers on.
 :func:`enumerate_configurations` exposes the same enumeration as a stream
@@ -71,7 +71,7 @@ import bisect
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator, NamedTuple, Sequence, TypeVar, Union
+from typing import Callable, Iterator, NamedTuple, Sequence, TypeVar
 
 from .graphs import (
     Graph,
@@ -206,13 +206,9 @@ def _component_orders(g: Graph) -> list[list[int]]:
     return ordered
 
 
-# a vertex's neighbors: a graph's adjacency tuple, or a dict over a vertex subset
-_Adj = Union[tuple[frozenset[int], ...], dict[int, frozenset[int]]]
-
-
 def _embeddings(
-    padj: _Adj,
-    hadj: _Adj,
+    padj: Sequence[frozenset[int]],
+    hadj: Sequence[frozenset[int]],
     comps: list[list[int]],
     classes: list[int],
     pool: Sequence[int],
@@ -289,7 +285,8 @@ def _embeddings(
         yield dict(zip(order, images))
 
 
-def _component_classes(adj: _Adj, comps: list[list[int]], stats: SolveStats) -> tuple[list[int], list[list[int]]]:
+def _component_classes(adj: Sequence[frozenset[int]], comps: list[list[int]],
+                       stats: SolveStats) -> tuple[list[int], list[list[int]]]:
     """Isomorphism class of each component, numbered by first appearance, and
     per class the sorted vertices of its first component (its pool).
 
@@ -314,8 +311,8 @@ def _component_classes(adj: _Adj, comps: list[list[int]], stats: SolveStats) -> 
 
 
 def _pack(
-    padj: _Adj,
-    hadj: _Adj,
+    padj: Sequence[frozenset[int]],
+    hadj: Sequence[frozenset[int]],
     comps: list[list[int]],
     classes: list[int],
     host_comps: list[list[int]],
@@ -476,17 +473,6 @@ def mcis_bruteforce(q: SolveQuery) -> SolveResult:
 # the vertex-cover-parameterized enumeration
 
 
-def _cover_bijections(
-    inner1: dict[int, frozenset[int]], inner2: dict[int, frozenset[int]], stats: SolveStats
-) -> Iterator[dict[int, int]]:
-    """The induced isomorphisms between two equal-size matched cover parts,
-    given the position adjacency inside each: the vertex layer's placements
-    of the first part, by (-degree, position), onto the sorted second part,
-    each counted in ``stats.search_nodes``."""
-    order = sorted(inner1, key=lambda v: (-len(inner1[v]), v))
-    return _embeddings(inner1, inner2, [order], [0], sorted(inner2), stats)
-
-
 def _bits(mask: int) -> Iterator[int]:
     """The positions of the set bits of ``mask``, lowest first."""
     while mask:
@@ -535,7 +521,7 @@ class _Cover:
     ``g`` or a minimum cover it searches, numbered 0..k-1 in increasing order so
     that cover adjacency, twin-class neighborhoods and members are bitmasks (member
     bit b is the vertex ``flat[b]``).  Tables keyed by a part are filled on first request,
-    never for all 2^k parts up front; nothing is keyed by mode.  The class
+    never for all 2^k parts up front (``inner`` for the bijections); nothing is keyed by mode.  The class
     ``blocks`` per position, the ``room`` bound per to-independent size and the
     incumbent's ``shapes`` are built once, with the cover."""
 
@@ -552,10 +538,7 @@ class _Cover:
         self.members = [(1 << b) - (1 << a) for a, b in itertools.pairwise(ends)]
         self.positions = _Table(lambda mask: tuple(_bits(mask)))
         self.parts = _Table(self._part)
-        # per matched part: the position adjacency inside it
-        self.inner = _Table(lambda mm: {
-            j: frozenset(self.positions[self.adjmask[j] & mm]) for j in self.positions[mm]
-        })
+        self.inner = _Table(self._inner)
         self.linked = _Table(self._linked)
         # per position: the members of the classes adjacent to it, and of those adjacent to it alone
         self.blocks, private = [0] * len(self.order), [0] * len(self.order)
@@ -590,6 +573,12 @@ class _Cover:
     def image(self, mask: int, sigma: dict[int, int]) -> int:
         """The mask of the images under ``sigma`` of the positions of ``mask``."""
         return sum([1 << sigma[j] for j in self.positions[mask]])
+
+    def _inner(self, mm: int) -> tuple[tuple[frozenset[int], ...], list[int]]:
+        """The matched part ``mm`` as the vertex layer reads it: the adjacency inside it by
+        cover position (empty outside it), and its bijections' order, by (-degree, position)."""
+        adj = tuple([frozenset(self.positions[a & mm] if mm >> j & 1 else ()) for j, a in enumerate(self.adjmask)])
+        return adj, sorted(self.positions[mm], key=lambda j: (-len(adj[j]), j))
 
     def _part(self, mm: int) -> _Part:
         """Signatures and twin classes by trace in the matched part ``mm``."""
@@ -850,7 +839,8 @@ def _search_pair(
                 chosen.pop()
             taken[g] ^= low
 
-    for sigma in _cover_bijections(c1.inner[s1.mm], c2.inner[s2.mm], stats):
+    (adj1, order1), (adj2, _) = c1.inner[s1.mm], c2.inner[s2.mm]
+    for sigma in _embeddings(adj1, adj2, [order1], [0], c2.positions[s2.mm], stats):  # the cover bijections
         if ub <= best[0]:
             return
         stats.bijections_tried += 1
@@ -886,8 +876,8 @@ def _incumbent(c1: _Cover, c2: _Cover, connected: bool) -> VertexMapping:
     """The largest pairing of two shapes (:meth:`_Cover._shapes`) with equal
     cover part and adjacency, trace by trace, from one shape per isomorphism
     type (its key); in MCCIS without missed members or the shape with no
-    position, so every pairing is connected.  Else a single vertex.  A tie
-    goes to the first in shape order, so to the fewer cover positions."""
+    position, so every pairing is connected.  Else a single vertex if both graphs
+    have one, and none if not.  A tie goes to the first in shape order, so to the fewer cover positions."""
     traces = 3 if connected else 4
     kinds: list[dict[tuple[int, ...], tuple]] = [{}, {}]
     for c, kind in zip((c1, c2), kinds):
@@ -896,8 +886,8 @@ def _incumbent(c1: _Cover, c2: _Cover, connected: bool) -> VertexMapping:
                 kind.setdefault((len(pos), adjacent, *[mk.bit_count() for mk in masks[:traces]]), (pos, masks))
     pick = max(((k1[0] + sum(map(min, k1[2:], k2[2:])), s1, s2) for k1, s1 in kinds[0].items()
                 for k2, s2 in kinds[1].items() if k1[:2] == k2[:2]), key=lambda t: t[0], default=None)
-    if pick is None:  # a single vertex is always a (connected) common induced subgraph
-        return VertexMapping(((0, 0),))
+    if pick is None:  # a single vertex is a (connected) common induced subgraph of two non-empty graphs
+        return VertexMapping(((0, 0),) if c1.g.n and c2.g.n else ())
     _, (pos1, masks1), (pos2, masks2) = pick
     pairs = [(c1.order[a], c2.order[b]) for a, b in zip(pos1, pos2)]
     for mk1, mk2 in zip(masks1[:traces], masks2):
@@ -923,10 +913,8 @@ def enumerate_configurations(
 
 def mcis_vc_fpt(q: SolveQuery, covers: tuple[_Cover, _Cover] | None = None) -> SolveResult:
     """Exact MCIS/MCCIS via the cover-tripartition enumeration, over ``covers`` if
-    given, from :func:`_incumbent`'s size; its pairing stays the witness unless beaten."""
-    method = "vc-fpt"
-    if q.g1.n == 0 or q.g2.n == 0:
-        return SolveResult(VertexMapping(()), method, SolveStats())
+    given, from :func:`_incumbent`'s size; its pairing stays the witness unless beaten
+    (on an empty graph the empty one: the search then walks no bucket, counting nothing)."""
     c1, c2 = covers or (_Cover(q.g1), _Cover(q.g2))
     best_witness = _incumbent(c1, c2, q.connected)
     if not is_induced_isomorphism(q.g1, q.g2, best_witness) or (
@@ -938,7 +926,7 @@ def mcis_vc_fpt(q: SolveQuery, covers: tuple[_Cover, _Cover] | None = None) -> S
         if len(mapping) > best[0]:
             best[0] = len(mapping)
             best_witness = mapping
-    return SolveResult(best_witness, method, stats)
+    return SolveResult(best_witness, "vc-fpt", stats)
 
 
 def solve(q: SolveQuery, algo: str) -> SolveResult:

@@ -586,23 +586,27 @@ def _replays(failure, g1, g2):
                for again, g in ((parse_graph(failure["g1"]), g1), (parse_graph(failure["g2"]), g2)))
 
 
-def test_oracle_suite_reports_an_oracle_witness_that_is_not_connected(monkeypatch):
-    # an oracle answering MCCIS with its MCIS witness: seed 6 draws one pair whose
+@pytest.mark.parametrize("route, seed", [("oracle", 6), ("fpt", 35)])
+def test_oracle_suite_reports_a_witness_that_is_not_connected(monkeypatch, route, seed):
+    # one route answering MCCIS with its MCIS witness: the seed draws one pair whose
     # MCIS witness is larger than the MCCIS optimum, and one where it is only disconnected
-    def mcis_witness(query):
-        return mcis_bruteforce(dataclasses.replace(query, connected=False))
+    solver = mcis_bruteforce if route == "oracle" else mcis_vc_fpt
 
-    monkeypatch.setattr(harness, "mcis_bruteforce", mcis_witness)
-    report = harness.run_oracle_suite(6, 2, 6)
-    rng = random.Random(6)
+    def mcis_witness(query, *covers):  # the FPT takes the suite's covers
+        return solver(dataclasses.replace(query, connected=False), *covers)
+
+    monkeypatch.setattr(harness, solver.__name__, mcis_witness)
+    report = harness.run_oracle_suite(seed, 2, 6)
+    rng = random.Random(seed)
     drawn = [random_graph_pair(rng, 6) for _ in range(2)]
     expected = []
     for index, (g1, g2) in enumerate(drawn):
-        mcis = mcis_bruteforce(SolveQuery(g1, g2))
+        mcis = mcis_witness(SolveQuery(g1, g2))
         if not induces_connected(g1, [u for u, _ in mcis.witness.pairs]):
             mccis = mcis_bruteforce(SolveQuery(g1, g2, connected=True)).size
-            mismatch = [f"size mismatch: fpt={mccis} oracle={mcis.size}"] if mccis != mcis.size else []
-            expected.append((index, True, [*mismatch, "oracle witness invalid"]))
+            fpt, oracle = (mccis, mcis.size) if route == "oracle" else (mcis.size, mccis)
+            mismatch = [f"size mismatch: fpt={fpt} oracle={oracle}"] if fpt != oracle else []
+            expected.append((index, True, [*mismatch, f"{route} witness invalid"]))
     assert [(f["index"], f["connected"], f["problems"]) for f in report["failures"]] == expected
     assert [len(problems) for *_, problems in expected] == [2, 1]
     assert all(_replays(f, *drawn[f["index"]]) for f in report["failures"])

@@ -352,7 +352,16 @@ def test_fpt_edgeless_pair_connected_is_single_vertex():
 
 
 def test_fpt_empty_input():
-    assert mcis_vc_fpt(SolveQuery(edgeless_graph(0), complete_graph(3))).size == 0
+    # the search itself answers an empty graph: the incumbent is empty and no bucket is walked
+    k0, k3, p12 = edgeless_graph(0), complete_graph(3), path_graph(12)
+    for conn in (False, True):
+        for g1, g2 in ((k0, k0), (k0, k3), (k3, k0)):
+            result = mcis_vc_fpt(SolveQuery(g1, g2, conn))
+            assert (result.size, result.witness, result.method) == (0, VertexMapping(()), "vc-fpt")
+            assert result.stats == SolveStats()
+        # past the oracle bound, auto reaches the FPT through its gate, over the gate's covers
+        for g1, g2 in ((k0, p12), (p12, k0)):
+            assert solvers.solve(SolveQuery(g1, g2, conn), "auto").size == 0
 
 
 def test_fpt_matches_oracle_on_random_pairs():
@@ -827,7 +836,8 @@ def test_fpt_mccis_matches_a_networkx_oracle_past_the_bruteforce_bound():
 
 
 def test_cover_bijections_are_the_induced_permutations_each_once():
-    # the FPT takes its cover bijections from the ISI vertex layer
+    # the FPT's cover bijections are the vertex layer's placements of one matched
+    # part, in the order _Cover.inner keeps for it, onto the other part's positions
     rng = random.Random(12)
     total = 0
     for draw in range(300):
@@ -836,10 +846,13 @@ def test_cover_bijections_are_the_induced_permutations_each_once():
         m1, m2 = sorted(rng.sample(range(g1.n), size)), sorted(rng.sample(range(g2.n), size))
         if draw % 2:  # a part onto itself: the identity and every automorphism
             g2, m2 = g1, m1
-        inner1 = {v: g1.adj[v] & set(m1) for v in m1}
-        inner2 = {v: g2.adj[v] & set(m2) for v in m2}
+        # every vertex in the cover, so that positions are vertex ids
+        c1, c2 = (solvers._Cover(g, frozenset(range(g.n))) for g in (g1, g2))
+        mask1, mask2 = sum(1 << v for v in m1), sum(1 << v for v in m2)
+        (adj1, order1), (adj2, _) = c1.inner[mask1], c2.inner[mask2]
         stats = SolveStats()
-        found = [tuple(sorted(sigma.items())) for sigma in solvers._cover_bijections(inner1, inner2, stats)]
+        placements = solvers._embeddings(adj1, adj2, [order1], [0], c2.positions[mask2], stats)
+        found = [tuple(sorted(sigma.items())) for sigma in placements]
         # each bijection ends on a placement of its own, and an empty part has none
         assert stats.search_nodes >= len(found) if size else stats.search_nodes == 0
         expected = set()
