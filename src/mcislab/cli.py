@@ -96,48 +96,40 @@ def cmd_solve(args: argparse.Namespace) -> Outcome:
             raise CliError("-k applies to mcis and mccis")
         stats = SolveStats()
         witness = isi_backtracking(g1, g2, stats)
-        result = {
-            "answer": witness is not None,
-            "witness": list(witness.pairs) if witness is not None else None,
-        }
-        lines = ["yes" if witness is not None else "no"]
-        if witness is not None:
-            lines.append("witness: " + " ".join(f"{u}->{v}" for u, v in witness.pairs))
-        return EXIT_OK, digest, result, lines, stats
-
-    try:
-        solved = solve(SolveQuery(g1, g2, connected=args.problem == "mccis"), args.algo)
-    except OracleBoundError as exc:
-        raise CliError(str(exc), EXIT_REFUSED) from exc
-    result = {"size": solved.size, "witness": list(solved.witness.pairs), "method": solved.method}
-    lines = []
-    if args.k is not None:
-        result["answer"] = solved.size >= args.k
-        lines.append("yes" if result["answer"] else "no")
-    lines.append(f"size {solved.size}")
-    lines.append("witness: " + " ".join(f"{u}->{v}" for u, v in solved.witness.pairs))
-    return EXIT_OK, digest, result, lines, solved.stats
+        found = witness is not None
+        result = {"answer": found, "witness": list(witness.pairs) if found else None}
+        lines = ["yes" if found else "no"]
+    else:
+        try:
+            solved = solve(SolveQuery(g1, g2, connected=args.problem == "mccis"), args.algo)
+        except OracleBoundError as exc:
+            raise CliError(str(exc), EXIT_REFUSED) from exc
+        witness, stats = solved.witness, solved.stats
+        result = {"size": solved.size, "witness": list(witness.pairs), "method": solved.method}
+        lines = []
+        if args.k is not None:
+            result["answer"] = solved.size >= args.k
+            lines.append("yes" if result["answer"] else "no")
+        lines.append(f"size {solved.size}")
+    if witness is not None:
+        lines.append("witness: " + " ".join(f"{u}->{v}" for u, v in witness.pairs))
+    return EXIT_OK, digest, result, lines, stats
 
 
 def cmd_reduce(args: argparse.Namespace) -> Outcome:
     try:
-        if args.which == "clique-incidence":
-            if len(args.inputs) != 1 or args.clique_size is None:
-                raise CliError("clique-incidence needs one graph file and --clique-size")
-            g, text = _load_graph(args.inputs[0])
+        if args.which in ("clique-incidence", "cross-compose"):
+            one = args.which == "clique-incidence"
+            if args.clique_size is None or (len(args.inputs) != 1 if one else not args.inputs):
+                needs = "one graph file" if one else "graph files"
+                raise CliError(f"{args.which} needs {needs} and --clique-size")
             # k above n cannot embed, and the pattern, built from K_k, grows as k^2
-            CliqueInstance(g, args.clique_size)
-            out = clique_to_incidence_isi(g, args.clique_size)
-            digest = _digest(args.which, text, str(args.clique_size))
-        elif args.which == "cross-compose":
-            if not args.inputs or args.clique_size is None:
-                raise CliError("cross-compose needs graph files and --clique-size")
             batch, texts = [], []
             for path in args.inputs:
                 g, text = _load_graph(path)
                 batch.append(CliqueInstance(g, args.clique_size))
                 texts.append(text)
-            out = cross_compose(batch)
+            out = clique_to_incidence_isi(g, args.clique_size) if one else cross_compose(batch)
             digest = _digest(args.which, *texts, str(args.clique_size))
         elif args.which == "universal":
             if len(args.inputs) != 2:

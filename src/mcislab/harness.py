@@ -127,25 +127,25 @@ def run_reduction_suite(seed: int, count: int) -> dict:
         # incidence reduction on a random source
         inst = random_clique_instance(rng, rng.randint(3, 5), 3)
         out = clique_to_incidence_isi(inst.graph, inst.l)
-        record("clique-incidence", lambda: verify_reduction(out, has_clique(inst.graph, inst.l)))
+        record(out.kind, lambda: verify_reduction(out, has_clique(inst.graph, inst.l)))
 
         # cross-composition of a small batch
         n, l = rng.randint(3, 4), 3
         batch = [random_clique_instance(rng, n, l) for _ in range(rng.randint(1, 3))]
         out = cross_compose(batch)
         answer = any(has_clique(b.graph, l) for b in batch)
-        record("cross-compose", lambda: verify_reduction(out, answer))
+        record(out.kind, lambda: verify_reduction(out, answer))
 
         # universal-vertex lift of a forest pair
         f1 = random_forest(rng, 6)
         f2 = random_forest(rng, 6)
         out = isi_to_mccis(f1, f2)
-        record("universal", lambda: verify_reduction(out, isi_backtracking(f1, f2) is not None))
+        record(out.kind, lambda: verify_reduction(out, isi_backtracking(f1, f2) is not None))
 
         # 3-partition reduction
         tp = random_three_partition(rng)
         out = three_partition_to_forest_isi(tp)
-        record("3partition", lambda: verify_reduction(out, three_partition_exists(tp)))
+        record(out.kind, lambda: verify_reduction(out, three_partition_exists(tp)))
 
     return {
         "suite": "reductions",

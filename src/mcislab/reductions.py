@@ -3,16 +3,16 @@
 Each builder returns a :class:`ReductionOutput`: the constructed instance,
 its vertices' roles and machine-checkable certificates (vertex-cover set,
 size formulas, structural facts).  :func:`verify_reduction` re-derives every
-certificate from scratch and compares the reduced instance's answer against
-the source instance's answer using the brute-force solvers, so the
-constructions can be audited end to end at desk scale.
+certificate and compares the reduced instance's answer with the source's, by
+:func:`~mcislab.solvers.isi_backtracking` for the three ISI gadgets and by
+brute-force MCCIS for the universal lift, so each can be audited at desk scale.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -52,10 +52,6 @@ class CliqueInstance:
         if not 1 <= self.l <= self.graph.n:
             raise ValueError("clique size must be between 1 and the vertex count")
 
-    @property
-    def n(self) -> int:
-        return self.graph.n
-
 
 @dataclass(frozen=True)
 class ThreePartitionInstance:
@@ -89,8 +85,8 @@ class ReductionOutput:
     g1: Graph
     g2: Graph
     target: int
-    certificates: dict = field(default_factory=dict)
-    roles: dict = field(default_factory=dict)
+    certificates: dict
+    roles: dict
 
 
 @dataclass(frozen=True)
@@ -179,12 +175,12 @@ def clique_to_incidence_isi(g: Graph, k: int) -> ReductionOutput:
     """
     if k < 3:
         raise ValueError("k must be at least 3 (k <= 2 is trivial and excluded)")
-    size = max(k + k * (k - 1) // 2, g.n + g.m)
+    target = k + k * (k - 1) // 2
+    size = max(target, g.n + g.m)
     if size > MAX_VERTICES:
         raise SizeBoundError(f"the gadget would have {size} vertices")
     g1, roles1 = _incidence(complete_graph(k))
     g2, roles2 = _incidence(g)
-    target = k + k * (k - 1) // 2
     certificates = {
         "k": k,
         "target_formula": "k + k*(k-1)/2",
@@ -212,9 +208,9 @@ def cross_compose(instances: list[CliqueInstance]) -> ReductionOutput:
     """
     if not instances:
         raise EquivalenceClassError("need at least one instance")
-    n = instances[0].n
+    n = instances[0].graph.n
     l = instances[0].l
-    if any(inst.n != n or inst.l != l for inst in instances):
+    if any(inst.graph.n != n or inst.l != l for inst in instances):
         raise EquivalenceClassError(
             "all instances must share the same vertex count and clique size"
         )

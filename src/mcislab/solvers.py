@@ -708,8 +708,8 @@ def _iter_search(c1: _Cover, c2: _Cover, connected: bool, stats: SolveStats,
     """Core enumeration shared by the FPT solver and the configuration stream:
     each kept candidate's mapping, over the caller's covers, in MCCIS if ``connected``.
 
-    ``best`` is a one-element list holding the best size so far, updated by
-    the consumer; subtrees whose size ceiling cannot beat it are skipped.
+    ``best`` is a one-element list holding the best size so far, raised by the
+    consumer; each mapping yielded beats it, and subtrees that cannot are skipped.
     Buckets (matched size and the two to-independent sizes) come from
     :func:`_buckets` in decreasing order of their ceiling; one whose sizes plus
     the smaller ``room`` cannot beat ``best`` is skipped.  Each side's
@@ -922,10 +922,8 @@ def mcis_vc_fpt(q: SolveQuery, covers: tuple[_Cover, _Cover] | None = None) -> S
         raise WitnessError(f"mcis_vc_fpt built an invalid incumbent {best_witness.pairs}")
     best = [len(best_witness)]
     stats = SolveStats(incumbent=best[0])
-    for mapping in _iter_search(c1, c2, q.connected, stats, best):
-        if len(mapping) > best[0]:
-            best[0] = len(mapping)
-            best_witness = mapping
+    for best_witness in _iter_search(c1, c2, q.connected, stats, best):  # each beats best
+        best[0] = len(best_witness)
     return SolveResult(best_witness, "vc-fpt", stats)
 
 

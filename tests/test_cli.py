@@ -441,10 +441,12 @@ def test_reduce_has_no_host_length_flag(tmp_path, capsys):
 def test_reduce_usage_errors(graph_files, tmp_path, capsys):
     k4 = graph_files("k4.el", complete_graph(4))
     out = str(tmp_path / "x")
-    # missing --clique-size
-    assert main(["reduce", "--which", "clique-incidence", k4, "--outdir", out]) == EXIT_USAGE
-    # missing inputs or flags that each builder needs
+    # missing inputs or flags that each builder needs; both Clique gadgets load
+    # on one path, and each keeps its own message
     for argv, message in (
+        (["clique-incidence", k4], "clique-incidence needs one graph file and --clique-size"),
+        (["clique-incidence", k4, k4, "--clique-size", "3"],
+         "clique-incidence needs one graph file and --clique-size"),
         (["cross-compose", "--clique-size", "3"], "cross-compose needs graph files and --clique-size"),
         (["universal", k4], "universal needs exactly two graph files"),
         (["3partition", "--items", "4,4,5", "--target-sum", "13"],
@@ -467,6 +469,15 @@ def test_reduce_usage_errors(graph_files, tmp_path, capsys):
         )
         == EXIT_USAGE
     )
+    # a Clique gadget's digest hashes its name, each source file in order, then k
+    c4 = graph_files("c4.el", cycle_graph(4))
+    for argv, digest in (
+        (["clique-incidence", k4], "ed96f150d51c0800"),
+        (["cross-compose", k4, c4], "c5e48693ff62e5ea"),
+    ):
+        capsys.readouterr()
+        assert main(["reduce", "--which", *argv, "--clique-size", "3", "--outdir", out, "--json"]) == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["inputs_digest"] == digest
 
 
 def test_reduce_3partition_refuses_items_that_are_not_integers(tmp_path, capsys):

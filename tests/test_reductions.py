@@ -340,7 +340,7 @@ def test_verifier_catches_wrong_answer_claim():
 
 
 def test_verifier_rejects_unknown_kind():
-    bogus = ReductionOutput("mystery", path_graph(2), path_graph(2), 1, {})
+    bogus = ReductionOutput("mystery", path_graph(2), path_graph(2), 1, {}, {})
     assert not verify_reduction(bogus, True).ok
 
 

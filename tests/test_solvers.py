@@ -696,6 +696,25 @@ def test_fpt_incumbent_is_a_common_subgraph_no_larger_than_the_optimum():
                 assert incumbent(g1, g2, conn) <= optimum, (k, n, conn)
 
 
+def test_fpt_search_yields_only_mappings_that_beat_the_best_so_far():
+    # mcis_vc_fpt keeps every mapping the search yields with no size test, so
+    # each must beat the best size at the moment it is yielded: over the pairs
+    # that check --max-n 9 --count 3 draws at seeds 1-60, from the incumbent
+    yields = 0
+    for seed in range(1, 61):
+        rng = random.Random(seed)
+        for _ in range(3):
+            g1, g2 = random_graph_pair(rng, 9)
+            c1, c2 = solvers._Cover(g1), solvers._Cover(g2)
+            for conn in (False, True):
+                best = [len(solvers._incumbent(c1, c2, conn))]
+                for mapping in solvers._iter_search(c1, c2, conn, SolveStats(), best):
+                    assert len(mapping) > best[0], (seed, g1.edges, g2.edges, conn)
+                    best[0] = len(mapping)
+                    yields += 1
+    assert yields > 30
+
+
 def test_fpt_incumbent_takes_the_star_on_a_tie_with_a_double_star():
     # the paw against the diamond (K4 less an edge), optimum 3: a star pairing
     # (a P3 about one cover vertex) and a double-star pairing (a triangle on
