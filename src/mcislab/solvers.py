@@ -4,10 +4,11 @@ Three routes to an answer, deliberately redundant so they can cross-check
 each other:
 
 * :func:`isi_backtracking` — induced subgraph isomorphism in two layers.
-  When both graphs have two or more components, the component layer packs
-  pattern components into host components, deciding once per call whether
-  a multiset of pattern component classes fits a host component class; a
-  separator count refutes most misfits before the vertex layer runs.
+  :func:`_components` orders and classes each graph's components.  When
+  both have two or more, the component layer packs pattern components into
+  host components, deciding once per call whether a multiset of pattern
+  component classes fits a host component class; a separator count
+  refutes most misfits before the vertex layer runs.
   The vertex layer places pattern vertices depth first with an explicit
   depth, along one table per call indexed by order position, pruned by
   degree, non-degree and adjacency to the images of earlier neighbors.
@@ -154,6 +155,14 @@ class SolveResult:
         return len(self.witness)
 
 
+def _answers(q: SolveQuery, witness: VertexMapping) -> bool:
+    """Whether ``witness`` answers ``q``: the arbiter first, since it refuses a
+    pair out of range, which induces_connected would index blindly; once it
+    accepts, the first side stands for both."""
+    return is_induced_isomorphism(q.g1, q.g2, witness) and (
+        not q.connected or induces_connected(q.g1, [u for u, _ in witness.pairs]))
+
+
 def configuration_bound(k1: int, k2: int) -> int:
     """Loose ceiling on how many configurations the enumeration may touch."""
     return 3**k1 * 3**k2 * math.factorial(max(k1, k2)) * 2 ** (2 * k1 * k2)
@@ -178,32 +187,6 @@ def depth_first(root: _Node, children: Callable[[int, _Node], Iterator[_Node]], 
 
 # ---------------------------------------------------------------------------
 # induced subgraph isomorphism
-
-
-def _component_orders(g: Graph) -> list[list[int]]:
-    """Components as vertex orders: big components first; inside one
-    component grow by number of already-placed neighbors, then degree, then
-    smallest id.  The best key sits at the end of a sorted list that keeps
-    stale entries, so a long path is not quadratic."""
-    adj = g.adj
-    ordered: list[list[int]] = []
-    for comp in sorted(connected_components(g), key=lambda c: (-len(c), min(c))):
-        placed_nbrs = dict.fromkeys(comp, 0)
-        keys = sorted((0, len(adj[v]), -v) for v in comp)
-        order = []
-        while keys:
-            placed, _, v = keys.pop()
-            v = -v
-            if placed_nbrs.get(v) != placed:
-                continue  # placed already, or a stale entry
-            del placed_nbrs[v]
-            order.append(v)
-            for w in adj[v]:
-                if w in placed_nbrs:
-                    placed_nbrs[w] += 1
-                    bisect.insort(keys, (placed_nbrs[w], len(adj[w]), -w))
-        ordered.append(order)
-    return ordered
 
 
 def _embeddings(
@@ -238,9 +221,7 @@ def _embeddings(
         return
     n = len(order)
     # u's non-neighbors must land on c's: len(pool) - deg(c) >= len(order) - deg(u)
-    slack = len(pool) - n
-    if slack < 0:  # more vertices than the pool: no candidate anywhere
-        return
+    slack = len(pool) - n  # below 0, no degree window admits a first candidate
     at = {v: i for i, v in enumerate(order)}
     # by position: earlier neighbors, degree window, and at a component's first
     # position the previous component's positions (empty unless isomorphic)
@@ -285,29 +266,46 @@ def _embeddings(
         yield dict(zip(order, images))
 
 
-def _component_classes(adj: Sequence[frozenset[int]], comps: list[list[int]],
-                       stats: SolveStats) -> tuple[list[int], list[list[int]]]:
-    """Isomorphism class of each component, numbered by first appearance, and
-    per class the sorted vertices of its first component (its pool).
-
-    The sorted degree sequence (which fixes n and m) is compared first; the
-    exact test, the vertex layer embedding one component into a class's pool
-    (placements count in ``stats``), runs only between equal sequences.
-    """
+def _components(g: Graph, stats: SolveStats) -> tuple[list[list[int]], list[int], list[list[int]]]:
+    """``g``'s components as vertex orders, the isomorphism class of each,
+    numbered by first appearance, and per class its pool, the sorted vertices
+    of its first component.  Big components first, then by smallest vertex;
+    inside one, grow by placed neighbors, then degree, then smallest id, from a
+    sorted key list that keeps stale entries, so a long path is not quadratic.
+    Sorted degree sequences (which fix n and m) are compared first; the exact
+    test, the vertex layer embedding a component into a class's pool
+    (placements count in ``stats``), runs only between equal sequences."""
+    adj = g.adj
+    ordered: list[list[int]] = []
     same_seq: dict[tuple[int, ...], list[int]] = {}  # per degree sequence: its classes
     classes: list[int] = []
     pools: list[list[int]] = []
-    for comp in comps:
-        same_key = same_seq.setdefault(tuple(sorted(len(adj[v]) for v in comp)), [])
+    for comp in sorted(connected_components(g), key=lambda c: (-len(c), min(c))):
+        placed_nbrs = dict.fromkeys(comp, 0)
+        keys = sorted((0, len(adj[v]), -v) for v in comp)
+        order = []
+        while keys:
+            placed, _, v = keys.pop()
+            v = -v
+            if placed_nbrs.get(v) != placed:
+                continue  # placed already, or a stale entry
+            del placed_nbrs[v]
+            order.append(v)
+            for w in adj[v]:
+                if w in placed_nbrs:
+                    placed_nbrs[w] += 1
+                    bisect.insort(keys, (placed_nbrs[w], len(adj[w]), -w))
+        ordered.append(order)
+        same_key = same_seq.setdefault(tuple(sorted(len(adj[v]) for v in order)), [])
         for cid in same_key:
-            if next(_embeddings(adj, adj, [comp], [cid], pools[cid], stats), None) is not None:
+            if next(_embeddings(adj, adj, [order], [cid], pools[cid], stats), None) is not None:
                 classes.append(cid)
                 break
         else:
             same_key.append(len(pools))
             classes.append(len(pools))
-            pools.append(sorted(comp))
-    return classes, pools
+            pools.append(sorted(order))
+    return ordered, classes, pools
 
 
 def _pack(
@@ -315,20 +313,20 @@ def _pack(
     hadj: Sequence[frozenset[int]],
     comps: list[list[int]],
     classes: list[int],
-    host_comps: list[list[int]],
+    host: tuple[list[list[int]], list[int], list[list[int]]],
     stats: SolveStats,
 ) -> dict[int, int] | None:
     """The component layer: give each pattern component a host component.
 
-    ``comps`` is largest first with each class contiguous.  A host
-    component's share is the tuple of pattern classes given to it, in the
-    order given; adding a class must fit, which the vertex layer decides
-    once per (share, host class) on the disjoint union of the share's
-    components, in the class's pool from :func:`_component_classes`.  Before
-    any placement, a share of c >= 2 components fails if the vertices it
-    leaves over, times the pool's maximum degree D less one, fall below
-    c - 1: its images are pairwise non-adjacent, and deleting a vertex of
-    degree d from a graph adds at most d - 1 components.  Components of one
+    ``comps`` is largest first with each class contiguous; ``host`` is the
+    host's :func:`_components`, walked by index.  A host component's share
+    is the tuple of pattern classes given to it, in the order given; adding
+    a class must fit, which the vertex layer decides once per (share, host
+    class) on the disjoint union of the share's components, in the class's
+    pool.  Before any placement, a share of c >= 2 components fails if the
+    vertices it leaves over, times the pool's maximum degree D less one, fall
+    below c - 1: its images are pairwise non-adjacent, and deleting a vertex
+    of degree d from a graph adds at most d - 1 components.  Components of one
     class take non-decreasing host indices, and none goes to a host
     component while an earlier one of the same class holds the same share.
     One :func:`depth_first` level per component; a placement stays applied
@@ -337,7 +335,7 @@ def _pack(
     component, from ``where`` grouped once.  Both layers' placements count
     in ``stats.search_nodes``.
     """
-    hclasses, pools = _component_classes(hadj, host_comps, stats)
+    host_comps, hclasses, pools = host
     members: dict[int, list[list[int]]] = {}
     for comp, cid in zip(comps, classes):
         members.setdefault(cid, []).append(comp)
@@ -403,6 +401,8 @@ def isi_backtracking(
     forced into increasing min-image order.  Before either, a pattern with
     more vertices than the host, or whose degree sequences do not fit the
     host's (:func:`_degrees_fit`; so also more edges or non-edges), is refuted.
+    :func:`_components` analyses the pattern, re-ranked by (-size, class), and
+    for a pattern of two or more components the host, kept in its order.
     Both layers count their placements in ``stats.search_nodes``, into a
     fresh :class:`SolveStats` when none is given.  The arbiter checks the
     witness, as a guard that raises :class:`WitnessError`.
@@ -410,17 +410,14 @@ def isi_backtracking(
     if not _degrees_fit(sorted(map(len, pattern.adj), reverse=True), sorted(map(len, host.adj), reverse=True)):
         return None
     stats = SolveStats() if stats is None else stats
-    comps = _component_orders(pattern)
-    classes = [0]
-    host_comps: list[list[int]] = []
+    comps, classes, _ = _components(pattern, stats)
+    hosts = None
     if len(comps) > 1:
-        classes, _ = _component_classes(pattern.adj, comps, stats)
         ranked = sorted(range(len(comps)), key=lambda i: (-len(comps[i]), classes[i]))
-        comps = [comps[i] for i in ranked]
-        classes = [classes[i] for i in ranked]
-        host_comps = _component_orders(host)
-    if len(host_comps) > 1:
-        found = _pack(pattern.adj, host.adj, comps, classes, host_comps, stats)
+        comps, classes = [comps[i] for i in ranked], [classes[i] for i in ranked]
+        hosts = _components(host, stats)
+    if hosts and len(hosts[0]) > 1:
+        found = _pack(pattern.adj, host.adj, comps, classes, hosts, stats)
     else:
         found = next(_embeddings(pattern.adj, host.adj, comps, classes, range(host.n), stats), None)
     if found is None:
@@ -463,7 +460,7 @@ def mcis_bruteforce(q: SolveQuery) -> SolveResult:
             if swap:
                 pairs = [(v, u) for u, v in pairs]
             witness = VertexMapping(tuple(sorted(pairs)))
-            if not is_induced_isomorphism(q.g1, q.g2, witness):
+            if not _answers(q, witness):
                 raise WitnessError(f"mcis_bruteforce built an invalid witness {witness.pairs}")
             return SolveResult(witness, "brute", stats)
     return SolveResult(VertexMapping(()), "brute", stats)
@@ -917,8 +914,7 @@ def mcis_vc_fpt(q: SolveQuery, covers: tuple[_Cover, _Cover] | None = None) -> S
     (on an empty graph the empty one: the search then walks no bucket, counting nothing)."""
     c1, c2 = covers or (_Cover(q.g1), _Cover(q.g2))
     best_witness = _incumbent(c1, c2, q.connected)
-    if not is_induced_isomorphism(q.g1, q.g2, best_witness) or (
-            q.connected and not induces_connected(q.g1, dict(best_witness.pairs))):
+    if not _answers(q, best_witness):
         raise WitnessError(f"mcis_vc_fpt built an invalid incumbent {best_witness.pairs}")
     best = [len(best_witness)]
     stats = SolveStats(incumbent=best[0])

@@ -39,8 +39,6 @@ from mcislab.reductions import CheckOutcome, ReductionReport, has_clique, read_r
 from mcislab.solvers import (
     OracleBoundError,
     SolveQuery,
-    SolveResult,
-    SolveStats,
     WitnessError,
     mcis_bruteforce,
     mcis_vc_fpt,
@@ -640,9 +638,9 @@ def test_oracle_suite_reports_every_counter_above_the_bound(monkeypatch):
 def test_oracle_suite_witness_check_rejects_a_mapping_the_arbiter_rejects():
     # P3 onto K3 by the identity keeps every edge but maps a non-edge onto an edge
     query = SolveQuery(path_graph(3), complete_graph(3))
-    wrong = SolveResult(VertexMapping(((0, 0), (1, 1), (2, 2))), "brute", SolveStats())
-    assert not harness._witness_ok(query, wrong)
-    assert harness._witness_ok(query, mcis_bruteforce(query))
+    wrong = VertexMapping(((0, 0), (1, 1), (2, 2)))
+    assert not solvers._answers(query, wrong)
+    assert solvers._answers(query, mcis_bruteforce(query).witness)
 
 
 def test_oracle_suite_witness_check_fails_on_each_condition_alone():
@@ -652,13 +650,13 @@ def test_oracle_suite_witness_check_fails_on_each_condition_alone():
     both = VertexMapping(((0, 0), (1, 1)))
     for connected in (False, True):
         query = SolveQuery(g, g, connected=connected)
-        assert harness._witness_ok(query, SolveResult(VertexMapping(()), "brute", SolveStats()))
-        assert harness._witness_ok(query, SolveResult(both, "brute", SolveStats())) == (not connected)
+        assert solvers._answers(query, VertexMapping(()))
+        assert solvers._answers(query, both) == (not connected)
     # the arbiter reads a witness before induces_connected, which would index
     # the first graph's adjacency at vertex 2 without a range check
-    outside = SolveResult(VertexMapping(((2, 0), (3, 1))), "brute", SolveStats())
+    outside = VertexMapping(((2, 0), (3, 1)))
     with pytest.raises(MappingError):
-        harness._witness_ok(SolveQuery(g, g, connected=True), outside)
+        solvers._answers(SolveQuery(g, g, connected=True), outside)
 
 
 @pytest.mark.parametrize(

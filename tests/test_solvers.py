@@ -151,8 +151,7 @@ def test_vertex_layer_yields_the_induced_embeddings_in_lexicographic_order():
     for _ in range(100):
         pattern = random_graph(rng, rng.randint(1, 5), rng.choice((0.2, 0.5, 0.8)))
         host = random_graph(rng, rng.randint(pattern.n, 7), rng.choice((0.2, 0.5, 0.8)))
-        comps = solvers._component_orders(pattern)
-        classes, _ = solvers._component_classes(pattern.adj, comps, SolveStats())
+        comps, classes, _ = solvers._components(pattern, SolveStats())
         ranked = sorted(range(len(comps)), key=lambda i: (-len(comps[i]), classes[i]))
         comps, classes = [comps[i] for i in ranked], [classes[i] for i in ranked]
         order = [v for comp in comps for v in comp]
@@ -166,6 +165,45 @@ def test_vertex_layer_yields_the_induced_embeddings_in_lexicographic_order():
                 expected.append(images)
         placements = solvers._embeddings(pattern.adj, host.adj, comps, classes, range(host.n), SolveStats())
         assert [tuple(found[v] for v in order) for found in placements] == expected
+
+
+def _isomorphic(g, a, b):
+    """Whether the vertex lists ``a`` and ``b`` induce isomorphic subgraphs of
+    ``g``, by trying every bijection once the degree sequences agree."""
+    if sorted(len(g.adj[v]) for v in a) != sorted(len(g.adj[v]) for v in b):
+        return False
+    pairs = list(itertools.combinations(range(len(a)), 2))
+    return any(all((a[j] in g.adj[a[i]]) == (image[j] in g.adj[image[i]]) for i, j in pairs)
+               for image in itertools.permutations(b))
+
+
+def test_component_classes_are_the_isomorphism_classes():
+    # a spider with legs 2, 2, 1 and one with legs 3, 1, 1: both trees have the
+    # degree sequence (3, 2, 2, 1, 1, 1), so only the exact test parts them
+    spider = [(0, 1), (0, 2), (0, 3), (1, 4), (2, 5)]
+    broom = [(0, 1), (0, 2), (0, 3), (1, 4), (4, 5)]
+    rng = random.Random(46)
+    for _ in range(60):
+        shapes = [spider, broom]
+        for _ in range(3):  # a random tree on up to 6 vertices, plus a few chords
+            k = rng.randint(1, 6)
+            tree = [(rng.randrange(v), v) for v in range(1, k)]
+            shapes.append(tree + [e for e in itertools.combinations(range(k), 2)
+                                  if e not in tree and rng.random() < 0.2])
+        edges, n = [], 0
+        for shape in rng.choices(shapes, k=rng.randint(2, 6)):
+            k = 1 + max(itertools.chain.from_iterable(shape), default=0)
+            label = rng.sample(range(n, n + k), k)
+            edges += [(label[u], label[v]) for u, v in shape]
+            n += k
+        g = Graph.from_edges(n, edges)
+        comps, classes, pools = solvers._components(g, SolveStats())
+        assert sorted(map(sorted, comps)) == sorted(map(sorted, connected_components(g)))
+        for i, j in itertools.combinations(range(len(comps)), 2):
+            assert (classes[i] == classes[j]) == _isomorphic(g, comps[i], comps[j])
+        # numbered by first appearance, each pool its class's first component
+        assert [classes.index(c) for c in range(len(pools))] == sorted({classes.index(c) for c in classes})
+        assert pools == [sorted(comps[classes.index(c)]) for c in range(len(pools))]
 
 
 def test_isi_refutes_disjoint_triangles_in_a_connected_host_within_a_node_budget():
@@ -211,6 +249,18 @@ def test_isi_checks_a_long_witness_in_linear_time():
     g = path_graph(20_000)
     started = time.perf_counter()
     witness = isi_backtracking(g, g)
+    assert time.perf_counter() - started < 2.0
+    assert witness is not None and len(witness) == 20_000
+
+
+def test_isi_carries_the_component_floor_in_constant_time_per_placement():
+    # two 10,000-vertex paths into a 20,001-vertex path: one host component, so
+    # the vertex layer places the second path above the first's smallest image.
+    # 0.26 s; reading the first path's images again at each position of the
+    # second, 8.6 s
+    pattern = Graph.from_edges(20_000, [(i, i + 1) for i in range(19_999) if i != 9_999])
+    started = time.perf_counter()
+    witness = isi_backtracking(pattern, path_graph(20_001))
     assert time.perf_counter() - started < 2.0
     assert witness is not None and len(witness) == 20_000
 
