@@ -4,11 +4,11 @@ Three routes to an answer, deliberately redundant so they can cross-check
 each other:
 
 * :func:`isi_backtracking` — induced subgraph isomorphism in two layers.
-  :func:`_components` orders and classes each graph's components.  When
-  both have two or more, the component layer packs pattern components into
-  host components, deciding once per call whether a multiset of pattern
-  component classes fits a host component class; a separator count
-  refutes most misfits before the vertex layer runs.
+  :func:`_components` returns each graph's components class by class,
+  largest first.  When both have two or more, the component layer packs
+  pattern components into host components, deciding once per call whether a
+  multiset of pattern component classes fits a host component class; a
+  separator count refutes most misfits before the vertex layer runs.
   The vertex layer places pattern vertices depth first with an explicit
   depth, along one table per call indexed by order position, pruned by
   degree, non-degree and adjacency to the images of earlier neighbors.
@@ -267,14 +267,14 @@ def _embeddings(
 
 
 def _components(g: Graph, stats: SolveStats) -> tuple[list[list[int]], list[int], list[list[int]]]:
-    """``g``'s components as vertex orders, the isomorphism class of each,
-    numbered by first appearance, and per class its pool, the sorted vertices
-    of its first component.  Big components first, then by smallest vertex;
-    inside one, grow by placed neighbors, then degree, then smallest id, from a
-    sorted key list that keeps stale entries, so a long path is not quadratic.
-    Sorted degree sequences (which fix n and m) are compared first; the exact
-    test, the vertex layer embedding a component into a class's pool
-    (placements count in ``stats``), runs only between equal sequences."""
+    """``g``'s components as vertex orders, the isomorphism class of each and per
+    class its pool, the sorted vertices of its first component.  Classes are numbered
+    by first appearance in (-size, smallest vertex) order, and components come by
+    class, so largest first, then by smallest vertex.  Each grows by placed neighbors,
+    then degree, then smallest id, from a sorted key list that keeps stale entries, so
+    a long path is not quadratic.  Sorted degree sequences (which fix n and m) are
+    compared first; the exact test, the vertex layer embedding a component into a
+    class's pool (placements count in ``stats``), runs only between equal sequences."""
     adj = g.adj
     ordered: list[list[int]] = []
     same_seq: dict[tuple[int, ...], list[int]] = {}  # per degree sequence: its classes
@@ -305,7 +305,8 @@ def _components(g: Graph, stats: SolveStats) -> tuple[list[list[int]], list[int]
             same_key.append(len(pools))
             classes.append(len(pools))
             pools.append(sorted(order))
-    return ordered, classes, pools
+    ranked = sorted(range(len(ordered)), key=classes.__getitem__)
+    return [ordered[i] for i in ranked], [classes[i] for i in ranked], pools
 
 
 def _pack(
@@ -318,22 +319,21 @@ def _pack(
 ) -> dict[int, int] | None:
     """The component layer: give each pattern component a host component.
 
-    ``comps`` is largest first with each class contiguous; ``host`` is the
-    host's :func:`_components`, walked by index.  A host component's share
-    is the tuple of pattern classes given to it, in the order given; adding
-    a class must fit, which the vertex layer decides once per (share, host
-    class) on the disjoint union of the share's components, in the class's
-    pool.  Before any placement, a share of c >= 2 components fails if the
-    vertices it leaves over, times the pool's maximum degree D less one, fall
-    below c - 1: its images are pairwise non-adjacent, and deleting a vertex
-    of degree d from a graph adds at most d - 1 components.  Components of one
-    class take non-decreasing host indices, and none goes to a host
-    component while an earlier one of the same class holds the same share.
-    One :func:`depth_first` level per component; a placement stays applied
-    while yielded, so the packing stays in ``where``.  Images in different
-    host components are never adjacent, so the witness is built per host
-    component, from ``where`` grouped once.  Both layers' placements count
-    in ``stats.search_nodes``.
+    ``comps`` and the components of ``host``, the host's :func:`_components` walked by
+    index, both come class by class.  A host component's share is the tuple of pattern
+    classes given to it, in the order given; adding a class must fit, which the vertex
+    layer decides once per (share, host class) on the disjoint union of the share's
+    components, in the class's pool.  Before any placement, a share of c >= 2 components
+    fails if the vertices it leaves over, times the pool's maximum degree D less one,
+    fall below c - 1: its images are pairwise non-adjacent, and deleting a vertex of
+    degree d from a graph adds at most d - 1 components.  Components of one class take
+    non-decreasing host indices, and none goes to a host component when the one before
+    it, of its class, holds the same share: within a host class the ones holding one
+    share stay consecutive, so that one stands for every earlier one.
+    One :func:`depth_first` level per component; a placement stays applied while yielded,
+    so the packing stays in ``where``.  Images in different host components are never
+    adjacent, so the witness is built per host component, from ``where`` grouped once.
+    Both layers' placements count in ``stats.search_nodes``.
     """
     host_comps, hclasses, pools = host
     members: dict[int, list[list[int]]] = {}
@@ -354,8 +354,9 @@ def _pack(
     def place(t: int, _: int) -> Iterator[int]:
         cid = classes[t]
         for h in range(where[t - 1] if t and classes[t - 1] == cid else 0, len(host_comps)):
-            # an earlier host component of its class holding the same share rules h out
-            if (hclasses[h], share[h]) in zip(hclasses[:h], share) or not fit[share[h] + (cid,), hclasses[h]]:
+            # the host component before h, of h's class and holding h's share, rules h out
+            if (h and hclasses[h - 1] == hclasses[h] and share[h - 1] == share[h]
+                    or not fit[share[h] + (cid,), hclasses[h]]):
                 continue
             stats.search_nodes += 1
             where[t] = h
@@ -401,8 +402,8 @@ def isi_backtracking(
     forced into increasing min-image order.  Before either, a pattern with
     more vertices than the host, or whose degree sequences do not fit the
     host's (:func:`_degrees_fit`; so also more edges or non-edges), is refuted.
-    :func:`_components` analyses the pattern, re-ranked by (-size, class), and
-    for a pattern of two or more components the host, kept in its order.
+    :func:`_components` analyses the pattern and, for a pattern of two or
+    more components, the host; both come class by class as it returns them.
     Both layers count their placements in ``stats.search_nodes``, into a
     fresh :class:`SolveStats` when none is given.  The arbiter checks the
     witness, as a guard that raises :class:`WitnessError`.
@@ -411,11 +412,7 @@ def isi_backtracking(
         return None
     stats = SolveStats() if stats is None else stats
     comps, classes, _ = _components(pattern, stats)
-    hosts = None
-    if len(comps) > 1:
-        ranked = sorted(range(len(comps)), key=lambda i: (-len(comps[i]), classes[i]))
-        comps, classes = [comps[i] for i in ranked], [classes[i] for i in ranked]
-        hosts = _components(host, stats)
+    hosts = _components(host, stats) if len(comps) > 1 else None
     if hosts and len(hosts[0]) > 1:
         found = _pack(pattern.adj, host.adj, comps, classes, hosts, stats)
     else:

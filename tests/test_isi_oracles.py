@@ -56,12 +56,29 @@ def sparse_pair(rng):
     return sparse(rng.randint(3, 8)), sparse(rng.randint(6, 12))
 
 
+def interleaved_pair(rng):
+    """A host of 3-6 pieces of equal-size non-isomorphic shapes (P3 and K3;
+    P4, K1,3 and C4) and a pattern of 2-4 pieces that may also be K1 or K2,
+    each relabelled at random, so that host components of one size but
+    different classes interleave by smallest vertex."""
+    mixed = [path_graph(3), cycle_graph(3), path_graph(4), Graph.from_edges(4, [(0, 1), (0, 2), (0, 3)]),
+             cycle_graph(4)]
+
+    def relabelled(shapes, lo, hi):
+        g = disjoint_union(rng.choice(shapes) for _ in range(rng.randint(lo, hi)))
+        label = rng.sample(range(g.n), g.n)
+        return Graph.from_edges(g.n, [(label[u], label[v]) for u, v in g.edges])
+
+    return relabelled(mixed + [path_graph(1), path_graph(2)], 2, 4), relabelled(mixed, 3, 6)
+
+
 def oracle_pairs():
     rng = random.Random(6)
     pairs = [union_pair(rng, ["path"]) for _ in range(120)]
     pairs += [union_pair(rng, ["tree", "tree", "path"]) for _ in range(120)]
     pairs += [union_pair(rng, ["cycle", "path"]) for _ in range(120)]
     pairs += [sparse_pair(rng) for _ in range(120)]
+    pairs += [interleaved_pair(rng) for _ in range(120)]
     return pairs
 
 

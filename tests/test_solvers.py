@@ -144,16 +144,14 @@ def test_isi_packs_a_share_the_separator_count_just_admits():
 
 
 def test_vertex_layer_yields_the_induced_embeddings_in_lexicographic_order():
-    # the placements of the pattern, its components ordered as
-    # isi_backtracking orders them, are the induced embeddings whose images
+    # the placements of the pattern, its components in _components' order as
+    # isi_backtracking takes them, are the induced embeddings whose images
     # keep the floor rule, in the order itertools.permutations lists them
     rng = random.Random(24)
     for _ in range(100):
         pattern = random_graph(rng, rng.randint(1, 5), rng.choice((0.2, 0.5, 0.8)))
         host = random_graph(rng, rng.randint(pattern.n, 7), rng.choice((0.2, 0.5, 0.8)))
         comps, classes, _ = solvers._components(pattern, SolveStats())
-        ranked = sorted(range(len(comps)), key=lambda i: (-len(comps[i]), classes[i]))
-        comps, classes = [comps[i] for i in ranked], [classes[i] for i in ranked]
         order = [v for comp in comps for v in comp]
         ends = list(itertools.accumulate(len(comp) for comp in comps))
         expected = []
@@ -204,6 +202,10 @@ def test_component_classes_are_the_isomorphism_classes():
         # numbered by first appearance, each pool its class's first component
         assert [classes.index(c) for c in range(len(pools))] == sorted({classes.index(c) for c in classes})
         assert pools == [sorted(comps[classes.index(c)]) for c in range(len(pools))]
+        # largest first, then class by class, then by smallest vertex: the
+        # spider and the broom are one size, so their classes must not interleave
+        keys = [(-len(comp), cid, min(comp)) for comp, cid in zip(comps, classes)]
+        assert keys == sorted(keys)
 
 
 def test_isi_refutes_disjoint_triangles_in_a_connected_host_within_a_node_budget():
@@ -230,18 +232,45 @@ def test_isi_long_path_embeds_without_recursion():
     assert is_induced_isomorphism(pattern, host, witness)
 
 
+def edges_beside_a_p3(t):
+    """``t`` disjoint edges, and the same edges beside a P3."""
+    edges = [(2 * i, 2 * i + 1) for i in range(t)]
+    p3 = [(2 * t, 2 * t + 1), (2 * t + 1, 2 * t + 2)]
+    return Graph.from_edges(2 * t, edges), Graph.from_edges(2 * t + 3, edges + p3)
+
+
 def test_isi_packs_two_thousand_components_without_recursion():
     # 2,000 disjoint edges into themselves beside a P3: the component layer
     # goes 2,000 levels deep, past the default recursion limit, on the
     # driver's own stack
-    t = 2000
-    edges = [(2 * i, 2 * i + 1) for i in range(t)]
-    pattern = Graph.from_edges(2 * t, edges)
-    host = Graph.from_edges(2 * t + 3, edges + [(2 * t, 2 * t + 1), (2 * t + 1, 2 * t + 2)])
+    pattern, host = edges_beside_a_p3(2000)
     stats = SolveStats()
     witness = isi_backtracking(pattern, host, stats)
     assert witness is not None and is_induced_isomorphism(pattern, host, witness)
     assert stats.search_nodes == 14_000
+
+
+def test_isi_share_test_reads_one_host_component_per_candidate():
+    # 20,000 disjoint edges into themselves beside a P3: the host's edges are
+    # one class, so the share test reads the component before each candidate
+    # host.  About 0.8 s; 8-9 s when it scanned every earlier host component
+    pattern, host = edges_beside_a_p3(20_000)
+    stats = SolveStats()
+    started = time.perf_counter()
+    witness = isi_backtracking(pattern, host, stats)
+    assert time.perf_counter() - started < 3.0
+    assert witness is not None and is_induced_isomorphism(pattern, host, witness)
+    assert stats.search_nodes == 140_000
+
+
+def test_isi_three_partition_m28_yes_instance_keeps_its_node_count():
+    # items (5, 5, 4, 4, 4, 4) * 14, B = 13: the one-neighbour share test
+    # prunes exactly what the scan of every earlier host component pruned
+    stats = SolveStats()
+    pattern, host = three_partition_isi((5, 5, 4, 4, 4, 4) * 14, 28)
+    witness = isi_backtracking(pattern, host, stats)
+    assert witness is not None and is_induced_isomorphism(pattern, host, witness)
+    assert stats.search_nodes == 121_424
 
 
 def test_isi_checks_a_long_witness_in_linear_time():
