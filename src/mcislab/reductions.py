@@ -2,8 +2,9 @@
 
 Each builder returns a :class:`ReductionOutput`: the constructed instance,
 its vertices' roles and machine-checkable certificates (vertex-cover set,
-size formulas, structural facts).  :func:`verify_reduction` re-derives every
-certificate and compares the reduced instance's answer with the source's, by
+size formulas, structural facts).  :func:`verify_reduction` re-derives the
+certificates its docstring names from the built graphs and roles, and
+compares the reduced instance's answer with the source's, by
 :func:`~mcislab.solvers.isi_backtracking` for the three ISI gadgets and by
 brute-force MCCIS for the universal lift, so each can be audited at desk scale.
 """
@@ -322,9 +323,20 @@ def three_partition_to_forest_isi(inst: ThreePartitionInstance) -> ReductionOutp
 
 
 def verify_reduction(out: ReductionOutput, source_answer: bool) -> ReductionReport:
-    """Re-check every certificate and compare answers against the source.
+    """Re-check the certificates against the graphs and roles, and compare
+    answers against the source.
 
-    Only meant for instances small enough for the brute-force oracles.
+    The incidence gadget: both sides bipartite, C4-free, of girth at least 5,
+    with edge vertices of degree 2; the target from ``k``, and ``host_size``.
+    The cross-composition: Z a cover of the host of ``z_size_formula`` vertices,
+    ``p q r`` its one triangle, the host less ``p`` bipartite, ``l_prime`` (the
+    target and the pattern's order) and ``t`` (the ``a_*`` roles).  The universal
+    lift: each side's feedback vertex set within ``fvs_bound`` and its universal
+    vertex adjacent to all others, ``target`` and ``universal_degrees``.
+    3-Partition: both sides forests, the host's size from ``m`` and ``B``,
+    ``host_len``, ``g2_size`` and ``items`` (the pattern's ``piece_*`` runs, in
+    order).  The source's own sizes (``k``, ``n``, ``l``, ``m``, ``B``) are taken
+    as given.  Only meant for instances small enough for the brute-force oracles.
     """
     checks: list[CheckOutcome] = []
 
@@ -346,6 +358,10 @@ def verify_reduction(out: ReductionOutput, source_answer: bool) -> ReductionRepo
             "g2_minus_p_bipartite",
             graph_stats(induced_subgraph(out.g2, keep)).bipartite,
         )
+        l_prime = out.certificates["l_prime"]
+        check("l_prime", l_prime == out.target == out.g1.n, f"l_prime={l_prime}, g1 has {out.g1.n}")
+        selectors = sum(1 for role in roles if (role or "").startswith("a_"))
+        check("t", out.certificates["t"] == selectors, f"t={out.certificates['t']}, a_* roles={selectors}")
     elif out.kind == "clique-incidence":
         for side, g in (("g1", out.g1), ("g2", out.g2)):
             stats = graph_stats(g)
@@ -365,11 +381,16 @@ def verify_reduction(out: ReductionOutput, source_answer: bool) -> ReductionRepo
             )
         k = out.certificates["k"]
         check("target_formula", out.target == k + k * (k - 1) // 2)
+        check("host_size", out.certificates["host_size"] == out.g2.n)
     elif out.kind == "universal":
+        degrees = []
         for side, g in (("g1", out.g1), ("g2", out.g2)):
-            check(f"{side}_fvs_at_most_1", len(min_feedback_vertex_set(g)) <= 1)
+            check(f"{side}_fvs_within_bound", len(min_feedback_vertex_set(g)) <= out.certificates["fvs_bound"])
             universal = _roles(out, side).index("universal")
-            check(f"{side}_universal_degree", len(g.adj[universal]) == g.n - 1)
+            degrees.append(len(g.adj[universal]))
+            check(f"{side}_universal_degree", degrees[-1] == g.n - 1)
+        check("target", out.certificates["target"] == out.target == out.g1.n)
+        check("universal_degrees", out.certificates["universal_degrees"] == degrees, f"degrees={degrees}")
         result = mcis_bruteforce(SolveQuery(out.g1, out.g2, connected=True))
         check(
             "mccis_matches_source",
@@ -379,10 +400,12 @@ def verify_reduction(out: ReductionOutput, source_answer: bool) -> ReductionRepo
     elif out.kind == "3partition":
         for side, g in (("g1", out.g1), ("g2", out.g2)):
             check(f"{side}_is_forest", induces_forest(g, range(g.n)))
-        check(
-            "host_size",
-            out.g2.n == out.certificates["m"] * out.certificates["host_len"],
-        )
+        m, b, items = out.certificates["m"], out.certificates["B"], out.certificates["items"]
+        check("host_size", out.g2.n == m * (b + 2))
+        check("host_len", out.certificates["host_len"] == b + 2)
+        check("g2_size", out.certificates["g2_size"] == out.g2.n)
+        pieces = [(role, len(list(run))) for role, run in itertools.groupby(_roles(out, "g1"))]
+        check("items", pieces == [(f"piece_{i + 1}", a) for i, a in enumerate(items)], f"pieces={pieces}")
     else:
         check("known_kind", False, f"unknown reduction kind {out.kind!r}")
     if out.kind in ("cross-compose", "clique-incidence", "3partition"):

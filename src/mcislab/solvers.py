@@ -5,10 +5,12 @@ each other:
 
 * :func:`isi_backtracking` — induced subgraph isomorphism in two layers.
   :func:`_components` returns each graph's components class by class,
-  largest first.  When both have two or more, the component layer packs
-  pattern components into host components, deciding once per call whether a
-  multiset of pattern component classes fits a host component class; a
-  separator count refutes most misfits before the vertex layer runs.
+  largest first, each with its map from its class's first component.  When
+  both have two or more, the component layer packs pattern components into
+  host components, deciding once per call, by one search, whether a multiset
+  of pattern component classes fits a host component class; a separator count
+  refutes most misfits before the vertex layer runs.  The witness is those
+  searches' embeddings, carried along the maps.
   The vertex layer places pattern vertices depth first with an explicit
   depth, along one table per call indexed by order position, pruned by
   degree, non-degree and adjacency to the images of earlier neighbors.
@@ -266,19 +268,21 @@ def _embeddings(
         yield dict(zip(order, images))
 
 
-def _components(g: Graph, stats: SolveStats) -> tuple[list[list[int]], list[int], list[list[int]]]:
-    """``g``'s components as vertex orders, the isomorphism class of each and per
-    class its pool, the sorted vertices of its first component.  Classes are numbered
-    by first appearance in (-size, smallest vertex) order, and components come by
-    class, so largest first, then by smallest vertex.  Each grows by placed neighbors,
-    then degree, then smallest id, from a sorted key list that keeps stale entries, so
-    a long path is not quadratic.  Sorted degree sequences (which fix n and m) are
-    compared first; the exact test, the vertex layer embedding a component into a
-    class's pool (placements count in ``stats``), runs only between equal sequences."""
+def _components(g: Graph, stats: SolveStats) -> tuple[list[list[int]], list[int], list[dict[int, int]]]:
+    """``g``'s components as vertex orders, the isomorphism class of each and each one's
+    map, an isomorphism from its class's first component onto it (the identity on a first
+    one).  Classes are numbered by first appearance in (-size, smallest vertex) order, and
+    components come by class, so largest first, then by smallest vertex: the class list is
+    non-decreasing, and ``bisect`` finds a class's run in it.  Each grows by placed neighbors,
+    then degree, then smallest id, from a sorted key list that keeps stale entries, so a long
+    path is not quadratic.  Sorted degree sequences (which fix n and m) are compared first; the
+    exact test, the vertex layer embedding a component into its class's first one (placements
+    count in ``stats``), runs only between equal sequences; the map is its embedding's inverse."""
     adj = g.adj
     ordered: list[list[int]] = []
     same_seq: dict[tuple[int, ...], list[int]] = {}  # per degree sequence: its classes
     classes: list[int] = []
+    maps: list[dict[int, int]] = []
     pools: list[list[int]] = []
     for comp in sorted(connected_components(g), key=lambda c: (-len(c), min(c))):
         placed_nbrs = dict.fromkeys(comp, 0)
@@ -298,56 +302,58 @@ def _components(g: Graph, stats: SolveStats) -> tuple[list[list[int]], list[int]
         ordered.append(order)
         same_key = same_seq.setdefault(tuple(sorted(len(adj[v]) for v in order)), [])
         for cid in same_key:
-            if next(_embeddings(adj, adj, [order], [cid], pools[cid], stats), None) is not None:
+            if (found := next(_embeddings(adj, adj, [order], [cid], pools[cid], stats), None)) is not None:
                 classes.append(cid)
+                maps.append({u: v for v, u in found.items()})
                 break
         else:
             same_key.append(len(pools))
             classes.append(len(pools))
+            maps.append(dict(zip(order, order)))
             pools.append(sorted(order))
     ranked = sorted(range(len(ordered)), key=classes.__getitem__)
-    return [ordered[i] for i in ranked], [classes[i] for i in ranked], pools
+    return [ordered[i] for i in ranked], [classes[i] for i in ranked], [maps[i] for i in ranked]
 
 
 def _pack(
     padj: Sequence[frozenset[int]],
     hadj: Sequence[frozenset[int]],
-    comps: list[list[int]],
-    classes: list[int],
-    host: tuple[list[list[int]], list[int], list[list[int]]],
+    pattern: tuple[list[list[int]], list[int], list[dict[int, int]]],
+    host: tuple[list[list[int]], list[int], list[dict[int, int]]],
     stats: SolveStats,
 ) -> dict[int, int] | None:
     """The component layer: give each pattern component a host component.
 
-    ``comps`` and the components of ``host``, the host's :func:`_components` walked by
-    index, both come class by class.  A host component's share is the tuple of pattern
-    classes given to it, in the order given; adding a class must fit, which the vertex
-    layer decides once per (share, host class) on the disjoint union of the share's
-    components, in the class's pool.  Before any placement, a share of c >= 2 components
-    fails if the vertices it leaves over, times the pool's maximum degree D less one,
-    fall below c - 1: its images are pairwise non-adjacent, and deleting a vertex of
-    degree d from a graph adds at most d - 1 components.  Components of one class take
-    non-decreasing host indices, and none goes to a host component when the one before
-    it, of its class, holds the same share: within a host class the ones holding one
-    share stay consecutive, so that one stands for every earlier one.
-    One :func:`depth_first` level per component; a placement stays applied while yielded,
-    so the packing stays in ``where``.  Images in different host components are never
-    adjacent, so the witness is built per host component, from ``where`` grouped once.
-    Both layers' placements count in ``stats.search_nodes``.
+    ``pattern`` and ``host`` are the graphs' :func:`_components`, walked by index, so both
+    come class by class.  A host component's share is the tuple of pattern classes given to
+    it, in the order given; adding a class must fit, which the vertex layer decides once per
+    (share, host class), embedding the share's first components of each class in the class's
+    first component, its pool; the table keeps that embedding.  Before any placement, a share
+    of c >= 2 components fails if the vertices it leaves over, times the pool's maximum degree
+    D less one, fall below c - 1: its images are pairwise non-adjacent, and deleting a vertex
+    of degree d from a graph adds at most d - 1 components.  Components of one class take
+    non-decreasing host indices, and none goes to a host component when the one before it, of
+    its class, holds the same share: within a host class the ones holding one share stay
+    consecutive, so that one stands for every earlier one.  One :func:`depth_first` level per
+    component; a placement stays applied while yielded, so the packing stays in ``where`` and
+    ``share``.  The witness is the table's embeddings, searched no further: the j-th component
+    placed in a host component goes along the maps onto its share's j-th, and so into it; no
+    two host components are adjacent.  Both layers' placements count in ``stats.search_nodes``.
     """
-    host_comps, hclasses, pools = host
-    members: dict[int, list[list[int]]] = {}
-    for comp, cid in zip(comps, classes):
-        members.setdefault(cid, []).append(comp)
+    comps, classes, maps = pattern
+    host_comps, hclasses, hmaps = host
 
-    def fits(key: tuple[tuple[int, ...], int]) -> bool:
-        share, pool = key[0], pools[key[1]]
-        part = [c for cid, run in itertools.groupby(share) for c in members[cid][: len(list(run))]]
+    def first(share: tuple[int, ...], j: int) -> int:  # for share[j], its class's component at j's place in its run
+        return bisect.bisect_left(classes, share[j]) + j - share.index(share[j])
+
+    def fits(key: tuple[tuple[int, ...], int]) -> dict[int, int] | None | bool:
+        share, pool = key[0], sorted(hmaps[bisect.bisect_left(hclasses, key[1])])
+        part = [comps[first(share, j)] for j in range(len(share))]
         spare = max(len(pool) - sum(map(len, part)), 0)
         return (len(part) < 2 or spare * (max(len(hadj[v]) for v in pool) - 1) >= len(part) - 1) and next(
-            _embeddings(padj, hadj, part, list(share), pool, stats), None) is not None
+            _embeddings(padj, hadj, part, list(share), pool, stats), None)
 
-    fit = _Table(fits)  # per (share, host class)
+    fit = _Table(fits)  # per (share, host class): an embedding, or a falsy value
     share: list[tuple[int, ...]] = [()] * len(host_comps)
     where = [-1] * len(comps)
 
@@ -366,16 +372,12 @@ def _pack(
 
     if next(depth_first(0, place, len(comps)), None) is None:
         return None
-    parts: dict[int, list[int]] = {}  # per host component: the pattern components placed in it
-    for t, h in enumerate(where):
-        parts.setdefault(h, []).append(t)
     assignment: dict[int, int] = {}
-    for h, part in parts.items():
-        found = next(_embeddings(padj, hadj, [comps[t] for t in part], [classes[t] for t in part],
-                                 sorted(host_comps[h]), stats), None)
-        if found is None:
-            raise WitnessError(f"host component {h} does not take the share its class fits")
-        assignment.update(found)
+    nth = [0] * len(host_comps)  # per host component: the pattern components met in it so far
+    for t, h in enumerate(where):
+        s, found, hmap = first(share[h], nth[h]), fit[share[h], hclasses[h]], hmaps[h]
+        assignment.update([(maps[t][v], hmap[found[maps[s][v]]]) for v in maps[t]])
+        nth[h] += 1
     return assignment
 
 
@@ -402,8 +404,8 @@ def isi_backtracking(
     forced into increasing min-image order.  Before either, a pattern with
     more vertices than the host, or whose degree sequences do not fit the
     host's (:func:`_degrees_fit`; so also more edges or non-edges), is refuted.
-    :func:`_components` analyses the pattern and, for a pattern of two or
-    more components, the host; both come class by class as it returns them.
+    :func:`_components` analyses the pattern and, for a pattern of two or more
+    components, the host, class by class and with the maps that carry the witness.
     Both layers count their placements in ``stats.search_nodes``, into a
     fresh :class:`SolveStats` when none is given.  The arbiter checks the
     witness, as a guard that raises :class:`WitnessError`.
@@ -411,10 +413,10 @@ def isi_backtracking(
     if not _degrees_fit(sorted(map(len, pattern.adj), reverse=True), sorted(map(len, host.adj), reverse=True)):
         return None
     stats = SolveStats() if stats is None else stats
-    comps, classes, _ = _components(pattern, stats)
+    comps, classes, maps = _components(pattern, stats)
     hosts = _components(host, stats) if len(comps) > 1 else None
     if hosts and len(hosts[0]) > 1:
-        found = _pack(pattern.adj, host.adj, comps, classes, hosts, stats)
+        found = _pack(pattern.adj, host.adj, (comps, classes, maps), hosts, stats)
     else:
         found = next(_embeddings(pattern.adj, host.adj, comps, classes, range(host.n), stats), None)
     if found is None:

@@ -721,7 +721,7 @@ def test_check_reduction_suite(capsys):
     assert "reductions: PASS" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("count, checks", [(1, 24), (5, 120)])
+@pytest.mark.parametrize("count, checks", [(1, 32), (5, 160)])
 def test_check_reduction_suite_runs_count_rounds(count, checks, capsys):
     argv = ["check", "--suite", "reductions", "--seed", "3", "--count", str(count)]
     assert main(argv) == EXIT_OK
@@ -732,7 +732,7 @@ def test_check_reduction_suite_decides_the_seed_1_three_partition_no_instance(ca
     # round 1 of seed 1 draws a 3-Partition no-instance (items 4,4,6,4,4,4, B=13)
     argv = ["check", "--suite", "reductions", "--seed", "1", "--count", "1"]
     assert main(argv) == EXIT_OK
-    assert capsys.readouterr().out == "reductions: PASS (24 checks)\n"
+    assert capsys.readouterr().out == "reductions: PASS (32 checks)\n"
 
 
 def test_check_reduction_failure_exits_3_and_prints_each_failed_check(monkeypatch, capsys):
@@ -768,11 +768,11 @@ def test_check_reduction_guard_errors_are_failed_checks_of_their_builder(monkeyp
     argv = ["check", "--suite", "reductions", "--seed", "3", "--count", "1"]
     assert main(argv) == EXIT_CHECK_FAILED
     captured = capsys.readouterr()
-    # 24 checks, less the universal round's 5 and the 3-Partition round's 4,
+    # 32 checks, less the universal round's 7 and the 3-Partition round's 7,
     # plus one failed check for each
     assert captured.err == ""
     assert captured.out.splitlines() == [
-        "reductions: FAIL (17 checks)",
+        "reductions: FAIL (20 checks)",
         "  failure: " + json.dumps({"builder": "universal", "check": "guard", "detail": "WitnessError: isi refused"}),
         "  failure: " + json.dumps({"builder": "3partition", "check": "guard", "detail": "MappingError: verify refused"}),
     ]
@@ -912,7 +912,7 @@ def test_every_command_takes_adversarial_shapes_within_two_seconds(graph_files, 
                 f"written to {r['outdir']}",
             ],
         ),
-        (["check", "--suite", "reductions", "--count", "1"], lambda r: ["reductions: PASS (24 checks)"]),
+        (["check", "--suite", "reductions", "--count", "1"], lambda r: ["reductions: PASS (32 checks)"]),
         (["analyze", "{k3}"], lambda r: [f"{key} {value}" for key, value in r.items()]),
     ],
     ids=["solve", "solve-isi", "reduce", "check", "analyze"],

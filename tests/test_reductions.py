@@ -1,5 +1,6 @@
 """Tests for the four gadget builders, their verifier and the on-disk form."""
 
+import dataclasses
 import itertools
 import random
 import time
@@ -342,6 +343,30 @@ def test_verifier_catches_wrong_answer_claim():
 def test_verifier_rejects_unknown_kind():
     bogus = ReductionOutput("mystery", path_graph(2), path_graph(2), 1, {}, {})
     assert not verify_reduction(bogus, True).ok
+
+
+def test_verifier_checks_each_size_certificate_against_the_output():
+    # a builder states these sizes; a wrong one fails its own check and no other.
+    # The lift's sides are a star (no cycle) and a fan (feedback vertex set 1)
+    incidence = clique_to_incidence_isi(complete_graph(4), 3)
+    composed = cross_compose([CliqueInstance(complete_graph(4), 3)] * 2)
+    lift = isi_to_mccis(edgeless_graph(2), path_graph(3))
+    packing = three_partition_to_forest_isi(ThreePartitionInstance((4, 4, 5, 4, 4, 5), 2, 13))
+    cases = [
+        (incidence, "host_size", 11, ["host_size"]),
+        (composed, "l_prime", 9, ["l_prime"]),
+        (composed, "t", 3, ["t"]),
+        (lift, "target", 4, ["target"]),
+        (lift, "universal_degrees", [3, 2], ["universal_degrees"]),
+        (lift, "fvs_bound", 0, ["g2_fvs_within_bound"]),
+        (packing, "host_len", 16, ["host_len"]),
+        (packing, "g2_size", 31, ["g2_size"]),
+        (packing, "items", [4, 5, 4, 4, 4, 5], ["items"]),
+    ]
+    for out, key, value, failed in cases:
+        assert verify_reduction(out, True).ok, (key, verify_reduction(out, True).failures())
+        tampered = dataclasses.replace(out, certificates={**out.certificates, key: value})
+        assert [c.name for c in verify_reduction(tampered, True).failures()] == failed, key
 
 
 def test_verifier_rejects_unlabelled_graphs_without_assert():

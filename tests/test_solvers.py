@@ -195,13 +195,19 @@ def test_component_classes_are_the_isomorphism_classes():
             edges += [(label[u], label[v]) for u, v in shape]
             n += k
         g = Graph.from_edges(n, edges)
-        comps, classes, pools = solvers._components(g, SolveStats())
+        comps, classes, maps = solvers._components(g, SolveStats())
         assert sorted(map(sorted, comps)) == sorted(map(sorted, connected_components(g)))
         for i, j in itertools.combinations(range(len(comps)), 2):
             assert (classes[i] == classes[j]) == _isomorphic(g, comps[i], comps[j])
-        # numbered by first appearance, each pool its class's first component
-        assert [classes.index(c) for c in range(len(pools))] == sorted({classes.index(c) for c in classes})
-        assert pools == [sorted(comps[classes.index(c)]) for c in range(len(pools))]
+        # numbered by first appearance; each map a bijection from its class's
+        # first component onto the component, keeping adjacency and
+        # non-adjacency, and the identity on a first component
+        assert [classes.index(c) for c in range(len(set(classes)))] == sorted({classes.index(c) for c in classes})
+        for i, (comp, cid, m) in enumerate(zip(comps, classes, maps)):
+            first = comps[classes.index(cid)]
+            assert sorted(m) == sorted(first) and sorted(m.values()) == sorted(comp)
+            assert all((m[v] in g.adj[m[u]]) == (v in g.adj[u]) for u, v in itertools.combinations(first, 2))
+            assert i != classes.index(cid) or all(m[v] == v for v in first)
         # largest first, then class by class, then by smallest vertex: the
         # spider and the broom are one size, so their classes must not interleave
         keys = [(-len(comp), cid, min(comp)) for comp, cid in zip(comps, classes)]
@@ -242,12 +248,15 @@ def edges_beside_a_p3(t):
 def test_isi_packs_two_thousand_components_without_recursion():
     # 2,000 disjoint edges into themselves beside a P3: the component layer
     # goes 2,000 levels deep, past the default recursion limit, on the
-    # driver's own stack
+    # driver's own stack.  2,000 component placements, 2 x 2 x 1,999 vertex
+    # placements classing the edges of both graphs and 4 in the share searches;
+    # the witness searches nothing, where a search per host component placed
+    # 4,000 more
     pattern, host = edges_beside_a_p3(2000)
     stats = SolveStats()
     witness = isi_backtracking(pattern, host, stats)
     assert witness is not None and is_induced_isomorphism(pattern, host, witness)
-    assert stats.search_nodes == 14_000
+    assert stats.search_nodes == 10_000
 
 
 def test_isi_share_test_reads_one_host_component_per_candidate():
@@ -260,17 +269,33 @@ def test_isi_share_test_reads_one_host_component_per_candidate():
     witness = isi_backtracking(pattern, host, stats)
     assert time.perf_counter() - started < 3.0
     assert witness is not None and is_induced_isomorphism(pattern, host, witness)
-    assert stats.search_nodes == 140_000
+    assert stats.search_nodes == 100_000
 
 
-def test_isi_three_partition_m28_yes_instance_keeps_its_node_count():
+def test_isi_three_partition_m28_yes_instance_searches_each_share_once():
     # items (5, 5, 4, 4, 4, 4) * 14, B = 13: the one-neighbour share test
-    # prunes exactly what the scan of every earlier host component pruned
+    # prunes exactly what the scan of every earlier host component pruned, and
+    # the witness is the share searches' own embeddings: 121,424 placements
+    # when each used host component was searched again
     stats = SolveStats()
     pattern, host = three_partition_isi((5, 5, 4, 4, 4, 4) * 14, 28)
     witness = isi_backtracking(pattern, host, stats)
     assert witness is not None and is_induced_isomorphism(pattern, host, witness)
-    assert stats.search_nodes == 121_424
+    assert stats.search_nodes == 120_836
+
+
+def test_isi_share_test_prunes_on_a_host_whose_classes_interleave():
+    # 6 disjoint P3s into 5 x (P3, K3), laid out piece by piece, so that the
+    # host's (-size, smallest vertex) order alternates the two classes; no
+    # instance, since only 5 host components take a P3.  50 placements with
+    # the host class by class; 76 with it in that alternating order, where the
+    # one-neighbour share test rules out fewer host components
+    pattern = Graph.from_edges(18, [(3 * i + a, 3 * i + a + 1) for i in range(6) for a in (0, 1)])
+    host = Graph.from_edges(30, [e for i in range(5) for e in (
+        (6 * i, 6 * i + 1), (6 * i + 1, 6 * i + 2), (6 * i + 3, 6 * i + 4), (6 * i + 4, 6 * i + 5), (6 * i + 3, 6 * i + 5))])
+    stats = SolveStats()
+    assert isi_backtracking(pattern, host, stats) is None
+    assert stats.search_nodes == 50
 
 
 def test_isi_checks_a_long_witness_in_linear_time():
