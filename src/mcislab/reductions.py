@@ -326,47 +326,51 @@ def verify_reduction(out: ReductionOutput, source_answer: bool) -> ReductionRepo
     """Re-check the certificates against the graphs and roles, and compare
     answers against the source.
 
-    The incidence gadget: both sides bipartite, C4-free, of girth at least 5,
-    with edge vertices of degree 2; the target from ``k``, and ``host_size``.
-    The cross-composition: Z a cover of the host of ``z_size_formula`` vertices,
-    ``p q r`` its one triangle, the host less ``p`` bipartite, ``l_prime`` (the
-    target and the pattern's order) and ``t`` (the ``a_*`` roles).  The universal
-    lift: each side's feedback vertex set within ``fvs_bound`` and its universal
-    vertex adjacent to all others, ``target`` and ``universal_degrees``.
-    3-Partition: both sides forests, the host's size from ``m`` and ``B``,
-    ``host_len``, ``g2_size`` and ``items`` (the pattern's ``piece_*`` runs, in
-    order).  The source's own sizes (``k``, ``n``, ``l``, ``m``, ``B``) are taken
-    as given.  Only meant for instances small enough for the brute-force oracles.
+    Every certificate is read but ``target_formula``, a text.  A flag check
+    passes only when the certificate states True and the property holds.
+    The incidence gadget: both sides ``bipartite`` and ``c4_free``, of girth at
+    least 5, with ``e_*`` vertices of ``edge_vertex_degree``; the target from
+    ``k``, and ``host_size``.  The cross-composition: Z a cover of the host of
+    ``z_size_formula`` vertices, ``unique_triangle`` the roles of its one
+    triangle in vertex order, ``g2_minus_p_bipartite``, ``l_prime`` (the target
+    and the pattern's order), ``t`` (the ``a_*`` roles) and ``n`` and ``l`` (the
+    ``v_*`` roles of the host and of the pattern).  The universal lift: each
+    side's feedback vertex set within ``fvs_bound`` and its universal vertex
+    adjacent to all others, ``target`` and ``universal_degrees``.  3-Partition:
+    both sides ``forest``, the host's size from ``m`` and ``B``, ``host_len``,
+    ``g2_size`` and ``items`` (the pattern's ``piece_*`` runs, in order).  Only
+    meant for instances small enough for the brute-force oracles.
     """
     checks: list[CheckOutcome] = []
 
     def check(name: str, passed: bool, detail: str = "") -> None:
         checks.append(CheckOutcome(name, passed, detail))
 
+    cert = out.certificates
     if out.kind == "cross-compose":
-        z = set(out.certificates["vertex_cover_z"])
+        z = set(cert["vertex_cover_z"])
         covered = all(u in z or v in z for u, v in out.g2.edges)
         check("z_is_vertex_cover", covered)
-        expected = out.certificates["z_size_formula"]
+        expected = cert["z_size_formula"]
         check("z_size_formula", len(z) == expected, f"|Z|={len(z)}, formula={expected}")
-        tri = list(triangles(out.g2))
         roles = _roles(out, "g2")
-        pqr = tuple(sorted(roles.index(name) for name in ("p", "q", "r")))
-        check("unique_triangle_pqr", tri == [pqr], f"triangles={tri}")
+        tri = [[roles[v] for v in t] for t in triangles(out.g2)]
+        check("unique_triangle", tri == [cert["unique_triangle"]], f"triangles={tri}")
         keep = [v for v in range(out.g2.n) if v != roles.index("p")]
         check(
             "g2_minus_p_bipartite",
-            graph_stats(induced_subgraph(out.g2, keep)).bipartite,
+            cert["g2_minus_p_bipartite"] is True and graph_stats(induced_subgraph(out.g2, keep)).bipartite,
         )
-        l_prime = out.certificates["l_prime"]
+        l_prime = cert["l_prime"]
         check("l_prime", l_prime == out.target == out.g1.n, f"l_prime={l_prime}, g1 has {out.g1.n}")
-        selectors = sum(1 for role in roles if (role or "").startswith("a_"))
-        check("t", out.certificates["t"] == selectors, f"t={out.certificates['t']}, a_* roles={selectors}")
+        for key, side, prefix in (("t", "g2", "a_"), ("n", "g2", "v_"), ("l", "g1", "v_")):
+            found = sum(1 for role in _roles(out, side) if (role or "").startswith(prefix))
+            check(key, cert[key] == found, f"{key}={cert[key]}, {prefix}* roles in {side}={found}")
     elif out.kind == "clique-incidence":
         for side, g in (("g1", out.g1), ("g2", out.g2)):
             stats = graph_stats(g)
-            check(f"{side}_bipartite", stats.bipartite)
-            check(f"{side}_c4_free", stats.c4_free)
+            check(f"{side}_bipartite", cert["bipartite"] is True and stats.bipartite)
+            check(f"{side}_c4_free", cert["c4_free"] is True and stats.c4_free)
             check(
                 f"{side}_girth_at_least_5",
                 stats.girth is None or stats.girth >= 5,
@@ -376,21 +380,21 @@ def verify_reduction(out: ReductionOutput, source_answer: bool) -> ReductionRepo
                 v for v, role in enumerate(_roles(out, side)) if (role or "").startswith("e_")
             ]
             check(
-                f"{side}_edge_vertices_degree_2",
-                all(len(g.adj[v]) == 2 for v in edge_nodes),
+                f"{side}_edge_vertex_degree",
+                all(len(g.adj[v]) == cert["edge_vertex_degree"] for v in edge_nodes),
             )
-        k = out.certificates["k"]
+        k = cert["k"]
         check("target_formula", out.target == k + k * (k - 1) // 2)
-        check("host_size", out.certificates["host_size"] == out.g2.n)
+        check("host_size", cert["host_size"] == out.g2.n)
     elif out.kind == "universal":
         degrees = []
         for side, g in (("g1", out.g1), ("g2", out.g2)):
-            check(f"{side}_fvs_within_bound", len(min_feedback_vertex_set(g)) <= out.certificates["fvs_bound"])
+            check(f"{side}_fvs_within_bound", len(min_feedback_vertex_set(g)) <= cert["fvs_bound"])
             universal = _roles(out, side).index("universal")
             degrees.append(len(g.adj[universal]))
             check(f"{side}_universal_degree", degrees[-1] == g.n - 1)
-        check("target", out.certificates["target"] == out.target == out.g1.n)
-        check("universal_degrees", out.certificates["universal_degrees"] == degrees, f"degrees={degrees}")
+        check("target", cert["target"] == out.target == out.g1.n)
+        check("universal_degrees", cert["universal_degrees"] == degrees, f"degrees={degrees}")
         result = mcis_bruteforce(SolveQuery(out.g1, out.g2, connected=True))
         check(
             "mccis_matches_source",
@@ -399,11 +403,11 @@ def verify_reduction(out: ReductionOutput, source_answer: bool) -> ReductionRepo
         )
     elif out.kind == "3partition":
         for side, g in (("g1", out.g1), ("g2", out.g2)):
-            check(f"{side}_is_forest", induces_forest(g, range(g.n)))
-        m, b, items = out.certificates["m"], out.certificates["B"], out.certificates["items"]
+            check(f"{side}_is_forest", cert["forest"] is True and induces_forest(g, range(g.n)))
+        m, b, items = cert["m"], cert["B"], cert["items"]
         check("host_size", out.g2.n == m * (b + 2))
-        check("host_len", out.certificates["host_len"] == b + 2)
-        check("g2_size", out.certificates["g2_size"] == out.g2.n)
+        check("host_len", cert["host_len"] == b + 2)
+        check("g2_size", cert["g2_size"] == out.g2.n)
         pieces = [(role, len(list(run))) for role, run in itertools.groupby(_roles(out, "g1"))]
         check("items", pieces == [(f"piece_{i + 1}", a) for i, a in enumerate(items)], f"pieces={pieces}")
     else:

@@ -57,8 +57,8 @@ each other:
   that raises :class:`WitnessError`.  For MCCIS, ``induces_connected``
   alone decides which cover parts are linked and which candidates stay.
   The search starts from an incumbent, two one- or two-vertex cover shapes
-  (built once per side) paired trace by trace with no search, under the same
-  guards; it stays the witness unless the search beats it (on an empty graph it is empty, and nothing can).
+  (built once per side) paired trace by trace with no search, assembled and
+  guarded like any candidate; it stays the witness unless the search beats it (on an empty graph it is empty, and nothing can).
 
 :func:`solve` routes MCIS/MCCIS by name, owns the size gates, and hands the gate's covers on.
 :func:`enumerate_configurations` exposes the same enumeration as a stream
@@ -206,13 +206,13 @@ def _embeddings(
     neighbors (as positions), its degree window and, at a component's first
     position, the previous component's positions if the two are of one
     class.  Depth first, with an explicit depth, one candidate list per
-    position and the images in a list by position.  A pattern vertex with no
-    earlier neighbor draws from ``pool`` (sorted host vertices).  A
-    candidate ``c`` for ``u`` is adjacent to the images of ``u``'s earlier
-    neighbors and to no other used vertex, i.e.
-    ``|N(c) & used|`` equals their number; it has at least ``u``'s degree,
-    and at least as many non-neighbors in ``pool`` as ``u`` has among the
-    vertices of ``comps``.
+    position and the images in a list by position.  One rule draws each
+    position's candidates, in order, from ``pool`` (sorted host vertices) at
+    a position with no earlier neighbor, else from the common neighborhood of
+    its earlier neighbors' images: ``c`` for ``u`` is unused, meets as many
+    used vertices as ``u`` has earlier neighbors (so none but their images),
+    has at least ``u``'s degree, and at least as many non-neighbors in
+    ``pool`` as ``u`` has among the vertices of ``comps``.
     A component of the same class as the one before it must have all images
     above that component's smallest image (symmetry breaking).  Each
     placement adds one to the caller's ``stats.search_nodes``, and each yield is a fresh dict.
@@ -240,12 +240,9 @@ def _embeddings(
     def candidates(i: int) -> Iterator[int]:
         earlier, du, top, prev = table[i]
         floors[i] = floor = floors[i - 1] if prev is None else min([images[p] for p in prev], default=-1)
-        if not earlier:
-            return iter([c for c in pool if c > floor and c not in used
-                         and du <= len(hadj[c]) <= top and used.isdisjoint(hadj[c])])
-        k, base = len(earlier), hadj[images[earlier[0]]]
-        base = sorted(base.intersection(*[hadj[images[p]] for p in earlier[1:]]) if k > 1 else base)
-        return iter([c for c in base if c > floor and c not in used
+        k = len(earlier)
+        source = sorted(frozenset.intersection(*[hadj[images[p]] for p in earlier])) if k else pool
+        return iter([c for c in source if c > floor and c not in used
                      and du <= len(hadj[c]) <= top and len(hadj[c] & used) == k])
 
     stack = [candidates(0)] * n
@@ -643,24 +640,23 @@ class _Cover:
 def _assemble(
     c1: _Cover,
     c2: _Cover,
-    s1: _Side,
-    s2: _Side,
+    im1: int,
+    im2: int,
     sigma: dict[int, int],
     chosen: Sequence[tuple[int, int]],
     taken: Sequence[int],
     plan: list[tuple[int, int]],
 ) -> VertexMapping:
-    """Build the full candidate mapping for one configuration, in vertex ids.
-
-    Each to-independent vertex takes the member bit its choice in
-    ``chosen`` took, the first side's first; within each key of ``plan``
-    the first graph's members that no choice took (``taken``, per graph)
-    are paired in bit order with the second graph's.
+    """Build one configuration's full mapping in vertex ids, a candidate's or
+    the incumbent's.  Each to-independent vertex (the positions of ``im1``, then
+    ``im2``) takes the member bit its choice in ``chosen`` took; within each key
+    of ``plan`` the first graph's members that no choice took (``taken``, per
+    graph) are paired in bit order with the second graph's.
     """
-    indep1 = c1.vertices(s1.im)
+    indep1 = c1.vertices(im1)
     pairs = [(c1.order[u], c2.order[v]) for u, v in sigma.items()]
     pairs += [(u, c2.flat[b.bit_length() - 1]) for u, (_, b) in zip(indep1, chosen)]
-    pairs += [(c1.flat[b.bit_length() - 1], y) for y, (_, b) in zip(c2.vertices(s2.im), chosen[len(indep1) :])]
+    pairs += [(c1.flat[b.bit_length() - 1], y) for y, (_, b) in zip(c2.vertices(im2), chosen[len(indep1) :])]
     for mk1, mk2 in plan:
         pairs += zip([c1.flat[b] for b in _bits(mk1 & ~taken[0])], [c2.flat[b] for b in _bits(mk2 & ~taken[1])])
     return VertexMapping(tuple(sorted(pairs)))
@@ -856,7 +852,7 @@ def _search_pair(
         steps = [(u, cs, 1) for u, cs in zip(indep1, cands1)] + [(y, cs, 0) for y, cs in zip(indep2, cands2)]
         for size in depth_first(bound, choose, len(steps)):
             stats.configurations += 1
-            mapping = _assemble(c1, c2, s1, s2, sigma, chosen, taken, plan)
+            mapping = _assemble(c1, c2, s1.im, s2.im, sigma, chosen, taken, plan)
             if len(mapping) != size:
                 raise WitnessError(f"assembled {len(mapping)} pairs where the class plan predicts {size}")
             # the arbiter makes both sides isomorphic, so one side's connectivity decides
@@ -873,7 +869,8 @@ def _incumbent(c1: _Cover, c2: _Cover, connected: bool) -> VertexMapping:
     cover part and adjacency, trace by trace, from one shape per isomorphism
     type (its key); in MCCIS without missed members or the shape with no
     position, so every pairing is connected.  Else a single vertex if both graphs
-    have one, and none if not.  A tie goes to the first in shape order, so to the fewer cover positions."""
+    have one, and none if not.  A tie goes to the first in shape order, so to the fewer cover positions.
+    :func:`_assemble` builds the pairing, a configuration with its traces as the plan."""
     traces = 3 if connected else 4
     kinds: list[dict[tuple[int, ...], tuple]] = [{}, {}]
     for c, kind in zip((c1, c2), kinds):
@@ -885,10 +882,7 @@ def _incumbent(c1: _Cover, c2: _Cover, connected: bool) -> VertexMapping:
     if pick is None:  # a single vertex is a (connected) common induced subgraph of two non-empty graphs
         return VertexMapping(((0, 0),) if c1.g.n and c2.g.n else ())
     _, (pos1, masks1), (pos2, masks2) = pick
-    pairs = [(c1.order[a], c2.order[b]) for a, b in zip(pos1, pos2)]
-    for mk1, mk2 in zip(masks1[:traces], masks2):
-        pairs += zip([c1.flat[b] for b in _bits(mk1)], [c2.flat[b] for b in _bits(mk2)])
-    return VertexMapping(tuple(sorted(pairs)))
+    return _assemble(c1, c2, 0, 0, dict(zip(pos1, pos2)), (), (0, 0), list(zip(masks1[:traces], masks2)))
 
 
 def enumerate_configurations(

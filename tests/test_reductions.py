@@ -331,7 +331,7 @@ def test_verifier_catches_tampering():
     )
     report = verify_reduction(broken, source_answer=True)
     assert not report.ok
-    assert any(c.name == "unique_triangle_pqr" for c in report.failures())
+    assert any(c.name == "unique_triangle" for c in report.failures())
 
 
 def test_verifier_catches_wrong_answer_claim():
@@ -346,25 +346,44 @@ def test_verifier_rejects_unknown_kind():
 
 
 def test_verifier_checks_each_size_certificate_against_the_output():
-    # a builder states these sizes; a wrong one fails its own check and no other.
-    # The lift's sides are a star (no cycle) and a fan (feedback vertex set 1)
+    # a builder states these certificates; a wrong one fails its own checks and
+    # no other, and every certificate of every kind is read but target_formula,
+    # a text.  The lift's sides are a star (no cycle) and a fan (feedback vertex set 1)
     incidence = clique_to_incidence_isi(complete_graph(4), 3)
     composed = cross_compose([CliqueInstance(complete_graph(4), 3)] * 2)
     lift = isi_to_mccis(edgeless_graph(2), path_graph(3))
     packing = three_partition_to_forest_isi(ThreePartitionInstance((4, 4, 5, 4, 4, 5), 2, 13))
+    # Z with q (vertex 1) for r (vertex 2): its size stays, and the edges r - a_i go uncovered
+    z = [1 if v == 2 else v for v in composed.certificates["vertex_cover_z"]]
     cases = [
+        (incidence, "k", 4, ["target_formula"]),
+        (incidence, "bipartite", False, ["g1_bipartite", "g2_bipartite"]),
+        (incidence, "c4_free", False, ["g1_c4_free", "g2_c4_free"]),
+        (incidence, "edge_vertex_degree", 3, ["g1_edge_vertex_degree", "g2_edge_vertex_degree"]),
         (incidence, "host_size", 11, ["host_size"]),
-        (composed, "l_prime", 9, ["l_prime"]),
+        (composed, "n", 5, ["n"]),
+        (composed, "l", 4, ["l"]),
         (composed, "t", 3, ["t"]),
+        (composed, "l_prime", 9, ["l_prime"]),
+        (composed, "vertex_cover_z", z, ["z_is_vertex_cover"]),
+        (composed, "z_size_formula", 9, ["z_size_formula"]),
+        (composed, "unique_triangle", ["q", "p", "r"], ["unique_triangle"]),
+        (composed, "g2_minus_p_bipartite", False, ["g2_minus_p_bipartite"]),
         (lift, "target", 4, ["target"]),
         (lift, "universal_degrees", [3, 2], ["universal_degrees"]),
         (lift, "fvs_bound", 0, ["g2_fvs_within_bound"]),
+        (packing, "m", 3, ["host_size"]),
+        (packing, "B", 14, ["host_size", "host_len"]),
         (packing, "host_len", 16, ["host_len"]),
         (packing, "g2_size", 31, ["g2_size"]),
         (packing, "items", [4, 5, 4, 4, 4, 5], ["items"]),
+        (packing, "forest", False, ["g1_is_forest", "g2_is_forest"]),
     ]
+    for out in (incidence, composed, lift, packing):
+        assert {key for o, key, _, _ in cases if o is out} == set(out.certificates) - {"target_formula"}, out.kind
     for out, key, value, failed in cases:
         assert verify_reduction(out, True).ok, (key, verify_reduction(out, True).failures())
+        assert out.certificates[key] != value, key
         tampered = dataclasses.replace(out, certificates={**out.certificates, key: value})
         assert [c.name for c in verify_reduction(tampered, True).failures()] == failed, key
 

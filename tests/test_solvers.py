@@ -214,6 +214,48 @@ def test_component_classes_are_the_isomorphism_classes():
         assert keys == sorted(keys)
 
 
+def _greedy_order(g, comp):
+    """The quadratic reference for a component's vertex order: repeatedly the
+    unplaced vertex with the most placed neighbours, then the largest degree,
+    then the smallest id (so the first is the largest degree's smallest id)."""
+    placed, rest = [], set(comp)
+    while rest:
+        v = min(rest, key=lambda v: (-len(g.adj[v].intersection(placed)), -len(g.adj[v]), v))
+        placed.append(v)
+        rest.remove(v)
+    return placed
+
+
+def test_component_orders_follow_the_greedy_rule():
+    # every component's order equals the reference's: seeded graphs of 1-6
+    # components, a relabelled long path and a spider, where a vertex's key
+    # goes stale each time another of its neighbours is placed
+    rng = random.Random(50)
+    graphs = []
+    for _ in range(80):
+        edges, n = [], 0
+        for _ in range(rng.randint(1, 6)):
+            k = rng.randint(1, 7)
+            tree = [(rng.randrange(v), v) for v in range(1, k)]
+            shape = tree + [e for e in itertools.combinations(range(k), 2) if e not in tree and rng.random() < 0.3]
+            edges += [(n + u, n + v) for u, v in shape]
+            n += k
+        label = rng.sample(range(n), n)
+        graphs.append(Graph.from_edges(n, [(label[u], label[v]) for u, v in edges]))
+    label = rng.sample(range(300), 300)
+    graphs.append(Graph.from_edges(300, [(label[i], label[i + 1]) for i in range(299)]))
+    legs, spider, n = (1, 2, 3, 5, 8, 13), [], 1
+    for length in legs:  # each leg a path hung from the centre 0
+        spider += [(0 if j == 0 else n + j - 1, n + j) for j in range(length)]
+        n += length
+    graphs.append(Graph.from_edges(n, spider))
+    for g in graphs:
+        comps, _, _ = solvers._components(g, SolveStats())
+        assert sorted(map(sorted, comps)) == sorted(map(sorted, connected_components(g)))
+        for comp in comps:
+            assert comp == _greedy_order(g, comp), (g.edges, comp)
+
+
 def test_isi_refutes_disjoint_triangles_in_a_connected_host_within_a_node_budget():
     # 5 triangles into 4, each hung from a hub by a path a_i - p_i - hub: one
     # host component, so the vertex layer alone decides.  About 10k nodes;
